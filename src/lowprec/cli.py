@@ -35,6 +35,7 @@ from .convsub import (
     mac_count,
     profile_dynamic_range,
 )
+# quantize_array: the benchmark tracer (perfbench/spans.py) wraps it at this name.
 from .floatsim import FP16, FloatFormat, parse_format, quantize_array
 from .graphir import (
     Graph,
@@ -48,7 +49,7 @@ from .graphir import (
     movement_profile,
 )
 from .prenorm import LayerNormSpec, PrenormSpec, stabilized_layernorm_rows
-from .softmax_lut import ExpLUT, softmax_lut, softmax_reference
+from .softmax_lut import ExpLUT, SoftmaxRescaleSpec, softmax_lut, softmax_reference
 from .streams import (
     StreamFormatError,
     atomic_write,
@@ -341,12 +342,14 @@ def cmd_audit_softmax(args) -> int:
     ref = softmax_reference(rows)
     q, _ = quantize_array(rows, fmt)
     srt = np.sort(q, axis=1)
-    unique = np.isfinite(srt[:, -1]) & (srt[:, -1] > srt[:, -2])
+    # a width-1 row's single entry is its own unique max
+    runner_up = srt[:, -2] if srt.shape[1] > 1 else -np.inf
+    unique = np.isfinite(srt[:, -1]) & (srt[:, -1] > runner_up)
     agree = float(np.mean(np.argmax(out[unique], axis=1)
                           == np.argmax(ref[unique], axis=1))) if unique.any() else 1.0
     sum_dev = float(np.abs(out.sum(axis=1) - 1.0).max())
     tol = _sum_tolerance(fmt)
-    rescaled = int(np.count_nonzero(q.max(axis=1) > 4096.0))
+    rescaled = int(np.count_nonzero(q.max(axis=1) > SoftmaxRescaleSpec().threshold))
     ok = agree == 1.0 and sum_dev <= tol
 
     report_path = out_dir / "softmax_audit.json"

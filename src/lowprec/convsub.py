@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from lowprec.floatsim import FloatFormat, OverflowStats, quantize_array
+from lowprec.floatsim import FloatFormat, OverflowStats, QuantRecorder
+# Bound here so the benchmark tracer (perfbench/spans.py) can wrap it.
+from lowprec.floatsim import quantize_array  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -132,30 +134,18 @@ def subsample_forward(x, config: SubsamplingConfig, weights: dict,
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 2:
         x = x[None]
-    pools: list[np.ndarray] = []
-
-    def q(values):
-        if fmt is None:
-            return values
-        out, codes = quantize_array(values, fmt)
-        pools.append(codes)
-        return out
-
-    x = q(x)
+    rec = QuantRecorder(fmt)
+    x = rec.q(x)
     peaks = []
     for i, layer in enumerate(config.layers):
         x = conv2d_forward(x, weights[f"layer{i}.weight"],
                            weights[f"layer{i}.bias"], layer)
-        x = np.maximum(q(x), 0.0)
+        x = np.maximum(rec.q(x), 0.0)
         peaks.append(float(np.abs(x).max()))
     if config.output_multiplier != 1.0:
-        x = q(x * config.output_multiplier)
+        x = rec.q(x * config.output_multiplier)
         peaks.append(float(np.abs(x).max()))
-
-    stats = OverflowStats()
-    for codes in pools:
-        stats = stats + OverflowStats.from_codes(codes)
-    return x, stats, tuple(peaks)
+    return x, rec.stats, tuple(peaks)
 
 
 @dataclass(frozen=True)

@@ -168,6 +168,33 @@ def quantize_tensor(xs, fmt: FloatFormat) -> tuple[np.ndarray, OverflowStats]:
     return vals, OverflowStats.from_codes(codes)
 
 
+class QuantRecorder:
+    """Quantize-and-account: the one way the pipelines round intermediates.
+
+    ``q(values)`` rounds ``values`` onto ``fmt``, keeps the status codes
+    in ``codes`` (one array per call, in call order) and merges them into
+    ``stats``. A ``rows`` mask, broadcastable against ``values``, limits
+    the accounting to the entries it selects while every entry is still
+    rounded; the softmax hot-row rescale counts only the rows it touches.
+    With ``fmt=None`` values pass through as float64 and nothing is kept.
+    """
+
+    def __init__(self, fmt: FloatFormat | None):
+        self.fmt = fmt
+        self.stats = OverflowStats()
+        self.codes: list[np.ndarray] = []
+
+    def q(self, values, rows=None) -> np.ndarray:
+        if self.fmt is None:
+            return np.asarray(values, dtype=np.float64)
+        out, codes = quantize_array(values, self.fmt)
+        if rows is not None:
+            codes = codes[np.broadcast_to(rows, codes.shape)]
+        self.codes.append(codes)
+        self.stats = self.stats + OverflowStats.from_codes(codes)
+        return out
+
+
 def ulp(v: float, fmt: FloatFormat) -> float:
     """Spacing between adjacent representable values at magnitude ``|v|``.
 

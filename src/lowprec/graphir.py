@@ -31,7 +31,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from lowprec.floatsim import FloatFormat, OverflowStats, quantize_array
+from lowprec.floatsim import FloatFormat, OverflowStats, QuantRecorder
+# Bound here so the benchmark tracer (perfbench/spans.py) can wrap it.
+from lowprec.floatsim import quantize_array
 from lowprec.prenorm import layernorm as _layernorm_ref
 from lowprec.softmax_lut import softmax_lut, softmax_reference
 
@@ -144,19 +146,6 @@ def canonical_json(g: Graph) -> str:
         n["id"] = rename[n["id"]]
         n["inputs"] = [ref(r) for r in n["inputs"]]
     return json.dumps(d, sort_keys=True, separators=(",", ":"))
-
-
-def export_dot(g: Graph) -> str:
-    """Graphviz text for eyeballing a rewrite."""
-    lines = [f'digraph "{g.name}" {{', "  rankdir=TB;"]
-    for n in g.nodes:
-        shape = "box" if n.op in MOVEMENT_OPS else "ellipse"
-        lines.append(f'  "{n.id}" [label="{n.id}\\n{n.op}" shape={shape}];')
-    for n in g.nodes:
-        for r in n.inputs:
-            lines.append(f'  "{r.split(":")[0]}" -> "{n.id}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +354,7 @@ class ExecTrace:
 
 
 def _apply(node: Node, args: list[np.ndarray], weights: dict,
-           fmt: FloatFormat | None):
+           rec: QuantRecorder):
     a = node.attrs
     if node.op == "linear":
         w = np.asarray(weights[a["weight"]], dtype=np.float64)
@@ -390,9 +379,11 @@ def _apply(node: Node, args: list[np.ndarray], weights: dict,
         ax = int(a.get("axis", -1))
         if ax not in (-1, args[0].ndim - 1):
             raise GraphError(f"{node.id}: softmax only along the last axis")
-        if fmt is None:
+        if rec.fmt is None:
             return softmax_reference(args[0])
-        return softmax_lut(args[0], fmt=fmt)[0]
+        out, stats = softmax_lut(args[0], fmt=rec.fmt)
+        rec.stats = rec.stats + stats  # the table path quantizes internally
+        return out
     if node.op == "layernorm":
         return _layernorm_ref(args[0], axis=int(a.get("axis", -1)))
     if node.op == "add":
@@ -413,7 +404,8 @@ def execute_traced(g: Graph, feeds: dict[str, np.ndarray],
 
     Movement ops shuffle already-quantized values, so they never re-quantize
     (re-counting saturated entries would double-book them). Softmax runs
-    through the table/rescale path in format mode and the float64 reference
+    through the table/rescale path in format mode, where ``node_stats``
+    holds that path's own quantize counts, and the float64 reference
     otherwise.
     """
     weights = weights or {}
@@ -424,14 +416,8 @@ def execute_traced(g: Graph, feeds: dict[str, np.ndarray],
     node_bytes: dict[str, int] = {}
     movement = 0
 
-    def q(node_id: str, arr: np.ndarray) -> np.ndarray:
-        if fmt is None:
-            return arr
-        out, codes = quantize_array(arr, fmt)
-        node_stats[node_id] = OverflowStats.from_codes(codes)
-        return out
-
     for n in g.nodes:
+        rec = QuantRecorder(fmt)
         if n.op == "input":
             if n.id not in feeds:
                 raise GraphError(f"missing feed for input {n.id!r}")
@@ -439,7 +425,7 @@ def execute_traced(g: Graph, feeds: dict[str, np.ndarray],
             if arr.shape != tuple(n.attrs["shape"]):
                 raise GraphError(f"{n.id}: feed shape {arr.shape} does not "
                                  f"match {tuple(n.attrs['shape'])}")
-            values[n.id] = q(n.id, arr)
+            values[n.id] = rec.q(arr)
         elif n.op == "output":
             values[n.id] = values[n.inputs[0]]
         elif n.op == "split":
@@ -453,15 +439,15 @@ def execute_traced(g: Graph, feeds: dict[str, np.ndarray],
             node_bytes[n.id] = arr.nbytes
         else:
             args = [values[r] for r in n.inputs]
-            out = _apply(n, args, weights, fmt)
+            out = _apply(n, args, weights, rec)
             if n.op in ARITHMETIC_OPS and n.op != "softmax":
-                out = q(n.id, out)
-            elif n.op == "softmax" and fmt is not None:
-                pass  # softmax_lut already quantized internally
+                out = rec.q(out)
             values[n.id] = out
             node_bytes[n.id] = out.nbytes
             if n.op in MOVEMENT_OPS:
                 movement += out.nbytes
+        if fmt is not None and (n.op == "input" or n.op in ARITHMETIC_OPS):
+            node_stats[n.id] = rec.stats
     return ExecTrace(
         outputs={o: values[o] for o in g.outputs},
         node_stats=node_stats,
@@ -788,47 +774,64 @@ def _attention_core(g: Graph):
     return qk, scale, smax, av
 
 
-def _chunk_bsf(g: Graph, n_chunks: int, heads: int) -> Graph:
-    if heads % n_chunks:
-        raise GraphRewriteError(f"{n_chunks} chunks do not divide {heads} heads")
-    qk, scale, smax, av = _attention_core(g)
-    q_src, k_src = qk.inputs
-    v_src = av.inputs[1]
-    removed = {qk.id, scale.id, smax.id, av.id}
+def _chunk_core(g: Graph, core, n_chunks: int, axis: int, splits: dict,
+                refs, anchor: str, removed=(), post=None) -> Graph:
+    """Replace the attention core with ``n_chunks`` branches and a concat.
+
+    ``splits`` maps a tag to the tensor split into ``<tag>_split`` along
+    ``axis``. ``refs(c)`` returns the nodes placed before branch ``c`` and
+    its (q, k, v) operands; ``post(c, ref)`` returns the nodes placed after
+    the branch's context product and the ref to join. Each branch repeats
+    the core's four nodes with their op and attrs. The subgraph goes in
+    front of the first consumer of ``anchor``, which then reads the join.
+    """
+    qk, scale, smax, av = core
+    removed = {qk.id, scale.id, smax.id, av.id, *removed}
     nodes = [n for n in g.nodes if n.id not in removed]
-
+    insert = [Node(f"{tag}_split", "split", (src,),
+                   {"axis": axis, "sections": n_chunks})
+              for tag, src in splits.items()]
     branch_out = []
-    insert: list[Node] = []
-    for tag, src in (("q", q_src), ("k", k_src), ("v", v_src)):
-        insert.append(Node(f"{tag}_split", "split", (src,),
-                           {"axis": 1, "sections": n_chunks}))
     for c in range(n_chunks):
-        insert += [
-            Node(f"{qk.id}_c{c}", "batched_matmul",
-                 (f"q_split:{c}", f"k_split:{c}")),
-            Node(f"{scale.id}_c{c}", "scale", (f"{qk.id}_c{c}",),
+        pre, (q, k, v) = refs(c)
+        insert += pre + [
+            Node(f"{qk.id}_c{c}", qk.op, (q, k), dict(qk.attrs)),
+            Node(f"{scale.id}_c{c}", scale.op, (f"{qk.id}_c{c}",),
                  dict(scale.attrs)),
-            Node(f"{smax.id}_c{c}", "softmax", (f"{scale.id}_c{c}",),
+            Node(f"{smax.id}_c{c}", smax.op, (f"{scale.id}_c{c}",),
                  dict(smax.attrs)),
-            Node(f"{av.id}_c{c}", "batched_matmul",
-                 (f"{smax.id}_c{c}", f"v_split:{c}")),
+            Node(f"{av.id}_c{c}", av.op, (f"{smax.id}_c{c}", v),
+                 dict(av.attrs)),
         ]
-        branch_out.append(f"{av.id}_c{c}")
+        tail, out_ref = post(c, f"{av.id}_c{c}") if post else ([], f"{av.id}_c{c}")
+        insert += tail
+        branch_out.append(out_ref)
     insert.append(Node(f"{av.id}_join", "concat", tuple(branch_out),
-                       {"axis": 1}))
+                       {"axis": axis}))
 
-    # splice the branch subgraph where the old core sat
     idx = next(i for i, n in enumerate(nodes)
-               if any(r.split(":")[0] == av.id for r in n.inputs))
+               if any(r.split(":")[0] == anchor for r in n.inputs))
     nodes = nodes[:idx] + insert + nodes[idx:]
-    nodes = _replace_ref(nodes, av.id, f"{av.id}_join")
+    nodes = _replace_ref(nodes, anchor, f"{av.id}_join")
     return Graph(g.name, nodes, list(g.inputs), list(g.outputs), dict(g.meta))
 
 
+def _split_refs(c: int):
+    return [], (f"q_split:{c}", f"k_split:{c}", f"v_split:{c}")
+
+
+def _chunk_bsf(g: Graph, n_chunks: int, heads: int) -> Graph:
+    if heads % n_chunks:
+        raise GraphRewriteError(f"{n_chunks} chunks do not divide {heads} heads")
+    core = qk, _, _, av = _attention_core(g)
+    splits = {"q": qk.inputs[0], "k": qk.inputs[1], "v": av.inputs[1]}
+    return _chunk_core(g, core, n_chunks, 1, splits, _split_refs, av.id)
+
+
 def _chunk_bc1s(g: Graph, n_chunks: int, axis: str, heads: int) -> Graph:
-    qk, scale, smax, av = _attention_core(g)
+    core = qk, _, _, av = _attention_core(g)
     if axis == "query":
-        return _chunk_bc1s_query(g, n_chunks, qk, scale, smax, av)
+        return _chunk_bc1s_query(g, n_chunks, core)
     if heads % n_chunks:
         raise GraphRewriteError(f"{n_chunks} chunks do not divide {heads} heads")
     hpc = heads // n_chunks
@@ -850,86 +853,35 @@ def _chunk_bc1s(g: Graph, n_chunks: int, axis: str, heads: int) -> Graph:
         g, lambda n: n.op == "reshape" and av.id in n.inputs, "head merge")
     bzh, d, _, S = shapes[q_r.id]
     bz = bzh // heads
+    splits = {"q": q_r.inputs[0], "k": k_r.inputs[0], "v": v_r.inputs[0]}
+    removed = (q_r.id, k_r.id, v_r.id, merge.id)
+    if hpc == 1:  # one head per branch: the split pieces are already heads
+        return _chunk_core(g, core, n_chunks, 1, splits, _split_refs, merge.id,
+                           removed)
 
-    removed = {qk.id, scale.id, smax.id, av.id,
-               q_r.id, k_r.id, v_r.id, merge.id}
-    nodes = [n for n in g.nodes if n.id not in removed]
+    def refs(c):  # several heads per branch still need their reshapes
+        pre = [Node(f"{tag}_r_c{c}", "reshape", (f"{tag}_split:{c}",),
+                    {"shape": [bz * hpc, d, 1, S]}) for tag in "qkv"]
+        return pre, tuple(n.id for n in pre)
 
-    insert: list[Node] = []
-    for tag, r in (("q", q_r), ("k", k_r), ("v", v_r)):
-        insert.append(Node(f"{tag}_split", "split", (r.inputs[0],),
-                           {"axis": 1, "sections": n_chunks}))
-    branch_out = []
-    for c in range(n_chunks):
-        refs = {}
-        for tag in ("q", "k", "v"):
-            ref = f"{tag}_split:{c}"
-            if hpc > 1:  # several heads per branch still need their reshape
-                rid = f"{tag}_r_c{c}"
-                insert.append(Node(rid, "reshape", (ref,),
-                                   {"shape": [bz * hpc, d, 1, S]}))
-                ref = rid
-            refs[tag] = ref
-        insert += [
-            Node(f"{qk.id}_c{c}", "einsum", (refs["q"], refs["k"]),
-                 dict(qk.attrs)),
-            Node(f"{scale.id}_c{c}", "scale", (f"{qk.id}_c{c}",),
-                 dict(scale.attrs)),
-            Node(f"{smax.id}_c{c}", "softmax", (f"{scale.id}_c{c}",),
-                 dict(smax.attrs)),
-            Node(f"{av.id}_c{c}", "einsum",
-                 (f"{smax.id}_c{c}", refs["v"]), dict(av.attrs)),
-        ]
-        out_ref = f"{av.id}_c{c}"
-        if hpc > 1:
-            rid = f"{av.id}_merge_c{c}"
-            insert.append(Node(rid, "reshape", (out_ref,),
-                               {"shape": [bz, hpc * d, 1, S]}))
-            out_ref = rid
-        branch_out.append(out_ref)
-    insert.append(Node(f"{av.id}_join", "concat", tuple(branch_out),
-                       {"axis": 1}))
+    def post(c, ref):
+        rid = f"{av.id}_merge_c{c}"
+        return [Node(rid, "reshape", (ref,), {"shape": [bz, hpc * d, 1, S]})], rid
 
-    idx = next(i for i, n in enumerate(nodes)
-               if any(r.split(":")[0] == merge.id for r in n.inputs))
-    nodes = nodes[:idx] + insert + nodes[idx:]
-    nodes = _replace_ref(nodes, merge.id, f"{av.id}_join")
-    return Graph(g.name, nodes, list(g.inputs), list(g.outputs), dict(g.meta))
+    return _chunk_core(g, core, n_chunks, 1, splits, refs, merge.id, removed,
+                       post)
 
 
-def _chunk_bc1s_query(g: Graph, n_chunks: int, qk, scale, smax, av) -> Graph:
-    shapes = infer_shapes(g)
+def _chunk_bc1s_query(g: Graph, n_chunks: int, core) -> Graph:
+    qk, _, _, av = core
     q_ref = qk.inputs[0]
-    S = shapes[q_ref][-1]
+    S = infer_shapes(g)[q_ref][-1]
     if S % n_chunks:
         raise GraphRewriteError(f"{n_chunks} chunks do not divide {S} query "
                                 "positions")
-    removed = {qk.id, scale.id, smax.id, av.id}
-    nodes = [n for n in g.nodes if n.id not in removed]
-
-    insert = [Node("q_split", "split", (q_ref,),
-                   {"axis": 3, "sections": n_chunks})]
-    branch_out = []
-    for c in range(n_chunks):
-        insert += [
-            Node(f"{qk.id}_c{c}", "einsum", (f"q_split:{c}", qk.inputs[1]),
-                 dict(qk.attrs)),
-            Node(f"{scale.id}_c{c}", "scale", (f"{qk.id}_c{c}",),
-                 dict(scale.attrs)),
-            Node(f"{smax.id}_c{c}", "softmax", (f"{scale.id}_c{c}",),
-                 dict(smax.attrs)),
-            Node(f"{av.id}_c{c}", "einsum",
-                 (f"{smax.id}_c{c}", av.inputs[1]), dict(av.attrs)),
-        ]
-        branch_out.append(f"{av.id}_c{c}")
-    insert.append(Node(f"{av.id}_join", "concat", tuple(branch_out),
-                       {"axis": 3}))
-
-    idx = next(i for i, n in enumerate(nodes)
-               if any(r.split(":")[0] == av.id for r in n.inputs))
-    nodes = nodes[:idx] + insert + nodes[idx:]
-    nodes = _replace_ref(nodes, av.id, f"{av.id}_join")
-    return Graph(g.name, nodes, list(g.inputs), list(g.outputs), dict(g.meta))
+    return _chunk_core(g, core, n_chunks, 3, {"q": q_ref},
+                       lambda c: ([], (f"q_split:{c}", qk.inputs[1], av.inputs[1])),
+                       av.id)
 
 
 def pass_einsum(g: Graph) -> Graph:

@@ -17,7 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lowprec.floatsim import FloatFormat, OverflowStats, QuantizeStatus, quantize_array
+from lowprec.floatsim import FloatFormat, OverflowStats, QuantRecorder, QuantizeStatus
+# Bound here so the benchmark tracer (perfbench/spans.py) can wrap it.
+from lowprec.floatsim import quantize_array  # noqa: F401
+
+# Peak |x| below which a vector is degenerate: ZeroMeanVector's tolerance
+# floor, and where prenormalize's denominator could underflow.
+_DEGENERATE_PEAK = 1e-300
 
 
 @dataclass(frozen=True)
@@ -72,7 +78,7 @@ class ZeroMeanVector:
         if not np.all(np.isfinite(v)):
             raise ValueError("entries must be finite")
         peak = np.max(np.abs(v))
-        if abs(float(v.sum())) > 1e-12 * v.size * max(peak, 1e-300):
+        if abs(float(v.sum())) > 1e-12 * v.size * max(peak, _DEGENERATE_PEAK):
             raise ValueError("entries do not sum to zero")
         object.__setattr__(self, "values", v)
 
@@ -128,9 +134,10 @@ def theorem1_scale(p: float, M: float) -> float:
 def prenormalize(x, spec: PrenormSpec) -> tuple[np.ndarray, bool]:
     """Scale ``x`` so the subsequent L_p-norm computation cannot overflow.
 
-    Returns (scaled vector, degenerate flag). The flag is True for the
-    all-zero input, which is returned unchanged because its denominator
-    would be zero (the layernorm epsilon already covers that case).
+    Returns (scaled vector, degenerate flag). The flag is True when the
+    peak |x| is below 1e-300, the all-zero input included: such a vector is
+    returned unchanged, because its denominator would underflow to zero or
+    a subnormal (the layernorm epsilon already covers that case).
     """
     if isinstance(x, ZeroMeanVector):
         v = x.values
@@ -140,9 +147,10 @@ def prenormalize(x, spec: PrenormSpec) -> tuple[np.ndarray, bool]:
             v = ZeroMeanVector(v).values  # the optimality argument needs zero mean
     if v.size == 0:
         raise ValueError("prenormalize of an empty vector")
-    s1 = float(np.abs(v).sum())
-    if s1 == 0.0:
+    a = np.abs(v)
+    if a.max() < _DEGENERATE_PEAK:
         return v.copy(), True
+    s1 = float(a.sum())
     if spec.mode == "theorem1":
         denom = theorem1_scale(spec.p, spec.safety * spec.max_value) * s1
     else:
@@ -234,12 +242,6 @@ def lemma1_oracle(n: int, S: float, p: float,
 # Low-precision layernorm pipeline
 
 
-def _q(values, fmt, pools):
-    out, codes = quantize_array(values, fmt)
-    pools.append(codes)
-    return out
-
-
 def stabilized_layernorm_rows(rows, pspec: PrenormSpec | None,
                               lspec: LayerNormSpec | None,
                               fmt: FloatFormat):
@@ -268,29 +270,27 @@ def stabilized_layernorm_rows(rows, pspec: PrenormSpec | None,
         for i in range(x.shape[0]):
             y[i], _ = prenormalize(centered[i], pspec)
 
-    pools: list[np.ndarray] = []
-    yq = _q(y, fmt, pools)
+    rec = QuantRecorder(fmt)
+    yq = rec.q(y)
 
-    sq = _q(yq * yq, fmt, pools)
+    sq = rec.q(yq * yq)
     acc = sq
     while acc.shape[1] > 1:
         even = acc.shape[1] // 2 * 2
-        pairs = _q(acc[:, 0:even:2] + acc[:, 1:even:2], fmt, pools)
+        pairs = rec.q(acc[:, 0:even:2] + acc[:, 1:even:2])
         if even != acc.shape[1]:  # odd leftover rides along unchanged
             pairs = np.concatenate([pairs, acc[:, even:]], axis=1)
         acc = pairs
-    var = _q(acc[:, 0] / n, fmt, pools)
-    var_eps = _q(var + eps, fmt, pools)
-    denom = _q(np.sqrt(var_eps), fmt, pools)
-    out = _q(yq / denom[:, None], fmt, pools)
+    var = rec.q(acc[:, 0] / n)
+    var_eps = rec.q(var + eps)
+    denom = rec.q(np.sqrt(var_eps))
+    out = rec.q(yq / denom[:, None])
 
     per_row = np.zeros(x.shape[0], dtype=np.int64)
-    total = OverflowStats()
-    for codes in pools:
-        codes2d = codes if codes.ndim == 2 else codes[:, None]
-        per_row += np.count_nonzero(codes2d == QuantizeStatus.OVERFLOW, axis=1)
-        total = total + OverflowStats.from_codes(codes)
-    return out, per_row, total
+    for codes in rec.codes:
+        per_row += np.count_nonzero(
+            codes.reshape(x.shape[0], -1) == QuantizeStatus.OVERFLOW, axis=1)
+    return out, per_row, rec.stats
 
 
 def stabilized_layernorm(x, pspec: PrenormSpec | None,

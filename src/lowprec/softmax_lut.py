@@ -17,7 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from lowprec.floatsim import FloatFormat, OverflowStats, quantize_array
+from lowprec.floatsim import FloatFormat, QuantRecorder
+# Bound here so the benchmark tracer (perfbench/spans.py) can wrap it.
+from lowprec.floatsim import quantize_array  # noqa: F401
 from lowprec.streams import StreamFormatError, atomic_write
 
 
@@ -163,35 +165,15 @@ def softmax_lut(x, spec: SoftmaxRescaleSpec | None = None,
     """
     spec = spec or SoftmaxRescaleSpec()
     lut = lut or ExpLUT()
-    pools: list[np.ndarray] = []
-
-    def q(values):
-        if fmt is None:
-            return np.asarray(values, dtype=np.float64)
-        out, codes = quantize_array(values, fmt)
-        pools.append(codes)
-        return out
-
-    x = q(np.asarray(x, dtype=np.float64))
+    rec = QuantRecorder(fmt)
+    x = rec.q(x)
     mx = np.max(x, axis=-1, keepdims=True)
     hot = mx > spec.threshold
     if np.any(hot):
-        ratio = _hot_ratio(x, mx, hot)
-        if fmt is not None:
-            ratio, codes = quantize_array(ratio, fmt)
-            pools.append(codes[np.broadcast_to(hot, codes.shape)])
-        scaled = spec.threshold * ratio
-        if fmt is not None:
-            scaled, codes = quantize_array(scaled, fmt)
-            pools.append(codes[np.broadcast_to(hot, codes.shape)])
-        x = np.where(hot, scaled, x)
+        ratio = rec.q(_hot_ratio(x, mx, hot), rows=hot)
+        x = np.where(hot, rec.q(spec.threshold * ratio, rows=hot), x)
     if subtract_max:
-        x = q(x - np.max(x, axis=-1, keepdims=True))
-    e = q(lut(x))
-    total = q(e.sum(axis=-1, keepdims=True))
-    out = q(e / total)
-
-    stats = OverflowStats()
-    for codes in pools:
-        stats = stats + OverflowStats.from_codes(codes)
-    return out, stats
+        x = rec.q(x - np.max(x, axis=-1, keepdims=True))
+    e = rec.q(lut(x))
+    total = rec.q(e.sum(axis=-1, keepdims=True))
+    return rec.q(e / total), rec.stats

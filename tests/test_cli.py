@@ -140,6 +140,16 @@ def test_audit_softmax_flags_broken_normalization(tmp_path, monkeypatch):
     assert run("audit-softmax", str(path), "--out-dir", str(tmp_path)) == 1
 
 
+def test_audit_softmax_width_one_rows(tmp_path):
+    path = tmp_path / "w1.stream"
+    run("gen-stream", str(path), "--rows", "6", "--width", "1",
+        "--scale", "5000", "--seed", "1")
+    out = tmp_path / "audit"
+    assert run("audit-softmax", str(path), "--out-dir", str(out)) == 0
+    report = json.loads((out / "softmax_audit.json").read_text())
+    assert report["unique_max_rows"] == 6 and report["pass"] is True
+
+
 def test_profile_conv_emits_peaks_hist_and_mac_table(tmp_path):
     path = tmp_path / "mel.stream"
     run("gen-stream", str(path), "--rows", "120", "--width", "80",

@@ -209,6 +209,15 @@ def test_all_zero_input_is_flagged_and_passed_through():
     assert flag and np.all(y == 0.0)
 
 
+@pytest.mark.parametrize("mode", ["theorem1", "mad"])
+@pytest.mark.parametrize("x", [[-5e-324, 5e-324], [0.0, 5e-324]])
+def test_vectors_below_the_peak_floor_are_flagged_and_passed_through(mode, x):
+    x = np.array(x)
+    y, flag = prenormalize(x, PrenormSpec(mode))
+    assert flag
+    np.testing.assert_array_equal(y, x)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         PrenormSpec("median")
