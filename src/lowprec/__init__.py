@@ -28,12 +28,7 @@ from lowprec.prenorm import (
     stabilized_layernorm,
     theorem1_scale,
 )
-from lowprec.softmax_lut import (
-    ExpLUT,
-    SoftmaxRescaleSpec,
-    conditional_rescale,
-    softmax_reference,
-)
+from lowprec.softmax_lut import ExpLUT, softmax_reference
 from lowprec.streams import StreamFormatError, read_stream, write_stream
 
 __all__ = [
@@ -64,8 +59,6 @@ __all__ = [
     "stabilized_layernorm",
     "theorem1_scale",
     "ExpLUT",
-    "SoftmaxRescaleSpec",
-    "conditional_rescale",
     "softmax_reference",
     "StreamFormatError",
     "read_stream",

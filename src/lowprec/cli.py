@@ -49,7 +49,7 @@ from .graphir import (
     movement_profile,
 )
 from .prenorm import LayerNormSpec, PrenormSpec, stabilized_layernorm_rows
-from .softmax_lut import ExpLUT, SoftmaxRescaleSpec, softmax_lut, softmax_reference
+from .softmax_lut import RESCALE_THRESHOLD, ExpLUT, softmax_lut, softmax_reference
 from .streams import (
     StreamFormatError,
     atomic_write,
@@ -349,7 +349,7 @@ def cmd_audit_softmax(args) -> int:
                           == np.argmax(ref[unique], axis=1))) if unique.any() else 1.0
     sum_dev = float(np.abs(out.sum(axis=1) - 1.0).max())
     tol = _sum_tolerance(fmt)
-    rescaled = int(np.count_nonzero(q.max(axis=1) > SoftmaxRescaleSpec().threshold))
+    rescaled = int(np.count_nonzero(q.max(axis=1) > RESCALE_THRESHOLD))
     ok = agree == 1.0 and sum_dev <= tol
 
     report_path = out_dir / "softmax_audit.json"
@@ -558,7 +558,11 @@ def _resolve(args) -> None:
     for key, hard in defaults.items():
         if hasattr(args, key) and getattr(args, key) is None:
             value = cfg.get(key, hard)
-            setattr(args, key, type(hard)(value) if value is not None else hard)
+            try:
+                setattr(args, key, type(hard)(value) if value is not None else hard)
+            except (TypeError, ValueError):
+                raise ValueError(f"{args.config}: key {key!r}: {value!r} is not "
+                                 f"a valid {type(hard).__name__}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -166,30 +166,25 @@ def mac_count(config: SubsamplingConfig, input_hw: tuple[int, int]) -> MacCount:
                     (config.layers[-1].out_channels, h, w))
 
 
-@dataclass(frozen=True)
-class TransformerDims:
-    layers: int = 12
-    d_model: int = 512
-    d_ff: int = 2048
-    heads: int = 8
+# The encoder the front end feeds: layers, model width, feed-forward width.
+_ENC_LAYERS, _ENC_D, _ENC_FF = 12, 512, 2048
 
 
-def mac_count_encoder(seq_len: int, dims: TransformerDims = TransformerDims()) -> int:
+def mac_count_encoder(seq_len: int) -> int:
     """Attention + feed-forward MACs for the whole encoder stack.
 
     Per layer: 4*S*d^2 for the q/k/v/output projections, 2*S^2*d for the
     score and context products, 2*S*d*d_ff for the feed-forward pair.
     """
-    s, d, dff = seq_len, dims.d_model, dims.d_ff
-    return dims.layers * (4 * s * d * d + 2 * s * s * d + 2 * s * d * dff)
+    s, d, dff = seq_len, _ENC_D, _ENC_FF
+    return _ENC_LAYERS * (4 * s * d * d + 2 * s * s * d + 2 * s * d * dff)
 
 
-def frontend_share(config: SubsamplingConfig, input_hw: tuple[int, int],
-                   dims: TransformerDims = TransformerDims()) -> dict:
+def frontend_share(config: SubsamplingConfig, input_hw: tuple[int, int]) -> dict:
     """How much of the front end + encoder MAC budget the front end takes."""
     mc = mac_count(config, input_hw)
     seq_len = mc.output_shape[-1]  # last axis is time
-    enc = mac_count_encoder(seq_len, dims)
+    enc = mac_count_encoder(seq_len)
     return {
         "config": config.name,
         "input_hw": list(input_hw),

@@ -30,7 +30,7 @@ class FloatFormat:
 
     ``mantissa_bits`` counts explicit fraction bits (10 for fp16), the
     all-ones exponent is reserved for inf/nan, and subnormals are
-    representable unless ``flush_to_zero`` is set.
+    representable.
     """
 
     name: str
@@ -38,7 +38,6 @@ class FloatFormat:
     exponent_bits: int
     max_finite: float
     min_normal: float
-    flush_to_zero: bool = False
 
     def __post_init__(self):
         if self.mantissa_bits < 1 or self.exponent_bits < 2:
@@ -47,24 +46,18 @@ class FloatFormat:
             raise ValueError("require max_finite > min_normal > 0")
 
     @classmethod
-    def from_bits(cls, name: str, mantissa_bits: int, exponent_bits: int,
-                  flush_to_zero: bool = False) -> "FloatFormat":
+    def from_bits(cls, name: str, mantissa_bits: int,
+                  exponent_bits: int) -> "FloatFormat":
         bias = 2 ** (exponent_bits - 1) - 1
         max_exp = bias  # all-ones exponent is inf/nan
         max_finite = math.ldexp(2.0 - math.ldexp(1.0, -mantissa_bits), max_exp)
         min_normal = math.ldexp(1.0, 1 - bias)
-        return cls(name, mantissa_bits, exponent_bits, max_finite, min_normal,
-                   flush_to_zero)
+        return cls(name, mantissa_bits, exponent_bits, max_finite, min_normal)
 
     @property
     def min_exponent(self) -> int:
         """Exponent k of min_normal = 2**k (smallest normal binade)."""
         return math.frexp(self.min_normal)[1] - 1
-
-    @property
-    def subnormal_quantum(self) -> float:
-        """Spacing of the subnormal range (also the smallest positive value)."""
-        return math.ldexp(1.0, self.min_exponent - self.mantissa_bits)
 
 
 FP16 = FloatFormat.from_bits("fp16", 10, 5)
@@ -143,10 +136,6 @@ def quantize_array(xs, fmt: FloatFormat) -> tuple[np.ndarray, np.ndarray]:
 
     tiny = finite & (r < fmt.min_normal) & (r != a)
     ovf = (finite & (r > fmt.max_finite)) | inf
-    if fmt.flush_to_zero:
-        ftz = finite & (r < fmt.min_normal)
-        tiny = tiny | (ftz & (a != 0.0))
-        r = np.where(ftz, 0.0, r)
 
     codes[finite & (r != a)] = QuantizeStatus.ROUNDED
     codes[tiny] = QuantizeStatus.UNDERFLOW
@@ -161,11 +150,6 @@ def quantize(v: float, fmt: FloatFormat) -> tuple[float, QuantizeStatus]:
     """Quantize one value; NaN passes through with status EXACT."""
     vals, codes = quantize_array(np.array([v], dtype=np.float64), fmt)
     return float(vals[0]), QuantizeStatus(int(codes[0]))
-
-
-def quantize_tensor(xs, fmt: FloatFormat) -> tuple[np.ndarray, OverflowStats]:
-    vals, codes = quantize_array(xs, fmt)
-    return vals, OverflowStats.from_codes(codes)
 
 
 class QuantRecorder:

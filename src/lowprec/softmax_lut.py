@@ -11,25 +11,16 @@ far below half-precision resolution.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from lowprec.floatsim import FloatFormat, QuantRecorder
 # Bound here so the benchmark tracer (perfbench/spans.py) can wrap it.
 from lowprec.floatsim import quantize_array  # noqa: F401
-from lowprec.streams import StreamFormatError, atomic_write
 
-
-@dataclass(frozen=True)
-class SoftmaxRescaleSpec:
-    threshold: float = 4096.0
-
-    def __post_init__(self):
-        if self.threshold <= 0:
-            raise ValueError("threshold must be positive")
+# Rows whose max exceeds this are pulled back to it before the table exp.
+RESCALE_THRESHOLD = 4096.0
 
 
 @dataclass(frozen=True)
@@ -39,20 +30,14 @@ class ExpLUT:
     domain_lo: float = -16.0
     domain_hi: float = 0.0
     entries: int = 1024
-    values: np.ndarray = field(default=None, repr=False)
+    values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.domain_lo < self.domain_hi:
             raise ValueError("need domain_lo < domain_hi")
         if self.entries < 2:
             raise ValueError("need at least two table entries")
-        if self.values is None:
-            object.__setattr__(self, "values", np.exp(self.grid))
-        else:
-            v = np.asarray(self.values, dtype=np.float64)
-            if v.shape != (self.entries,):
-                raise ValueError("values length does not match entries")
-            object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", np.exp(self.grid))
 
     @property
     def grid(self) -> np.ndarray:
@@ -68,39 +53,8 @@ class ExpLUT:
         out = np.interp(x, self.grid, self.values)
         return np.where(x < self.domain_lo, 0.0, out)
 
-    def save(self, path) -> None:
-        meta = {
-            "domain_hi": self.domain_hi,
-            "domain_lo": self.domain_lo,
-            "dtype": "<f8",
-            "entries": self.entries,
-            "kind": "exp_lut",
-        }
-        with atomic_write(path) as fh:
-            fh.write((json.dumps(meta, sort_keys=True,
-                                 separators=(",", ":")) + "\n").encode())
-            fh.write(np.ascontiguousarray(self.values, dtype="<f8").tobytes())
 
-    @classmethod
-    def load(cls, path) -> "ExpLUT":
-        path = Path(path)
-        with open(path, "rb") as fh:
-            try:
-                meta = json.loads(fh.readline())
-            except json.JSONDecodeError as exc:
-                raise StreamFormatError(f"{path}: bad header line: {exc}") from None
-            if meta.get("kind") != "exp_lut":
-                raise StreamFormatError(f"{path}: not an exp table dump")
-            entries = int(meta["entries"])
-            payload = fh.read(8 * entries)
-            if len(payload) != 8 * entries:
-                raise StreamFormatError(f"{path}: truncated table payload")
-        return cls(
-            domain_lo=float(meta["domain_lo"]),
-            domain_hi=float(meta["domain_hi"]),
-            entries=entries,
-            values=np.frombuffer(payload, dtype="<f8").copy(),
-        )
+_LUT = ExpLUT()
 
 
 def _hot_ratio(x, mx, hot):
@@ -121,21 +75,6 @@ def _hot_ratio(x, mx, hot):
     return ratio
 
 
-def conditional_rescale(x, spec: SoftmaxRescaleSpec, axis: int = -1):
-    """x -> threshold * x / max(x) on rows whose max exceeds the threshold.
-
-    Rows at or below the threshold pass through bit-identical. Returns
-    (rescaled array, boolean mask of rows that were touched).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    mx = np.max(x, axis=axis, keepdims=True)
-    if axis != -1 and axis != x.ndim - 1:
-        raise ValueError("rescaling is defined along the last axis")
-    hot = mx > spec.threshold
-    scaled = np.where(hot, spec.threshold * _hot_ratio(x, mx, hot), x)
-    return scaled, np.squeeze(hot, axis=axis)
-
-
 def softmax_reference(x, axis: int = -1) -> np.ndarray:
     """Max-subtracted float64 softmax, the comparison baseline."""
     x = np.asarray(x, dtype=np.float64)
@@ -143,37 +82,31 @@ def softmax_reference(x, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def softmax_lut(x, spec: SoftmaxRescaleSpec | None = None,
-                lut: ExpLUT | None = None, fmt: FloatFormat | None = None,
-                subtract_max: bool = True):
+def softmax_lut(x, fmt: FloatFormat | None = None):
     """Softmax over the last axis via rescale + table exp, optionally in ``fmt``.
 
+    Rows whose max exceeds ``RESCALE_THRESHOLD`` are first mapped by
+    x -> RESCALE_THRESHOLD * x / max(x); other rows pass through untouched.
     Every named stage is re-quantized when a format is given: the input,
-    the rescale products, the max-subtracted values, the table outputs, the
-    row total, and the final quotient. The total is accumulated in a wide
-    register and rounded once; chaining narrow partial sums instead would
-    put the row-sum error at levels*u and break the 1e-3 normalization
-    guarantee for wide rows (u being the format's unit roundoff). With one
-    rounding on the total and one on each quotient the deviation of the
-    output sum from 1 is bounded by 2u + u^2, about 9.8e-4 in half
-    precision. ``subtract_max=False``
-    skips the max subtraction, which pushes rescaled-but-positive inputs
-    above the table domain where they all clamp to the same entry; it
-    exists to demonstrate that failure, not for use.
+    the rescale ratio and product (counted on rescaled rows only), the
+    max-subtracted values, the table outputs, the row total, and the final
+    quotient. The total is accumulated in a wide register and rounded once;
+    chaining narrow partial sums instead would put the row-sum error at
+    levels*u and break the 1e-3 normalization guarantee for wide rows (u
+    being the format's unit roundoff). With one rounding on the total and
+    one on each quotient the deviation of the output sum from 1 is bounded
+    by 2u + u^2, about 9.8e-4 in half precision.
 
     Returns (softmax array, quantize statistics).
     """
-    spec = spec or SoftmaxRescaleSpec()
-    lut = lut or ExpLUT()
     rec = QuantRecorder(fmt)
     x = rec.q(x)
     mx = np.max(x, axis=-1, keepdims=True)
-    hot = mx > spec.threshold
+    hot = mx > RESCALE_THRESHOLD
     if np.any(hot):
         ratio = rec.q(_hot_ratio(x, mx, hot), rows=hot)
-        x = np.where(hot, rec.q(spec.threshold * ratio, rows=hot), x)
-    if subtract_max:
-        x = rec.q(x - np.max(x, axis=-1, keepdims=True))
-    e = rec.q(lut(x))
+        x = np.where(hot, rec.q(RESCALE_THRESHOLD * ratio, rows=hot), x)
+    x = rec.q(x - np.max(x, axis=-1, keepdims=True))
+    e = rec.q(_LUT(x))
     total = rec.q(e.sum(axis=-1, keepdims=True))
     return rec.q(e / total), rec.stats

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -45,6 +46,7 @@ def _header(kind: str, index, array: np.ndarray) -> bytes:
 def _read_records(path, kind: str):
     path = Path(path)
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         index = 0
         while True:
             line = fh.readline()
@@ -57,33 +59,40 @@ def _read_records(path, kind: str):
                     f"{path}: record {index}: bad header line: {exc}"
                 ) from None
             for key in (kind, "dtype", "shape"):
-                if key not in meta:
+                if not isinstance(meta, dict) or key not in meta:
                     raise StreamFormatError(
                         f"{path}: record {index}: header missing {key!r}"
                     )
-            shape = tuple(meta["shape"])
-            dtype = np.dtype(meta["dtype"])
-            nbytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
-            payload = fh.read(nbytes)
-            if len(payload) != nbytes:
+            try:
+                dtype = np.dtype(meta["dtype"])
+                shape = tuple(int(d) for d in meta["shape"])
+                ok = dtype.kind in "biufc" and min(shape, default=0) >= 0
+            except (TypeError, ValueError, OverflowError):
+                ok = False
+            if not ok:
+                raise StreamFormatError(
+                    f"{path}: record {index}: bad dtype {meta['dtype']!r} "
+                    f"or shape {meta['shape']!r}"
+                )
+            # checked before reading: a header may not claim more than the file holds
+            nbytes = dtype.itemsize * math.prod(shape)
+            left = size - fh.tell()
+            if nbytes > left:
                 raise StreamFormatError(
                     f"{path}: record {index}: truncated payload "
-                    f"(wanted {nbytes} bytes, got {len(payload)})"
+                    f"(wanted {nbytes} bytes, {left} left in the file)"
                 )
+            payload = fh.read(nbytes)
             yield meta[kind], np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
             index += 1
 
 
-def write_stream(path, chunks, fmt: str | None = None) -> None:
-    """Write a sequence of arrays; fmt "binary"/"csv", default by suffix."""
+def write_stream(path, chunks) -> None:
+    """Write a sequence of arrays: CSV text for a ``.csv`` path, else binary."""
     path = Path(path)
-    if fmt is None:
-        fmt = "csv" if path.suffix == ".csv" else "binary"
-    if fmt == "csv":
+    if path.suffix == ".csv":
         _write_csv_stream(path, chunks)
         return
-    if fmt != "binary":
-        raise ValueError(f"unknown stream format {fmt!r}")
     with atomic_write(path) as fh:
         for i, chunk in enumerate(chunks):
             arr = np.ascontiguousarray(chunk)

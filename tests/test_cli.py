@@ -8,7 +8,8 @@ import pytest
 
 from lowprec import cli
 from lowprec.graphir import GraphRewriteError, canonical_json, Graph, build_mha_bsf, MHAParams
-from lowprec.streams import read_stream
+from lowprec.graphir import mha_weights
+from lowprec.streams import read_stream, write_stream, write_tensors
 
 
 def run(*argv):
@@ -269,6 +270,71 @@ def test_usage_and_io_errors_exit_2(tmp_path, capsys):
     assert run("audit-layernorm", str(tmp_path / "x.stream"),
                "--format", "fp7") == 2
     capsys.readouterr()
+
+
+def test_audit_layernorm_rows_on_a_large_dc_offset(tmp_path):
+    # Centering 1e6 + N(0, 1) rows leaves a residual sum far above 1e-12 per
+    # entry; the theorem-1 zero-mean check must still accept those rows.
+    path = tmp_path / "dc.stream"
+    rows = 1e6 + np.random.default_rng(0).normal(size=(32, 64))
+    write_stream(path, [rows[:16], rows[16:]])
+    out = tmp_path / "audit"
+    assert run("audit-layernorm", str(path), "--prenorm", "theorem1",
+               "--out-dir", str(out)) == 0
+    report = json.loads((out / "layernorm_audit.json").read_text())
+    stabilized = [r for r in report["rows"] if "prenorm=theorem1" in r["config"]]
+    assert len(stabilized) == 2
+    assert all(r["overflow_invocations"] == 0 for r in stabilized)
+
+
+def small_graph_file(tmp_path, drop_input_shape=False):
+    d = build_mha_bsf(MHAParams(batch=1, heads=2, features=16, seq=4)).to_json_dict()
+    if drop_input_shape:
+        del d["nodes"][0]["attrs"]["shape"]
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(d))
+    return path
+
+
+def test_graph_missing_a_required_attr_exits_2(tmp_path, capsys):
+    path = small_graph_file(tmp_path, drop_input_shape=True)
+    assert run("rewrite-graph", str(path), "--out-dir", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "x:" in err and "'shape'" in err and "Traceback" not in err
+
+
+def test_rewrite_graph_check_without_weights_exits_2(tmp_path, capsys):
+    path = small_graph_file(tmp_path)
+    assert run("rewrite-graph", str(path), "--check", "--check-instances", "1",
+               "--out-dir", str(tmp_path)) == 2
+    assert "q_lin: weight tensor 'wq'" in capsys.readouterr().err
+
+
+def test_rewrite_graph_weights_file_missing_a_tensor_exits_2(tmp_path, capsys):
+    path = small_graph_file(tmp_path)
+    weights = mha_weights(MHAParams(batch=1, heads=2, features=16, seq=4), 0)
+    del weights["bq"]
+    wpath = tmp_path / "w.bin"
+    write_tensors(wpath, weights)
+    assert run("rewrite-graph", str(path), "--check", "--check-instances", "1",
+               "--weights", str(wpath), "--out-dir", str(tmp_path)) == 2
+    assert "q_lin: bias tensor 'bq'" in capsys.readouterr().err
+
+
+def test_stream_header_larger_than_the_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.stream"
+    path.write_bytes(b'{"chunk":0,"dtype":"<f8","shape":[100000000000]}\n'
+                     + np.zeros(8).tobytes())
+    assert run("audit-softmax", str(path), "--out-dir", str(tmp_path)) == 2
+    assert "huge.stream: record 0: truncated" in capsys.readouterr().err
+
+
+def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"rows": [1]}))
+    assert run("gen-stream", str(tmp_path / "a.stream"), "--config", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert "run.json" in err and "'rows'" in err
 
 
 def test_help_exits_zero(capsys):

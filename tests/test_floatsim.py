@@ -15,11 +15,11 @@ from lowprec.floatsim import (
     FP32,
     FloatFormat,
     OverflowStats,
+    QuantRecorder,
     QuantizeStatus,
     parse_format,
     quantize,
     quantize_array,
-    quantize_tensor,
     ulp,
 )
 
@@ -178,7 +178,6 @@ def test_from_bits_reproduces_the_builtin_formats():
     f16 = FloatFormat.from_bits("half", 10, 5)
     assert f16.max_finite == FP16.max_finite == 65504.0
     assert f16.min_normal == FP16.min_normal == 2.0**-14
-    assert f16.subnormal_quantum == 2.0**-24
     f32 = FloatFormat.from_bits("single", 23, 8)
     assert f32.max_finite == FP32.max_finite
     assert f32.min_normal == 2.0**-126
@@ -193,17 +192,10 @@ def test_parse_format():
         parse_format("bf16")
 
 
-def test_flush_to_zero_mode():
-    ftz = FloatFormat.from_bits("half-ftz", 10, 5, flush_to_zero=True)
-    v, code = quantize(2.0**-24, ftz)  # representable, but subnormal
-    assert v == 0.0 and code == QuantizeStatus.UNDERFLOW
-    v, code = quantize(2.0**-14, ftz)  # smallest normal survives
-    assert v == 2.0**-14 and code == QuantizeStatus.EXACT
-
-
 def test_quantize_tensor_statistics():
     x = np.array([70000.0, 1.0, 2.0**-30, 1.0 + 2.0**-13])
-    out, stats = quantize_tensor(x, FP16)
+    rec = QuantRecorder(FP16)
+    out, stats = rec.q(x), rec.stats
     assert stats.total == 4
     assert stats.overflow == 1
     assert stats.underflow == 1
@@ -213,10 +205,14 @@ def test_quantize_tensor_statistics():
 
 
 def test_overflow_stats_merge():
-    _, a = quantize_tensor(np.array([70000.0, 1.0]), FP16)
-    _, b = quantize_tensor(np.array([2.0**-30]), FP16)
-    c = a + b
+    a, b, both = QuantRecorder(FP16), QuantRecorder(FP16), QuantRecorder(FP16)
+    a.q(np.array([70000.0, 1.0]))
+    b.q(np.array([2.0**-30]))
+    both.q(np.array([70000.0, 1.0]))
+    both.q(np.array([2.0**-30]))
+    c = a.stats + b.stats
     assert (c.total, c.overflow, c.underflow, c.exact) == (3, 1, 1, 1)
+    assert both.stats == c  # one recorder merges its calls the same way
 
 
 def test_shape_is_preserved():

@@ -274,6 +274,14 @@ def test_structural_validation_catches_bad_graphs():
             Node("a", "input", (), {"shape": [2, 3]}),
             Node("e", "einsum", ("a", "a"), {"equation": "ij,ji->ii"}),
         ], ["a"], []))
+    with pytest.raises(GraphError, match="t: op transpose needs attr 'perm'"):
+        validate(Graph("g", [Node("a", "input", (), base),
+                             Node("t", "transpose", ("a",))], ["a"], []))
+    with pytest.raises(GraphError, match="'ghost' listed as graph input"):
+        validate(Graph("g", [Node("a", "input", (), base)], ["a", "ghost"], []))
+    with pytest.raises(GraphError, match="malformed graph JSON"):
+        Graph.from_json_dict({"name": "g", "nodes": [{"id": "a"}],
+                              "inputs": [], "outputs": []})
 
 
 def test_executor_rejects_bad_feeds(mha):

@@ -16,7 +16,6 @@ from lowprec.prenorm import (
     layernorm,
     lemma1_bound,
     lemma1_oracle,
-    lp_norm,
     mad_monte_carlo,
     merge_step,
     merge_to_spikes,
@@ -59,15 +58,23 @@ def test_layernorm_is_shift_and_scale_invariant_as_eps_vanishes(x, shift, scale)
     np.testing.assert_allclose(layernorm(scale * x + shift, spec), base, atol=1e-4)
 
 
-def test_lp_norm_values():
-    assert lp_norm([3.0, 4.0], 2) == 5.0
-    assert lp_norm([1.0, -2.0, 3.0], 1) == 6.0
-    with pytest.raises(ValueError):
-        lp_norm([1.0], 0.5)
-
-
 def test_zero_mean_vector_validation():
     ZeroMeanVector(np.array([-1.0, 0.0, 1.0]))
+
+
+def test_zero_sum_tolerance_scales_with_the_l1_norm():
+    # Centering rows that ride on a large offset leaves a residual sum that
+    # scales with the offset, far above 1e-12 * n * peak; it must pass.
+    rows = 1e6 + np.random.default_rng(0).normal(size=(64, 512))
+    centered = rows - rows.mean(axis=1, keepdims=True)
+    residual = np.abs(centered.sum(axis=1)) / (512 * np.abs(centered).max(axis=1))
+    assert residual.max() > 1e-12  # the old per-entry tolerance rejected these
+    for row in centered:
+        ZeroMeanVector(row)
+    with pytest.raises(ValueError, match="sum to zero"):
+        ZeroMeanVector(np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="sum to zero"):
+        ZeroMeanVector(np.array([-1.0, 1.0 + 1e-5]))
     with pytest.raises(ValueError):
         ZeroMeanVector(np.array([1.0, 1.0]))
     with pytest.raises(ValueError):

@@ -8,13 +8,11 @@ from hypothesis import given, strategies as st
 
 from lowprec.floatsim import FP16, FP32
 from lowprec.softmax_lut import (
+    RESCALE_THRESHOLD,
     ExpLUT,
-    SoftmaxRescaleSpec,
-    conditional_rescale,
     softmax_lut,
     softmax_reference,
 )
-from lowprec.streams import StreamFormatError
 
 
 def test_table_endpoints_and_step():
@@ -70,66 +68,59 @@ def test_custom_domain():
         ExpLUT(entries=1)
 
 
-def test_save_load_round_trip(tmp_path):
-    lut = ExpLUT(domain_lo=-12.0, entries=512)
-    path = tmp_path / "exp.lut"
-    lut.save(path)
-    back = ExpLUT.load(path)
-    assert back.domain_lo == -12.0 and back.entries == 512
-    np.testing.assert_array_equal(back.values, lut.values)
-
-
-def test_load_rejects_foreign_files(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b'{"kind":"weights"}\n')
-    with pytest.raises(StreamFormatError):
-        ExpLUT.load(path)
-    path.write_bytes(b'{"kind":"exp_lut","entries":99,"domain_lo":-16,"domain_hi":0}\n')
-    with pytest.raises(StreamFormatError):
-        ExpLUT.load(path)
-
-
 # ---------------------------------------------------------------------------
-# Conditional rescaling
+# Rescaling of hot rows (max above RESCALE_THRESHOLD)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def unrescaled(x):
+    """The table softmax of a row with the rescale step left out."""
+    e = ExpLUT()(x - x.max())
+    return e / e.sum()
 
 
 def test_rescale_example_row():
-    y, hot = conditional_rescale(np.array([5000.0, -3000.0, 100.0]),
-                                 SoftmaxRescaleSpec())
-    np.testing.assert_allclose(y, [4096.0, -2457.6, 81.92], rtol=1e-15)
-    assert bool(hot)
+    x = np.array([5000.0, 4995.0, -3000.0])
+    out, _ = softmax_lut(x)
+    assert same_bits(out, softmax_lut(4096.0 * (x / x.max()))[0])
+    assert out[1] > unrescaled(x)[1]  # the gap of 5 shrank to 4.096
 
 
 def test_rescale_threshold_is_strict():
-    spec = SoftmaxRescaleSpec()
-    x = np.array([4096.0, 1.0])
-    y, hot = conditional_rescale(x, spec)
-    assert not bool(hot)
-    assert y.tobytes() == x.tobytes()  # untouched rows pass through bitwise
-    y2, hot2 = conditional_rescale(np.array([4096.0000001, 1.0]), spec)
-    assert bool(hot2) and y2[0] == 4096.0
+    assert RESCALE_THRESHOLD == 4096.0
+    x = np.array([4096.0, 4090.5, 1.0])
+    assert same_bits(softmax_lut(x)[0], unrescaled(x))
+    _, stats = softmax_lut(x, fmt=FP16)
+    assert stats.total == 3 * 4 + 1  # input, shift, table, quotient + total
+    y = np.array([4100.0, 4092.0, 1.0])
+    assert same_bits(softmax_lut(y)[0], softmax_lut(4096.0 * (y / y.max()))[0])
+    _, stats = softmax_lut(y, fmt=FP16)
+    assert stats.total == 3 * 6 + 1  # plus the ratio and the product
 
 
 def test_rescale_is_per_row():
-    x = np.array([[9000.0, 0.0], [1.0, 2.0]])
-    y, hot = conditional_rescale(x, SoftmaxRescaleSpec())
-    assert hot.tolist() == [True, False]
-    assert y[0, 0] == 4096.0 and np.array_equal(y[1], x[1])
+    x = np.array([[9000.0, 0.0, 8990.0], [1.0, 2.0, -3.0]])
+    out, _ = softmax_lut(x)
+    assert same_bits(out[0], softmax_lut(4096.0 * (x[0] / 9000.0))[0])
+    assert same_bits(out[1], softmax_lut(x[1])[0])
 
 
 @given(st.lists(st.floats(-1e5, 1e5), min_size=2, max_size=6))
 def test_rescale_preserves_order(xs):
     x = np.array(xs)
-    y, _ = conditional_rescale(x, SoftmaxRescaleSpec())
-    # weakly monotone: sorting by x must leave y sorted (rounding may tie)
-    assert np.all(np.diff(y[np.argsort(x)]) >= 0.0)
-    assert np.max(y) <= 4096.0
+    out, _ = softmax_lut(x)
+    # weakly monotone: sorting by x must leave the output sorted (ties allowed)
+    assert np.all(np.diff(out[np.argsort(x)]) >= 0.0)
 
 
 def test_all_negative_rows_are_never_rescaled():
-    x = np.array([-5000.0, -9000.0])
-    y, hot = conditional_rescale(x, SoftmaxRescaleSpec())
-    assert not bool(hot) and np.array_equal(y, x)
+    x = np.array([-5000.0, -9000.0, -5003.0])
+    out, _ = softmax_lut(x)
+    assert same_bits(out, unrescaled(x))
+    assert np.argmax(out) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +162,17 @@ def test_single_precision_mass_is_much_tighter():
 
 
 def test_skipping_max_subtraction_ruins_the_answer():
+    # Why softmax_lut subtracts the row max after the rescale: rescaled
+    # positives fed to the table directly all clamp to its top entry.
     rng = np.random.default_rng(2)
     rows = rng.normal(0.0, 3000.0, (30, 64))
     rows = rows[np.max(rows, axis=1) > 4096.0]
-    out, _ = softmax_lut(rows, fmt=FP16, subtract_max=False)
+    e = ExpLUT()(4096.0 * rows / rows.max(axis=1, keepdims=True))
     ref = softmax_reference(rows)
-    agree = np.mean(np.argmax(out, axis=1) == np.argmax(ref, axis=1))
-    assert agree < 0.5  # rescaled positives all clamp to the same table entry
+    agree = np.mean(np.argmax(e, axis=1) == np.argmax(ref, axis=1))
+    assert agree < 0.5
+    assert np.argmax(softmax_lut(rows)[0], axis=1).tolist() == \
+        np.argmax(ref, axis=1).tolist()
 
 
 def test_nd_batches():
@@ -194,8 +189,3 @@ def test_half_precision_runs_are_deterministic():
     a, _ = softmax_lut(x, fmt=FP16)
     b, _ = softmax_lut(x, fmt=FP16)
     assert a.tobytes() == b.tobytes()
-
-
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        SoftmaxRescaleSpec(threshold=0.0)

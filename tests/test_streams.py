@@ -1,5 +1,7 @@
 """Round trips and failure diagnostics for the stream/tensor file formats."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,9 @@ def test_garbage_header(tmp_path):
     path.write_bytes(b"{not json\n")
     with pytest.raises(StreamFormatError, match="bad header"):
         read_stream(path)
+    path.write_bytes(b"5\n")  # valid JSON, but not a header object
+    with pytest.raises(StreamFormatError, match="header missing"):
+        read_tensors(path)
 
 
 def test_missing_and_empty_files(tmp_path):
@@ -133,4 +138,24 @@ def test_tensor_file_is_not_a_stream(tmp_path):
     path = tmp_path / "weights.bin"
     write_tensors(path, {"w": np.ones(3)})
     with pytest.raises(StreamFormatError, match="missing 'chunk'"):
+        read_stream(path)
+
+
+def test_header_claiming_more_than_the_file_holds(tmp_path):
+    path = tmp_path / "huge.bin"
+    path.write_bytes(b'{"chunk":0,"dtype":"<f8","shape":[100000000000]}\n'
+                     + np.zeros(4).tobytes())
+    with pytest.raises(StreamFormatError, match=r"huge\.bin: record 0: truncated"):
+        read_stream(path)
+
+
+@pytest.mark.parametrize("dtype, shape", [("|O", [2]), ("xyz", [2]),
+                                          ("<f8", [-2]), ("<f8", "ab")])
+def test_bad_dtype_or_shape_names_the_record(tmp_path, dtype, shape):
+    path = tmp_path / "acts.bin"
+    arr = np.zeros(2)
+    write_stream(path, [arr])
+    meta = json.dumps({"chunk": 1, "dtype": dtype, "shape": shape})
+    path.write_bytes(path.read_bytes() + meta.encode() + b"\n" + arr.tobytes())
+    with pytest.raises(StreamFormatError, match="record 1: bad dtype"):
         read_stream(path)
