@@ -177,11 +177,8 @@ def theory_report(n_max: int = 4, vectors: int = 20000,
         for p in p_grid + (1.0, 4.0):
             for M in m_grid:
                 spec = PrenormSpec(mode="theorem1", p=p, max_value=M)
-                for row in x:
-                    if np.abs(row).sum() == 0.0:
-                        continue
-                    y, _ = prenorm.prenormalize(row, spec)
-                    worst = max(worst, float(np.sum(np.abs(y) ** p) / M))
+                y, _ = prenorm.prenormalize(x, spec)  # all-zero rows add 0
+                worst = max(worst, float((np.sum(np.abs(y) ** p, axis=1) / M).max()))
     rows.append(_check("prenormalized_power_never_exceeds_ceiling", worst,
                        1.0 + 1e-9, worst <= 1.0 + 1e-9))
 

@@ -6,6 +6,16 @@ format is exact and every rounding decision matches real hardware that
 follows IEEE 754-2008 defaults. Overflow saturates to +/-inf and is
 reported through a status flag instead of raising, because the audit
 tooling needs to count overflows rather than abort on the first one.
+
+The rounding works on the uint64 view of the float64 magnitude. In the
+normal range it is integer RNE on the s = 52 - mantissa_bits fraction bits
+the format drops: add half a quantum less one plus the lowest kept bit,
+then clear the dropped bits; a carry out of the fraction moves the value
+to the next binade, as it should. Below min_normal the quantum stops
+shrinking, so those magnitudes are rounded by one float64 addition
+instead: with c = 2**(min_exponent - mantissa_bits + 52), a + c lands in
+[c, 2c), where the float64 spacing is exactly the format's subnormal
+quantum, so the addition is the RNE step and subtracting c is exact.
 """
 
 from __future__ import annotations
@@ -107,43 +117,66 @@ class OverflowStats:
             self.overflow + other.overflow)
 
 
+_SIGN = np.uint64(1 << 63)
+_ABS = np.uint64((1 << 63) - 1)
+_INF = np.uint64(0x7FF0_0000_0000_0000)
+_QNAN = np.uint64(0x7FF8_0000_0000_0000)
+
+
+def _bits(v: float) -> np.uint64:
+    return np.float64(v).view(np.uint64)
+
+
 def quantize_array(xs, fmt: FloatFormat) -> tuple[np.ndarray, np.ndarray]:
     """Round every element of ``xs`` to the nearest value of ``fmt``.
 
     Returns (values, codes) where codes holds QuantizeStatus per element.
     Rounding is single-step round-to-nearest-even on the float64 input;
     magnitudes past the overflow rounding boundary saturate to +/-inf.
+    NaN comes back as the positive quiet NaN with status EXACT.
     """
     x = np.asarray(xs, dtype=np.float64)
-    a = np.abs(x)
-    codes = np.zeros(x.shape, dtype=np.int8)
+    bits = np.ascontiguousarray(x).view(np.uint64)  # 0-d input turns 1-d here
+    u = bits & _ABS  # |x| as bits, ordered like the magnitudes
+    s = 52 - fmt.mantissa_bits
+    if s > 0:
+        # RNE on the dropped fraction bits; a carry into the exponent field
+        # moves the value to the next binade, which is exactly right.
+        r = u >> s
+        r &= 1
+        r += u
+        r += (1 << (s - 1)) - 1
+        r &= (1 << 64) - (1 << s)
+    else:  # the target grid holds every float64 above its subnormal range
+        r = u.copy()
+    # Below min_normal, a + c lands in [c, 2c), whose float64 spacing is the
+    # subnormal quantum, so the addition is the RNE step and the subtraction
+    # exact. With more than 52 fraction bits c sits below min_normal, and
+    # magnitudes from c up are on the grid already, so the step stops at c.
+    c = math.ldexp(1.0, fmt.min_exponent - fmt.mantissa_bits + 52)
+    sub = u < _bits(min(c, fmt.min_normal))
+    if sub.any():
+        with np.errstate(invalid="ignore"):  # signalling NaN payloads
+            t = u.view(np.float64) + c
+            t -= c
+        np.copyto(r, t.view(np.uint64), where=sub)
+        del t
 
-    nan = np.isnan(x)
-    inf = np.isinf(x)
-    zero = a == 0.0
-    finite = ~(nan | inf | zero)
-
-    with np.errstate(all="ignore"):
-        _, e = np.frexp(a)
-        k = e - 1  # floor(log2(|x|)) for finite nonzero input
-        keff = np.maximum(k, fmt.min_exponent)
-        # |x| / 2**(keff - mantissa_bits) is an exact power-of-two scaling,
-        # so np.rint performs the one true round-to-nearest-even step.
-        n = np.rint(np.ldexp(a, fmt.mantissa_bits - keff))
-        r = np.ldexp(n, keff - fmt.mantissa_bits)
-
-    r = np.where(finite, r, a)
-
-    tiny = finite & (r < fmt.min_normal) & (r != a)
-    ovf = (finite & (r > fmt.max_finite)) | inf
-
-    codes[finite & (r != a)] = QuantizeStatus.ROUNDED
-    codes[tiny] = QuantizeStatus.UNDERFLOW
-    codes[ovf] = QuantizeStatus.OVERFLOW
-    r = np.where(ovf, np.inf, r)
-
-    out = np.where(nan, np.nan, np.copysign(r, x))
-    return out, codes
+    codes = np.not_equal(r, u).view(np.int8)  # QuantizeStatus.ROUNDED or EXACT
+    under = r < _bits(fmt.min_normal)  # only subnormal inputs can get here
+    under &= codes.view(np.bool_)
+    codes += under.view(np.int8)  # ROUNDED + 1 == UNDERFLOW
+    over = r > _bits(fmt.max_finite)  # inf and nan included
+    nan = None
+    if over.any():
+        np.copyto(codes, QuantizeStatus.OVERFLOW, where=over)
+        np.copyto(r, _INF, where=over)
+        nan = u > _INF
+        np.copyto(codes, QuantizeStatus.EXACT, where=nan)
+    r |= np.bitwise_and(bits, _SIGN, out=u)  # u is not needed any more
+    if nan is not None:
+        np.copyto(r, _QNAN, where=nan)
+    return r.view(np.float64).reshape(x.shape), codes.reshape(x.shape)
 
 
 def quantize(v: float, fmt: FloatFormat) -> tuple[float, QuantizeStatus]:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -166,8 +167,28 @@ _REQUIRED_ATTRS = {"input": ("shape",), "reshape": ("shape",), "transpose": ("pe
                    "conv1x1": ("weight", "out_features")}
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_int_list(v) -> bool:
+    return isinstance(v, (list, tuple)) and all(map(_is_int, v))
+
+
+# attr -> (what it must be, check); applies to every op that carries the attr.
+_ATTR_TYPES = {
+    "shape": ("a list of ints", _is_int_list),
+    "perm": ("a list of ints", _is_int_list),
+    "axis": ("an int", _is_int),
+    "sections": ("a positive int", lambda v: _is_int(v) and v > 0),
+    "out_features": ("an int", _is_int),
+    "factor": ("a number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)),
+    "equation": ("a string", lambda v: isinstance(v, str)),
+}
+
+
 def validate(g: Graph) -> None:
-    """Check ids, references, arity, and acyclicity (topological order)."""
+    """Check ids, references, arity, attr types, and acyclicity (topological order)."""
     seen: set[str] = set()
     ports: dict[str, int] = {}
     for n in g.nodes:
@@ -182,6 +203,10 @@ def validate(g: Graph) -> None:
         for attr in _REQUIRED_ATTRS.get(n.op, ()):
             if attr not in n.attrs:
                 raise GraphError(f"{n.id}: op {n.op} needs attr {attr!r}")
+        for attr, value in n.attrs.items():
+            want, ok = _ATTR_TYPES.get(attr, (None, None))
+            if want and not ok(value):
+                raise GraphError(f"{n.id}: attr {attr!r} must be {want}, got {value!r}")
         for r in n.inputs:
             base, _, port = r.partition(":")
             if base not in seen:

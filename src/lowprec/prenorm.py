@@ -71,14 +71,29 @@ class ZeroMeanVector:
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("expected a non-empty 1-d vector")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("entries must be finite")
-        # Slack relative to the L1 norm S: centering leaves a residual s that grows
-        # with the mean removed; s raises max sum |v|**p by p(p-1)/2*(s/S)**2 at most.
-        l1 = float(np.abs(v).sum())
-        if abs(float(v.sum())) > 1e-6 * max(l1, _DEGENERATE_PEAK):
-            raise ValueError("entries do not sum to zero")
+        _require_zero_mean(v[None, :], np.abs(v).sum(keepdims=True))
         object.__setattr__(self, "values", v)
+
+
+def _require_zero_mean(rows: np.ndarray, l1: np.ndarray) -> None:
+    """Raise ValueError at the first of ``rows`` that is not a zero-mean vector.
+
+    ``l1`` holds each row's L1 norm. A one-row block gets the bare message,
+    a taller one names the row.
+    """
+    nonfinite = ~np.isfinite(rows).all(axis=1)
+    stop = int(np.argmax(nonfinite)) if nonfinite.any() else len(rows)
+    # Slack relative to the L1 norm S: centering leaves a residual s that grows
+    # with the mean removed; s raises max sum |v|**p by p(p-1)/2*(s/S)**2 at most.
+    off = (np.abs(rows[:stop].sum(axis=1))
+           > 1e-6 * np.maximum(l1[:stop], _DEGENERATE_PEAK))
+    if off.any():
+        i, why = int(np.argmax(off)), "entries do not sum to zero"
+    elif stop < len(rows):
+        i, why = stop, "entries must be finite"
+    else:
+        return
+    raise ValueError(why if len(rows) == 1 else f"row {i}: {why}")
 
 
 def layernorm(x, spec: LayerNormSpec | None = None, axis: int = -1) -> np.ndarray:
@@ -118,31 +133,37 @@ def theorem1_scale(p: float, M: float) -> float:
     return 0.5 * (2.0 / M) ** (1.0 / p)
 
 
-def prenormalize(x, spec: PrenormSpec) -> tuple[np.ndarray, bool]:
+def prenormalize(x, spec: PrenormSpec) -> tuple[np.ndarray, bool | np.ndarray]:
     """Scale ``x`` so the subsequent L_p-norm computation cannot overflow.
 
-    Returns (scaled vector, degenerate flag). The flag is True when the
-    peak |x| is below 1e-300, the all-zero input included: such a vector is
-    returned unchanged, because its denominator would underflow to zero or
-    a subnormal (the layernorm epsilon already covers that case).
+    ``x`` is one vector or a (rows, n) block whose rows are scaled
+    independently, bit for bit as if each were passed alone. Returns
+    (scaled, degenerate flag), the flag a bool for a vector and a per-row
+    bool array for a block. A row is degenerate when its peak |x| is below
+    1e-300, the all-zero row included: it is returned unchanged, because
+    its denominator would underflow to zero or a subnormal (the layernorm
+    epsilon already covers that case). In theorem1 mode the first row that
+    is not finite or does not sum to zero raises ValueError.
     """
-    if isinstance(x, ZeroMeanVector):
-        v = x.values
-    else:
-        v = np.asarray(x, dtype=np.float64)
-        if spec.mode == "theorem1":
-            v = ZeroMeanVector(v).values  # the optimality argument needs zero mean
-    if v.size == 0:
-        raise ValueError("prenormalize of an empty vector")
-    a = np.abs(v)
-    if a.max() < _DEGENERATE_PEAK:
-        return v.copy(), True
-    s1 = float(a.sum())
+    checked = isinstance(x, ZeroMeanVector)
+    v = x.values if checked else np.asarray(x, dtype=np.float64)
+    if v.ndim not in (1, 2) or v.size == 0:
+        raise ValueError("prenormalize needs a non-empty vector or (rows, n) block")
+    rows = v[None, :] if v.ndim == 1 else np.ascontiguousarray(v)
+    a = np.abs(rows)
+    s1 = a.sum(axis=1)
+    if spec.mode == "theorem1" and not checked:
+        _require_zero_mean(rows, s1)  # the optimality argument needs zero mean
+    degenerate = a.max(axis=1) < _DEGENERATE_PEAK
     if spec.mode == "theorem1":
         denom = theorem1_scale(spec.p, spec.safety * spec.max_value) * s1
     else:
-        denom = s1 / v.size
-    return v / denom, False
+        denom = s1 / rows.shape[1]
+    denom[degenerate] = 1.0  # x / 1 returns the row unchanged
+    y = rows / denom[:, None]
+    if v.ndim == 1:
+        return y[0], bool(degenerate[0])
+    return y, degenerate
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +271,7 @@ def stabilized_layernorm_rows(rows, pspec: PrenormSpec | None,
     eps = (lspec or LayerNormSpec()).epsilon
 
     centered = x - x.mean(axis=1, keepdims=True)
-    if pspec is None:
-        y = centered
-    else:
-        y = np.empty_like(centered)
-        for i in range(x.shape[0]):
-            y[i], _ = prenormalize(centered[i], pspec)
+    y = centered if pspec is None else prenormalize(centered, pspec)[0]
 
     rec = QuantRecorder(fmt)
     yq = rec.q(y)
@@ -271,7 +287,8 @@ def stabilized_layernorm_rows(rows, pspec: PrenormSpec | None,
     var = rec.q(acc[:, 0] / n)
     var_eps = rec.q(var + eps)
     denom = rec.q(np.sqrt(var_eps))
-    out = rec.q(yq / denom[:, None])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = rec.q(yq / denom[:, None])  # saturated rows give inf or nan
 
     per_row = np.zeros(x.shape[0], dtype=np.int64)
     for codes in rec.codes:

@@ -106,7 +106,8 @@ def softmax_lut(x, fmt: FloatFormat | None = None):
     if np.any(hot):
         ratio = rec.q(_hot_ratio(x, mx, hot), rows=hot)
         x = np.where(hot, rec.q(RESCALE_THRESHOLD * ratio, rows=hot), x)
-    x = rec.q(x - np.max(x, axis=-1, keepdims=True))
+    with np.errstate(invalid="ignore"):  # inf - inf on saturated rows gives nan
+        x = rec.q(x - np.max(x, axis=-1, keepdims=True))
     e = rec.q(_LUT(x))
     total = rec.q(e.sum(axis=-1, keepdims=True))
     return rec.q(e / total), rec.stats

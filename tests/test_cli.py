@@ -2,13 +2,14 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from lowprec import cli
 from lowprec.graphir import GraphRewriteError, canonical_json, Graph, build_mha_bsf, MHAParams
-from lowprec.graphir import mha_weights
+from lowprec.graphir import apply_passes, mha_weights
 from lowprec.streams import read_stream, write_stream, write_tensors
 
 
@@ -149,6 +150,25 @@ def test_audit_softmax_width_one_rows(tmp_path):
     assert run("audit-softmax", str(path), "--out-dir", str(out)) == 0
     report = json.loads((out / "softmax_audit.json").read_text())
     assert report["unique_max_rows"] == 6 and report["pass"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ("audit-layernorm", "--prenorm", "theorem1"),  # naive fp16 rows: inf / inf
+    ("audit-softmax", "--format", "custom:3,4"),   # saturated rows: inf - inf
+])
+def test_audits_on_saturating_rows_print_no_numpy_warnings(tmp_path, argv):
+    path = tmp_path / "hot.stream"
+    run("gen-stream", str(path), "--rows", "16", "--width", "64",
+        "--scale", "5000", "--seed", "2")
+    quiet, strict = tmp_path / "quiet", tmp_path / "strict"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = run(argv[0], str(path), *argv[1:], "--out-dir", str(quiet))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv[0], str(path), *argv[1:], "--out-dir", str(strict)) == code
+    for report in quiet.iterdir():
+        assert (strict / report.name).read_bytes() == report.read_bytes()
 
 
 def test_profile_conv_emits_peaks_hist_and_mac_table(tmp_path):
@@ -301,6 +321,31 @@ def test_graph_missing_a_required_attr_exits_2(tmp_path, capsys):
     assert run("rewrite-graph", str(path), "--out-dir", str(tmp_path)) == 2
     err = capsys.readouterr().err
     assert "x:" in err and "'shape'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("passes, node, attr, value", [
+    ([], "q_t", "perm", None),
+    ([], "x", "shape", "ab"),
+    ([], "q_lin", "out_features", "16"),
+    ([], "scaled", "factor", "0.25"),
+    ([], "attn", "axis", 1.5),
+    (["layout", "chunk", "einsum"], "x_to_c", "perm", [0, "3", 2, 1]),
+    (["layout", "chunk", "einsum"], "q_split", "axis", None),
+    (["layout", "chunk", "einsum"], "q_split", "sections", 0),
+    (["layout", "chunk", "einsum"], "q_split", "sections", True),
+    (["layout", "chunk", "einsum"], "logits_c0", "equation", 7),
+])
+def test_graph_attr_of_the_wrong_type_exits_2(tmp_path, capsys, passes, node, attr, value):
+    g = apply_passes(build_mha_bsf(MHAParams(batch=1, heads=2, features=16, seq=4)),
+                     passes, n_chunks=2)
+    d = g.to_json_dict()
+    [n] = [n for n in d["nodes"] if n["id"] == node]
+    n["attrs"][attr] = value
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(d))
+    assert run("rewrite-graph", str(path), "--passes", "", "--out-dir", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert f"{node}: attr {attr!r} must be" in err and "Traceback" not in err
 
 
 def test_rewrite_graph_check_without_weights_exits_2(tmp_path, capsys):

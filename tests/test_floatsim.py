@@ -5,6 +5,7 @@ from-scratch bit-pattern decoder serve as two independent oracles for it.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from lowprec.floatsim import (
     quantize_array,
     ulp,
 )
+from oracles import frexp_quantize
 
 
 def decode_fp16_bits(sign: int, exp: int, mant: int) -> float:
@@ -219,3 +221,66 @@ def test_shape_is_preserved():
     x = np.arange(24, dtype=np.float64).reshape(2, 3, 4)
     out, codes = quantize_array(x, FP16)
     assert out.shape == x.shape and codes.shape == x.shape
+
+
+# ---------------------------------------------------------------------------
+# Equivalence with the frexp/rint oracle
+
+# s = 52 - mantissa_bits spans 42 down to -8: custom:52,11 drops no bits
+# (s = 0) and custom:60,8 keeps more than float64 has (s < 0).
+ORACLE_FORMATS = ["fp16", "fp32", "custom:7,8", "custom:3,4", "custom:1,2",
+                  "custom:2,11", "custom:52,11", "custom:60,8"]
+
+
+@st.composite
+def oracle_cases(draw):
+    """(format, input array) with raw bit patterns, ties and boundaries."""
+    fmt = parse_format(draw(st.sampled_from(ORACLE_FORMATS)))
+    m = fmt.mantissa_bits
+    emax = math.frexp(fmt.max_finite)[1] - 1
+    raw = draw(st.lists(st.integers(0, 2**64 - 1), max_size=48))
+    vals = list(np.array(raw, dtype=np.uint64).view(np.float64))
+    # Exact ties between two normal grid points, and between two subnormal
+    # ones (half-integer multiples of the subnormal quantum).
+    mant = st.integers(0, 2 ** min(m, 51) - 1)
+    for k, n in draw(st.lists(st.tuples(st.integers(fmt.min_exponent, emax), mant),
+                              max_size=16)):
+        vals.append(math.ldexp(2.0**m + n + 0.5, k - m) if m <= 51 else math.ldexp(1.0, k))
+    quantum = math.ldexp(fmt.min_normal, -m)
+    vals += [(j + 0.5) * quantum for j in draw(st.lists(mant, max_size=16))]
+    # max_finite and the overflow rounding boundary, each +/- one float64 ulp;
+    # then min_normal from below, the smallest float64, zeros, inf and nan.
+    boundary = fmt.max_finite + math.ldexp(1.0, emax - m - 1)
+    with np.errstate(over="ignore"):  # the boundary may lie past float64's max
+        for b in (fmt.max_finite, boundary):
+            vals += [np.nextafter(b, 0.0), b, np.nextafter(b, np.inf)]
+    vals += [np.nextafter(fmt.min_normal, 0.0), fmt.min_normal, 5e-324, 0.0, -0.0,
+             np.inf, -np.inf, np.nan]
+    # A signalling NaN and a quiet one carrying a payload.
+    vals += list(np.array([0x7FF0_0000_0000_0001, 0xFFF8_0000_0000_0BAD],
+                          dtype=np.uint64).view(np.float64))
+    signs = draw(st.lists(st.booleans(), min_size=len(vals), max_size=len(vals)))
+    x = np.where(signs, -np.array(vals), np.array(vals))
+    layout = draw(st.sampled_from(["contiguous", "strided", "transposed", "empty", "0-d"]))
+    if layout == "strided":
+        x = np.repeat(x, 2)[1::2]
+    elif layout == "transposed":
+        x = np.resize(x, (2, (x.size + 1) // 2)).T
+    elif layout == "empty":
+        x = np.zeros((0, 3))
+    elif layout == "0-d":
+        x = np.array(x[draw(st.integers(0, x.size - 1))])
+    return fmt, x
+
+
+@given(oracle_cases())
+def test_quantize_array_matches_the_frexp_oracle(case):
+    fmt, x = case
+    want, want_codes = frexp_quantize(x, fmt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # nan and inf input must stay quiet
+        got, codes = quantize_array(x, fmt)
+    assert got.shape == x.shape and codes.shape == x.shape
+    assert codes.dtype == want_codes.dtype
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    np.testing.assert_array_equal(codes, want_codes)

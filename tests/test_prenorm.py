@@ -225,6 +225,59 @@ def test_vectors_below_the_peak_floor_are_flagged_and_passed_through(mode, x):
     np.testing.assert_array_equal(y, x)
 
 
+def _block_rows():
+    """Zero-mean rows: gaussian, centered on a 1e6 offset, and below 1e-300."""
+    rng = np.random.default_rng(4)
+    x = rng.normal(0.0, 3.0, (12, 64)) * 10.0 ** rng.uniform(-3, 3, (12, 1))
+    x[2:5] = 1e6 + rng.normal(size=(3, 64))
+    x[7] = 1e-305 * rng.normal(size=64)
+    x[9] = 0.0
+    x -= x.mean(axis=1, keepdims=True)
+    x[10, :2], x[10, 2:] = (-5e-324, 5e-324), 0.0
+    return x
+
+
+@pytest.mark.parametrize("mode", ["theorem1", "mad"])
+def test_a_row_block_matches_the_per_row_calls_bit_for_bit(mode):
+    x = _block_rows()
+    spec = PrenormSpec(mode, p=3.0, safety=0.5)
+    y, flags = prenormalize(x, spec)
+    per_row = [prenormalize(row, spec) for row in x]
+    assert y.shape == x.shape and flags.dtype == bool
+    np.testing.assert_array_equal(y.view(np.uint64),
+                                  np.stack([r for r, _ in per_row]).view(np.uint64))
+    assert flags.tolist() == [f for _, f in per_row]
+    assert flags.tolist() == [i in (7, 9, 10) for i in range(len(x))]
+    # ... and both match the one-vector formula, sums taken per 1-d row.
+    c = theorem1_scale(3.0, 0.5 * 65504.0)
+    for i in range(len(x)):
+        if not flags[i]:
+            s1 = float(np.abs(x[i]).sum())
+            denom = c * s1 if mode == "theorem1" else s1 / x.shape[1]
+            np.testing.assert_array_equal(y[i], x[i] / denom)
+
+
+def test_a_row_block_names_its_first_row_that_does_not_sum_to_zero():
+    x = _block_rows()
+    x[5, 0] += 1.0
+    x[8, 0] += 1.0
+    with pytest.raises(ValueError, match="^row 5: entries do not sum to zero$"):
+        prenormalize(x, PrenormSpec("theorem1"))
+    x[3, 1] = np.nan
+    with pytest.raises(ValueError, match="^row 3: entries must be finite$"):
+        prenormalize(x, PrenormSpec("theorem1"))
+    prenormalize(x[:3], PrenormSpec("theorem1"))  # the rows above pass
+
+
+def test_single_vector_calls_keep_their_shape_and_flag():
+    y, flag = prenormalize(np.array([-2.0, 0.5, 1.5]), PrenormSpec("theorem1"))
+    assert y.shape == (3,) and flag is False
+    y, flag = prenormalize(np.zeros(4), PrenormSpec("mad"))
+    assert y.shape == (4,) and flag is True
+    with pytest.raises(ValueError, match="^entries do not sum to zero$"):
+        prenormalize(np.array([1.0, 1.0]), PrenormSpec("theorem1"))
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         PrenormSpec("median")
