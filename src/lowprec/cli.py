@@ -12,9 +12,10 @@ Exit codes: 0 when every check passes, 1 when an invariant is violated,
 and seeds: files are written atomically, JSON keys are sorted, floats go
 through repr.
 
-A JSON config file (``--config``) may pre-set any long flag by its
-destination name (``format``, ``prenorm``, ``p``, ``safety``, ``seed``,
-``chunks``, ``out_dir``, ...); explicit flags win over the file.
+A JSON config file (``--config``) may preset any option of its subcommand
+that takes a value, keyed by destination name (``format``, ``prenorm``,
+``chunk_rows``, ``out_dir``, ...). Each value passes the same checks as on the
+command line, and explicit flags win over the file.
 """
 
 from __future__ import annotations
@@ -255,6 +256,9 @@ def cmd_verify_theory(args) -> int:
 def cmd_audit_layernorm(args) -> int:
     fmt = parse_format(args.format)
     rows = _load_rows(args.stream)
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:  # no overflow to audit, and no log2 bin for the row
+        raise StreamFormatError(f"{args.stream}: row {bad[0]}: entries must be finite")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -290,8 +294,8 @@ def cmd_audit_layernorm(args) -> int:
     hist_path = out_dir / "layernorm_hist.csv"
     peaks = {m: np.abs(rows * s).max(axis=1)
              for m, s in (("1", 1.0), ("sqrt512", SQRT512))}
-    logs = {m: np.floor(np.log2(np.clip(v, 1e-30, None))).astype(int)
-            for m, v in peaks.items()}
+    logs = {m: np.floor(np.log2(np.clip(v, 1e-30, 1e308))).astype(int)
+            for m, v in peaks.items()}  # 1e308's bin is the top one; inf goes there
     lo = min(v.min() for v in logs.values())
     hi = max(v.max() for v in logs.values())
     csv_rows = [
@@ -528,134 +532,129 @@ def cmd_gen_stream(args) -> int:
 # Argument plumbing
 
 
-_DEFAULTS = {
-    "format": "fp16", "prenorm": "theorem1", "p": 2.0, "safety": 1.0,
-    "seed": 0, "chunks": 0, "out_dir": ".", "conv": "conv2d6,dws2d6",
-    "n_max": 4, "vectors": 20000, "samples": 1_000_000,
-    "passes": "layout,chunk,einsum", "chunk_axis": "heads",
-    "check_instances": 20, "batch": 1, "heads": 8, "features": 512,
-    "seq": 64, "dist": "gaussian", "rows": 256, "width": 512,
-    "scale": 500.0, "chunk_rows": 32, "weights": "",
-}
+def _preset(path: str, options: list[argparse.Action]) -> None:
+    """Make the values in the JSON config ``path`` the defaults of ``options``.
 
-
-def _resolve(args) -> None:
-    """Fill unset flags from the config file, then from the defaults."""
-    cfg = {}
-    if getattr(args, "config", None):
+    Each value passes its flag's own type and choices, as on the command line.
+    ``null`` keeps the default; keys no option owns and switches (``--check``)
+    are ignored.
+    """
+    try:
+        cfg = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{path}: config must be a JSON object")
+    for action in options:
+        raw = cfg.get(action.dest)
+        if raw is None or action.nargs == 0:
+            continue
         try:
-            cfg = json.loads(Path(args.config).read_text())
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{args.config}: not valid JSON: {exc}") from None
-        if not isinstance(cfg, dict):
-            raise ValueError(f"{args.config}: config must be a JSON object")
-    defaults = dict(_DEFAULTS)
-    if args.command == "profile-conv":
-        defaults["format"] = "none"  # ranges are the point; don't clip them
-    for key, hard in defaults.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            value = cfg.get(key, hard)
-            try:
-                setattr(args, key, type(hard)(value) if value is not None else hard)
-            except (TypeError, ValueError):
-                raise ValueError(f"{args.config}: key {key!r}: {value!r} is not "
-                                 f"a valid {type(hard).__name__}") from None
+            value = (action.type or str)(str(raw))
+            if action.choices and value not in action.choices:
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"{path}: key {action.dest!r}: {raw!r} is not a valid "
+                             f"{action.option_strings[0]} value") from None
+        action.default = value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lowprec",
-        description="Numerical-stabilization toolkit for low-precision "
-                    "inference: audits, theory checks and graph rewrites.",
-    )
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, list[argparse.Action]]]:
+    """The parser, and for each subcommand the options a config may preset."""
+    parser = argparse.ArgumentParser(prog="lowprec", description=(
+        "Numerical-stabilization toolkit for low-precision inference: audits, "
+        "theory checks and graph rewrites."))
     sub = parser.add_subparsers(dest="command", required=True)
+    options: dict[str, list[argparse.Action]] = {}
 
-    def common(p):
-        p.add_argument("--config", help="JSON file pre-setting any flag")
-        p.add_argument("--out-dir", dest="out_dir", help="report directory")
-        p.add_argument("--seed", type=int, help="RNG seed (default 0)")
-        p.add_argument("--format",
-                       help="fp16, fp32 or custom:<mantissa>,<exponent>")
+    def command(name, func, help, *shared):
+        """A subcommand with ``--config`` and the ``shared`` flags it reads."""
+        p = sub.add_parser(name, help=help,
+                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        p.set_defaults(func=func)
+        p.add_argument("--config", help="JSON file presetting this command's options")
+        opts = options[name] = []
 
-    p = sub.add_parser("verify-theory", help="run the analytic checks")
-    common(p)
-    p.add_argument("--n-max", dest="n_max", type=int,
-                   help="largest oracle dimension (default 4)")
-    p.add_argument("--vectors", type=int,
-                   help="random-vector budget (default 20000)")
-    p.add_argument("--samples", type=int,
-                   help="Monte-Carlo samples per distribution (default 1e6)")
-    p.set_defaults(func=cmd_verify_theory)
+        def flag(*names, **kw):
+            opts.append(p.add_argument(*names, **kw))
 
-    p = sub.add_parser("audit-layernorm", help="overflow audit over a stream")
-    common(p)
+        if "out_dir" in shared:
+            flag("--out-dir", default=".", help="report directory")
+        if "seed" in shared:
+            flag("--seed", type=int, default=0, help="RNG seed")
+        if "format" in shared:
+            flag("--format", default="fp16",
+                 help="fp16, fp32 or custom:<mantissa>,<exponent>")
+        return p, flag
+
+    _, flag = command("verify-theory", cmd_verify_theory, "run the analytic checks",
+                      "out_dir", "seed")
+    flag("--n-max", type=int, default=4, help="largest oracle dimension")
+    flag("--vectors", type=int, default=20000, help="random-vector budget")
+    flag("--samples", type=int, default=1_000_000,
+         help="Monte-Carlo samples per distribution")
+
+    p, flag = command("audit-layernorm", cmd_audit_layernorm,
+                      "overflow audit over a stream", "out_dir", "format")
     p.add_argument("stream", help="chunked stream file")
-    p.add_argument("--prenorm", choices=("none", "mad", "theorem1"),
-                   help="pre-normalizer under audit (default theorem1)")
-    p.add_argument("--p", type=float, help="norm exponent (default 2)")
-    p.add_argument("--safety", type=float,
-                   help="extra headroom divisor on the ceiling (default 1)")
-    p.set_defaults(func=cmd_audit_layernorm)
+    flag("--prenorm", choices=("none", "mad", "theorem1"), default="theorem1",
+         help="pre-normalizer under audit")
+    flag("--p", type=float, default=2.0, help="norm exponent")
+    flag("--safety", type=float, default=1.0,
+         help="fraction of the format's max value the bound targets")
 
-    p = sub.add_parser("audit-softmax", help="argmax/mass audit over a stream")
-    common(p)
+    p, _ = command("audit-softmax", cmd_audit_softmax,
+                   "argmax/mass audit over a stream", "out_dir", "format")
     p.add_argument("stream", help="chunked stream file")
-    p.set_defaults(func=cmd_audit_softmax)
 
-    p = sub.add_parser("profile-conv", help="dynamic range + MAC table")
-    common(p)
+    p, flag = command("profile-conv", cmd_profile_conv,
+                      "dynamic range + MAC table (--format none: exact float64)",
+                      "out_dir", "seed", "format")
+    p.set_defaults(format="none")  # ranges are the point; don't clip them
     p.add_argument("stream", help="chunked stream file (may be empty)")
-    p.add_argument("--conv",
-                   help="comma-separated config names "
-                        "(conv2d6, dws2d6, conv2d6x22, dws2d6x22)")
-    p.set_defaults(func=cmd_profile_conv)
+    flag("--conv", default="conv2d6,dws2d6",
+         help=f"comma-separated config names ({', '.join(SUBSAMPLERS)})")
 
-    p = sub.add_parser("rewrite-graph", help="run graph rewrite passes")
-    common(p)
+    p, flag = command("rewrite-graph", cmd_rewrite_graph, "run graph rewrite passes",
+                      "out_dir", "seed")
     p.add_argument("graph", help='"mha" or a graph JSON path')
-    p.add_argument("--passes", help="comma list of layout,chunk,einsum "
-                                    "(default all; empty string for none)")
-    p.add_argument("--chunks", type=int,
-                   help="chunk count (default: one per head)")
-    p.add_argument("--chunk-axis", dest="chunk_axis",
-                   choices=("heads", "query"), help="chunking axis")
-    p.add_argument("--check", action="store_true",
-                   help="verify outputs against the input graph")
-    p.add_argument("--check-instances", dest="check_instances", type=int,
-                   help="random instances for --check (default 20)")
-    p.add_argument("--weights", help="named-tensor file with graph weights")
-    p.add_argument("--batch", type=int, help="builtin mha batch (default 1)")
-    p.add_argument("--heads", type=int, help="builtin mha heads (default 8)")
-    p.add_argument("--features", type=int,
-                   help="builtin mha features (default 512)")
-    p.add_argument("--seq", type=int,
-                   help="builtin mha sequence length (default 64)")
-    p.set_defaults(func=cmd_rewrite_graph)
+    flag("--passes", default="layout,chunk,einsum",
+         help="comma list of layout,chunk,einsum (empty string for none)")
+    flag("--chunks", type=int, default=0,
+         help="chunk count; 0 is one per head for mha, 1 for a graph file")
+    flag("--chunk-axis", choices=("heads", "query"), default="heads",
+         help="chunking axis")
+    flag("--check", action="store_true", help="verify outputs against the input graph")
+    flag("--check-instances", type=int, default=20, help="random instances for --check")
+    flag("--weights", help="named-tensor file with graph weights")
+    flag("--batch", type=int, default=1, help="builtin mha batch")
+    flag("--heads", type=int, default=8, help="builtin mha heads")
+    flag("--features", type=int, default=512, help="builtin mha features")
+    flag("--seq", type=int, default=64, help="builtin mha sequence length")
 
-    p = sub.add_parser("gen-stream", help="generate a synthetic stream")
-    common(p)
+    p, flag = command("gen-stream", cmd_gen_stream, "generate a synthetic stream",
+                      "seed")
     p.add_argument("out", help="output stream path (.csv for text)")
-    p.add_argument("--dist", choices=("gaussian", "uniform", "extremal"),
-                   help="row distribution (default gaussian)")
-    p.add_argument("--rows", type=int, help="total rows (default 256)")
-    p.add_argument("--width", type=int, help="row width (default 512)")
-    p.add_argument("--scale", type=float,
-                   help="sigma / half-range / total spike mass (default 500)")
-    p.add_argument("--chunk-rows", dest="chunk_rows", type=int,
-                   help="rows per chunk (default 32)")
-    p.set_defaults(func=cmd_gen_stream)
-
-    return parser
+    flag("--dist", choices=("gaussian", "uniform", "extremal"), default="gaussian",
+         help="row distribution")
+    flag("--rows", type=int, default=256, help="total rows")
+    flag("--width", type=int, default=512, help="row width")
+    flag("--scale", type=float, default=500.0,
+         help="sigma / half-range / total spike mass")
+    flag("--chunk-rows", type=int, default=32, help="rows per chunk")
+    return parser, options
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, options = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        _resolve(args)
+        if args.config:
+            _preset(args.config, options[args.command])
+            args = parser.parse_args(argv)  # explicit flags still win
         return args.func(args)
     except (StreamFormatError, GraphError, GraphRewriteError, OSError,
             ValueError) as exc:

@@ -190,10 +190,8 @@ class QuantRecorder:
 
     ``q(values)`` rounds ``values`` onto ``fmt``, keeps the status codes
     in ``codes`` (one array per call, in call order) and merges them into
-    ``stats``. A ``rows`` mask, broadcastable against ``values``, limits
-    the accounting to the entries it selects while every entry is still
-    rounded; the softmax hot-row rescale counts only the rows it touches.
-    With ``fmt=None`` values pass through as float64 and nothing is kept.
+    ``stats``. With ``fmt=None`` values pass through as float64 and
+    nothing is kept.
     """
 
     def __init__(self, fmt: FloatFormat | None):
@@ -201,12 +199,10 @@ class QuantRecorder:
         self.stats = OverflowStats()
         self.codes: list[np.ndarray] = []
 
-    def q(self, values, rows=None) -> np.ndarray:
+    def q(self, values) -> np.ndarray:
         if self.fmt is None:
             return np.asarray(values, dtype=np.float64)
         out, codes = quantize_array(values, self.fmt)
-        if rows is not None:
-            codes = codes[np.broadcast_to(rows, codes.shape)]
         self.codes.append(codes)
         self.stats = self.stats + OverflowStats.from_codes(codes)
         return out

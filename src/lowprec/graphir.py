@@ -213,9 +213,9 @@ def validate(g: Graph) -> None:
                 raise GraphError(f"{n.id}: reference {r!r} not defined yet "
                                  "(missing or out of order)")
             if port:
-                if ports.get(base, 1) <= int(port):
+                if not port.isdigit() or ports.get(base, 0) <= int(port):
                     raise GraphError(f"{n.id}: {r!r} addresses a missing port")
-            elif ports.get(base, 1) != 1:
+            elif base in ports:
                 raise GraphError(f"{n.id}: {base!r} is multi-output, "
                                  "use an explicit port")
         seen.add(n.id)
@@ -292,7 +292,6 @@ def infer_shapes(g: Graph) -> dict[str, tuple]:
             piece = s[:ax] + (s[ax] // k,) + s[ax + 1:]
             for p in range(k):
                 shapes[f"{n.id}:{p}"] = piece
-            shapes[n.id] = piece  # port 0 alias
         elif n.op == "concat":
             parts = [of(r) for r in n.inputs]
             ax = int(a["axis"])
@@ -380,7 +379,6 @@ def movement_profile(g: Graph) -> dict[str, int]:
 class ExecTrace:
     outputs: dict[str, np.ndarray]
     node_stats: dict[str, OverflowStats]
-    node_bytes: dict[str, int]
     movement_bytes: int = 0
 
     @property
@@ -456,7 +454,6 @@ def execute_traced(g: Graph, feeds: dict[str, np.ndarray],
         weights = {k: quantize_array(v, fmt)[0] for k, v in weights.items()}
     values: dict[str, np.ndarray] = {}
     node_stats: dict[str, OverflowStats] = {}
-    node_bytes: dict[str, int] = {}
     movement = 0
 
     for n in g.nodes:
@@ -477,16 +474,13 @@ def execute_traced(g: Graph, feeds: dict[str, np.ndarray],
                              axis=int(n.attrs["axis"]))
             for p, part in enumerate(parts):
                 values[f"{n.id}:{p}"] = part
-            values[n.id] = parts[0]
             movement += arr.nbytes
-            node_bytes[n.id] = arr.nbytes
         else:
             args = [values[r] for r in n.inputs]
             out = _apply(n, args, weights, rec)
             if n.op in ARITHMETIC_OPS and n.op != "softmax":
                 out = rec.q(out)
             values[n.id] = out
-            node_bytes[n.id] = out.nbytes
             if n.op in MOVEMENT_OPS:
                 movement += out.nbytes
         if fmt is not None and (n.op == "input" or n.op in ARITHMETIC_OPS):
@@ -494,7 +488,6 @@ def execute_traced(g: Graph, feeds: dict[str, np.ndarray],
     return ExecTrace(
         outputs={o: values[o] for o in g.outputs},
         node_stats=node_stats,
-        node_bytes=node_bytes,
         movement_bytes=movement,
     )
 

@@ -150,20 +150,25 @@ def prenormalize(x, spec: PrenormSpec) -> tuple[np.ndarray, bool | np.ndarray]:
     if v.ndim not in (1, 2) or v.size == 0:
         raise ValueError("prenormalize needs a non-empty vector or (rows, n) block")
     rows = v[None, :] if v.ndim == 1 else np.ascontiguousarray(v)
+    if spec.mode == "theorem1" and not checked:  # optimality needs zero mean
+        _require_zero_mean(rows, np.abs(rows).sum(axis=1))
+    y, degenerate = _scale_rows(rows, spec)
+    if v.ndim == 1:
+        return y[0], bool(degenerate[0])
+    return y, degenerate
+
+
+def _scale_rows(rows: np.ndarray, spec: PrenormSpec) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`prenormalize` of a (rows, n) block, without the zero-mean check."""
     a = np.abs(rows)
     s1 = a.sum(axis=1)
-    if spec.mode == "theorem1" and not checked:
-        _require_zero_mean(rows, s1)  # the optimality argument needs zero mean
     degenerate = a.max(axis=1) < _DEGENERATE_PEAK
     if spec.mode == "theorem1":
         denom = theorem1_scale(spec.p, spec.safety * spec.max_value) * s1
     else:
         denom = s1 / rows.shape[1]
     denom[degenerate] = 1.0  # x / 1 returns the row unchanged
-    y = rows / denom[:, None]
-    if v.ndim == 1:
-        return y[0], bool(degenerate[0])
-    return y, degenerate
+    return rows / denom[:, None], degenerate
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +261,8 @@ def stabilized_layernorm_rows(rows, pspec: PrenormSpec | None,
     """Row-wise layernorm computed in simulated ``fmt`` arithmetic.
 
     Per row: subtract the mean, apply the pre-normalizer (both in float64,
-    the pre-normalizer being the thing under test), quantize, then run the
+    the pre-normalizer being the thing under test; theorem1 raises ValueError
+    naming the first row that is not finite), quantize, then run the
     variance/sqrt/divide chain with every elementary result re-quantized.
     The sum of squares reduces pairwise (a balanced tree, the shape a SIMD
     lane reduction takes), so rounding error grows with log n rather than n
@@ -271,7 +277,12 @@ def stabilized_layernorm_rows(rows, pspec: PrenormSpec | None,
     eps = (lspec or LayerNormSpec()).epsilon
 
     centered = x - x.mean(axis=1, keepdims=True)
-    y = centered if pspec is None else prenormalize(centered, pspec)[0]
+    if pspec is not None and pspec.mode == "theorem1":
+        # rows centered here miss zero sum only by float64 cancellation
+        bad = np.flatnonzero(~np.isfinite(centered).all(axis=1))
+        if bad.size:
+            raise ValueError(f"row {bad[0]}: entries must be finite")
+    y = centered if pspec is None else _scale_rows(centered, pspec)[0]
 
     rec = QuantRecorder(fmt)
     yq = rec.q(y)

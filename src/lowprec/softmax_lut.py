@@ -57,8 +57,8 @@ class ExpLUT:
 _LUT = ExpLUT()
 
 
-def _hot_ratio(x, mx, hot):
-    """x / mx on hot rows, with the infinite-max limit taken explicitly.
+def _hot_ratio(x, mx):
+    """x / mx for hot rows, with the infinite-max limit taken explicitly.
 
     When the max has saturated to infinity, dividing by it would turn the
     row to nan; the limiting behavior keeps entries equal to the max at 1
@@ -66,8 +66,8 @@ def _hot_ratio(x, mx, hot):
     later underflows the exp table to an exact zero).
     """
     with np.errstate(invalid="ignore"):
-        ratio = x / np.where(hot, mx, 1.0)
-    bad = hot & np.isinf(mx)
+        ratio = x / mx
+    bad = np.isinf(mx)
     if np.any(bad):
         ratio = np.where(bad & (x == mx), 1.0, ratio)
         ratio = np.where(bad & (x != mx) & np.isfinite(x), 0.0, ratio)
@@ -88,7 +88,7 @@ def softmax_lut(x, fmt: FloatFormat | None = None):
     Rows whose max exceeds ``RESCALE_THRESHOLD`` are first mapped by
     x -> RESCALE_THRESHOLD * x / max(x); other rows pass through untouched.
     Every named stage is re-quantized when a format is given: the input,
-    the rescale ratio and product (counted on rescaled rows only), the
+    the rescale ratio and product (on rescaled rows only), the
     max-subtracted values, the table outputs, the row total, and the final
     quotient. The total is accumulated in a wide register and rounded once;
     chaining narrow partial sums instead would put the row-sum error at
@@ -102,10 +102,10 @@ def softmax_lut(x, fmt: FloatFormat | None = None):
     rec = QuantRecorder(fmt)
     x = rec.q(x)
     mx = np.max(x, axis=-1, keepdims=True)
-    hot = mx > RESCALE_THRESHOLD
+    hot = mx[..., 0] > RESCALE_THRESHOLD
     if np.any(hot):
-        ratio = rec.q(_hot_ratio(x, mx, hot), rows=hot)
-        x = np.where(hot, rec.q(RESCALE_THRESHOLD * ratio, rows=hot), x)
+        x = x.copy()  # with fmt=None, rec.q returned the caller's array
+        x[hot] = rec.q(RESCALE_THRESHOLD * rec.q(_hot_ratio(x[hot], mx[hot])))
     with np.errstate(invalid="ignore"):  # inf - inf on saturated rows gives nan
         x = rec.q(x - np.max(x, axis=-1, keepdims=True))
     e = rec.q(_LUT(x))

@@ -1,5 +1,6 @@
 """End-to-end command line runs, in process via cli.main."""
 
+import argparse
 import json
 import math
 import warnings
@@ -385,3 +386,109 @@ def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys):
 def test_help_exits_zero(capsys):
     assert run("--help") == 0
     assert "verify-theory" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("spread", [1e-4, 1e-6])
+def test_audit_layernorm_accepts_tiny_spread_on_a_large_dc_offset(tmp_path, spread):
+    # Centering leaves a residual sum of about n * u * 1e6, far above 1e-6 of
+    # these rows' L1 norm; rows the pipeline centered itself are not rejected.
+    path = tmp_path / "dc.stream"
+    write_stream(path, [1e6 + spread * np.random.default_rng(0).normal(size=(8, 512))])
+    out = tmp_path / "audit"
+    assert run("audit-layernorm", str(path), "--prenorm", "theorem1",
+               "--out-dir", str(out)) == 0
+    report = json.loads((out / "layernorm_audit.json").read_text())
+    stabilized = [r for r in report["rows"] if "prenorm=theorem1" in r["config"]]
+    assert len(stabilized) == 2
+    assert all(r["overflow_invocations"] == 0 for r in stabilized)
+
+
+@pytest.mark.parametrize("prenorm", ["theorem1", "none"])
+def test_audit_layernorm_stream_with_inf_exits_2(tmp_path, capsys, prenorm):
+    path = tmp_path / "inf.stream"
+    rows = np.random.default_rng(0).normal(size=(4, 8))
+    rows[2, 3] = np.inf
+    write_stream(path, [rows])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run("audit-layernorm", str(path), "--prenorm", prenorm,
+                   "--out-dir", str(tmp_path)) == 2
+    assert "inf.stream: row 2: entries must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (("gen-stream", "{tmp}/a.stream"), "dist", "bogus"),
+    (("gen-stream", "{tmp}/a.stream"), "rows", 3.7),
+    (("rewrite-graph", "mha", "--out-dir", "{tmp}"), "chunk_axis", "keys"),
+])
+def test_config_values_pass_the_flags_own_checks(tmp_path, capsys, argv, key, value):
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    flag = "--" + key.replace("_", "-")
+    assert run(*argv, flag, str(value)) == 2  # rejected on the command line ...
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: value}))
+    capsys.readouterr()
+    assert run(*argv, "--config", str(cfg)) == 2  # ... and from the file
+    err = capsys.readouterr().err
+    assert "run.json" in err and repr(key) in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
+def test_config_null_keeps_the_default_and_foreign_keys_are_ignored(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"rows": None, "width": 12, "heads": 3,
+                               "out_dir": "elsewhere", "out": "ignored.stream"}))
+    a = tmp_path / "a.stream"
+    assert run("gen-stream", str(a), "--config", str(cfg)) == 0
+    assert np.concatenate(read_stream(a)).shape == (256, 12)
+    assert run("gen-stream", str(a), "--config", str(cfg), "--rows", "5",
+               "--width", "7") == 0
+    assert np.concatenate(read_stream(a)).shape == (5, 7)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.stream", "run.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-theory", "--out-dir", "{tmp}", "--format", "fp16"),
+    ("rewrite-graph", "mha", "--out-dir", "{tmp}", "--format", "fp16"),
+    ("gen-stream", "{tmp}/a.stream", "--format", "fp16"),
+    ("audit-layernorm", "{tmp}/s.stream", "--out-dir", "{tmp}", "--seed", "1"),
+    ("audit-softmax", "{tmp}/s.stream", "--out-dir", "{tmp}", "--seed", "1"),
+    ("gen-stream", "{tmp}/a.stream", "--out-dir", "{tmp}"),
+])
+def test_flags_a_command_does_not_read_are_not_declared(tmp_path, capsys, argv):
+    assert run(*[a.format(tmp=tmp_path) for a in argv]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class ReadLog(argparse.Namespace):
+    """A namespace that records which attributes are read from it."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            self.__dict__.setdefault("_reads", set()).add(name)
+        return super().__getattribute__(name)
+
+
+def test_every_declared_option_is_read_by_its_command(tmp_path):
+    stream, mel = tmp_path / "s.stream", tmp_path / "mel.stream"
+    assert run("gen-stream", str(stream), "--rows", "4", "--width", "8") == 0
+    assert run("gen-stream", str(mel), "--rows", "20", "--width", "40",
+               "--chunk-rows", "20") == 0
+    out = ("--out-dir", str(tmp_path / "out"))
+    tiny = {
+        "verify-theory": ("--n-max", "2", "--vectors", "200", "--samples", "20000", *out),
+        "audit-layernorm": (str(stream), *out),
+        "audit-softmax": (str(stream), *out),
+        "profile-conv": (str(mel), "--conv", "conv2d6", *out),
+        "rewrite-graph": ("mha", "--heads", "2", "--features", "16", "--seq", "4",
+                          "--check", "--check-instances", "1", *out),
+        "gen-stream": (str(tmp_path / "g.stream"), "--rows", "2", "--width", "4"),
+    }
+    parser, options = cli.build_parser()
+    assert sorted(options) == sorted(tiny)
+    for command, argv in tiny.items():
+        args = parser.parse_args([command, *argv], namespace=ReadLog())
+        args.__dict__["_reads"] = set()  # parsing reads every dest
+        assert args.func(args) == 0, command
+        unread = {a.dest for a in options[command]} - args.__dict__["_reads"]
+        assert not unread, f"{command} declares options it never reads: {unread}"

@@ -238,6 +238,20 @@ def test_traced_execution_accounting(mha):
     assert np.abs(tr.outputs["y"] - exact.outputs["y"]).max() < 0.1
 
 
+@pytest.mark.parametrize("ref, sections, message", [
+    ("sp", 1, "multi-output"),     # a one-piece split still needs its port
+    ("a:0", 2, "missing port"),   # only a split has ports
+    ("sp:x", 2, "missing port"),
+])
+def test_references_address_split_ports_explicitly(ref, sections, message):
+    with pytest.raises(GraphError, match=message):
+        validate(Graph("g", [
+            Node("a", "input", (), {"shape": [2, 2]}),
+            Node("sp", "split", ("a",), {"axis": 0, "sections": sections}),
+            Node("s", "scale", (ref,), {"factor": 1.0}),
+        ], ["a"], []))
+
+
 def test_structural_validation_catches_bad_graphs():
     base = {"shape": [2, 2]}
     with pytest.raises(GraphError, match="duplicate"):
