@@ -21,11 +21,9 @@ from lowprec.graphir import (
     movement_profile,
 )
 from lowprec.prenorm import (
-    LayerNormSpec,
     PrenormSpec,
     layernorm,
     prenormalize,
-    stabilized_layernorm,
     theorem1_scale,
 )
 from lowprec.softmax_lut import ExpLUT, softmax_reference
@@ -52,11 +50,9 @@ __all__ = [
     "build_mha_bsf",
     "check_equivalence",
     "movement_profile",
-    "LayerNormSpec",
     "PrenormSpec",
     "layernorm",
     "prenormalize",
-    "stabilized_layernorm",
     "theorem1_scale",
     "ExpLUT",
     "softmax_reference",

@@ -49,7 +49,7 @@ from .graphir import (
     mha_weights,
     movement_profile,
 )
-from .prenorm import LayerNormSpec, PrenormSpec, stabilized_layernorm_rows
+from .prenorm import PrenormSpec, stabilized_layernorm_rows
 from .softmax_lut import RESCALE_THRESHOLD, ExpLUT, softmax_lut, softmax_reference
 from .streams import (
     StreamFormatError,
@@ -277,8 +277,7 @@ def cmd_audit_layernorm(args) -> int:
         if name in seen:
             continue
         seen.add(name)
-        _, per_row, stats = stabilized_layernorm_rows(rows * mult, pre,
-                                                      LayerNormSpec(), fmt)
+        _, per_row, stats = stabilized_layernorm_rows(rows * mult, pre, fmt)
         bad = int(np.count_nonzero(per_row > 0))
         if pre is not None and bad:
             violated = True  # the bound promised this could not happen
@@ -509,6 +508,8 @@ def cmd_rewrite_graph(args) -> int:
 def cmd_gen_stream(args) -> int:
     rng = np.random.default_rng(args.seed)
     rows, width = args.rows, args.width
+    if args.dist == "extremal" and width < 2:
+        raise ValueError("--dist extremal needs --width >= 2 (two spikes per row)")
     if args.dist == "gaussian":
         x = rng.normal(0.0, args.scale, (rows, width))
     elif args.dist == "uniform":
@@ -532,6 +533,16 @@ def cmd_gen_stream(args) -> int:
 # Argument plumbing
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a count: an integer of at least 1."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+
+
 def _preset(path: str, options: list[argparse.Action]) -> None:
     """Make the values in the JSON config ``path`` the defaults of ``options``.
 
@@ -553,7 +564,7 @@ def _preset(path: str, options: list[argparse.Action]) -> None:
             value = (action.type or str)(str(raw))
             if action.choices and value not in action.choices:
                 raise ValueError
-        except ValueError:
+        except (ValueError, argparse.ArgumentTypeError):
             raise ValueError(f"{path}: key {action.dest!r}: {raw!r} is not a valid "
                              f"{action.option_strings[0]} value") from None
         action.default = value
@@ -625,7 +636,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, list[argparse.Act
     flag("--chunk-axis", choices=("heads", "query"), default="heads",
          help="chunking axis")
     flag("--check", action="store_true", help="verify outputs against the input graph")
-    flag("--check-instances", type=int, default=20, help="random instances for --check")
+    flag("--check-instances", type=_positive_int, default=20,
+         help="random instances for --check")
     flag("--weights", help="named-tensor file with graph weights")
     flag("--batch", type=int, default=1, help="builtin mha batch")
     flag("--heads", type=int, default=8, help="builtin mha heads")
@@ -634,11 +646,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, list[argparse.Act
 
     p, flag = command("gen-stream", cmd_gen_stream, "generate a synthetic stream",
                       "seed")
-    p.add_argument("out", help="output stream path (.csv for text)")
+    p.add_argument("out", help="output stream path")
     flag("--dist", choices=("gaussian", "uniform", "extremal"), default="gaussian",
          help="row distribution")
-    flag("--rows", type=int, default=256, help="total rows")
-    flag("--width", type=int, default=512, help="row width")
+    flag("--rows", type=_positive_int, default=256, help="total rows")
+    flag("--width", type=_positive_int, default=512, help="row width")
     flag("--scale", type=float, default=500.0,
          help="sigma / half-range / total spike mass")
     flag("--chunk-rows", type=int, default=32, help="rows per chunk")

@@ -207,17 +207,3 @@ class QuantRecorder:
         self.stats = self.stats + OverflowStats.from_codes(codes)
         return out
 
-
-def ulp(v: float, fmt: FloatFormat) -> float:
-    """Spacing between adjacent representable values at magnitude ``|v|``.
-
-    For 2**k <= |v| < 2**(k+1) in the normal range this is
-    2**(k - mantissa_bits); subnormal magnitudes share one quantum.
-    """
-    if not math.isfinite(v) or v == 0.0:
-        raise ValueError("ulp is defined for finite non-zero magnitudes")
-    a = abs(v)
-    if a > fmt.max_finite:
-        raise ValueError(f"magnitude {a} exceeds max finite {fmt.max_finite}")
-    k = math.frexp(a)[1] - 1
-    return math.ldexp(1.0, max(k, fmt.min_exponent) - fmt.mantissa_bits)

@@ -492,18 +492,16 @@ def execute_traced(g: Graph, feeds: dict[str, np.ndarray],
     )
 
 
-def execute(g: Graph, feeds: dict, weights: dict | None = None,
-            fmt: FloatFormat | None = None) -> dict[str, np.ndarray]:
-    return execute_traced(g, feeds, weights, fmt).outputs
-
-
 def check_equivalence(g1: Graph, g2: Graph, weights: dict,
                       n_instances: int = 100, seed: int = 0) -> float:
     """Max |difference| between two graphs over random float64 instances.
 
     Feeds are unit-variance gaussians. Raises GraphRewriteError when the
     graphs disagree beyond 1e-9; input and output names must match.
+    ``n_instances`` must be at least 1: a check over nothing proves nothing.
     """
+    if n_instances < 1:
+        raise ValueError(f"need at least 1 check instance, got {n_instances}")
     in1 = {i: tuple(g1.node(i).attrs["shape"]) for i in g1.inputs}
     in2 = {i: tuple(g2.node(i).attrs["shape"]) for i in g2.inputs}
     if set(in1) != set(in2) or set(g1.outputs) != set(g2.outputs):
@@ -512,8 +510,8 @@ def check_equivalence(g1: Graph, g2: Graph, weights: dict,
     worst = 0.0
     for _ in range(n_instances):
         feeds = {i: rng.normal(0.0, 1.0, in1[i]) for i in in1}
-        o1 = execute(g1, feeds, weights)
-        o2 = execute(g2, feeds, weights)
+        o1 = execute_traced(g1, feeds, weights).outputs
+        o2 = execute_traced(g2, feeds, weights).outputs
         for name in g1.outputs:
             a, b = o1[name], o2[name]
             if a.shape != b.shape:
@@ -540,10 +538,10 @@ class MHAParams:
     seq: int = 16
 
     def __post_init__(self):
+        if min(self.batch, self.heads, self.features, self.seq) < 1:
+            raise ValueError(f"all dimensions must be positive, got {self}")
         if self.features % self.heads:
             raise ValueError("features must divide evenly across heads")
-        if min(self.batch, self.heads, self.features, self.seq) < 1:
-            raise ValueError("all dimensions must be positive")
 
     @property
     def head_dim(self) -> int:

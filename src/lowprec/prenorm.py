@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lowprec.floatsim import FloatFormat, OverflowStats, QuantRecorder, QuantizeStatus
+from lowprec.floatsim import FloatFormat, QuantRecorder, QuantizeStatus
 # Bound here so the benchmark tracer (perfbench/spans.py) can wrap it.
 from lowprec.floatsim import quantize_array  # noqa: F401
 
@@ -26,13 +26,8 @@ from lowprec.floatsim import quantize_array  # noqa: F401
 _DEGENERATE_PEAK = 1e-300
 
 
-@dataclass(frozen=True)
-class LayerNormSpec:
-    epsilon: float = 1e-5
-
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+# Added to the variance under the square root by every layernorm here.
+LAYERNORM_EPS = 1e-5
 
 
 @dataclass(frozen=True)
@@ -53,9 +48,9 @@ class PrenormSpec:
     def __post_init__(self):
         if self.mode not in ("theorem1", "mad"):
             raise ValueError(f"unknown prenorm mode {self.mode!r}")
-        if self.p < 1:
+        if not self.p >= 1:  # written so that nan fails too
             raise ValueError("norm order p must be >= 1")
-        if self.max_value <= 0:
+        if not self.max_value > 0:
             raise ValueError("max_value must be positive")
         if not (0 < self.safety <= 1):
             raise ValueError("safety fraction must be in (0, 1]")
@@ -96,12 +91,11 @@ def _require_zero_mean(rows: np.ndarray, l1: np.ndarray) -> None:
     raise ValueError(why if len(rows) == 1 else f"row {i}: {why}")
 
 
-def layernorm(x, spec: LayerNormSpec | None = None, axis: int = -1) -> np.ndarray:
+def layernorm(x, axis: int = -1, eps: float = LAYERNORM_EPS) -> np.ndarray:
     """(x - mean) / sqrt(var + eps) along ``axis``, population variance."""
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise ValueError("layernorm of an empty input")
-    eps = (spec or LayerNormSpec()).epsilon
     mu = x.mean(axis=axis, keepdims=True)
     var = x.var(axis=axis, keepdims=True)
     return (x - mu) / np.sqrt(var + eps)
@@ -255,9 +249,7 @@ def lemma1_oracle(n: int, S: float, p: float,
 # Low-precision layernorm pipeline
 
 
-def stabilized_layernorm_rows(rows, pspec: PrenormSpec | None,
-                              lspec: LayerNormSpec | None,
-                              fmt: FloatFormat):
+def stabilized_layernorm_rows(rows, pspec: PrenormSpec | None, fmt: FloatFormat):
     """Row-wise layernorm computed in simulated ``fmt`` arithmetic.
 
     Per row: subtract the mean, apply the pre-normalizer (both in float64,
@@ -274,7 +266,6 @@ def stabilized_layernorm_rows(rows, pspec: PrenormSpec | None,
     if x.size == 0:
         raise ValueError("empty input")
     n = x.shape[1]
-    eps = (lspec or LayerNormSpec()).epsilon
 
     centered = x - x.mean(axis=1, keepdims=True)
     if pspec is not None and pspec.mode == "theorem1":
@@ -296,7 +287,7 @@ def stabilized_layernorm_rows(rows, pspec: PrenormSpec | None,
             pairs = np.concatenate([pairs, acc[:, even:]], axis=1)
         acc = pairs
     var = rec.q(acc[:, 0] / n)
-    var_eps = rec.q(var + eps)
+    var_eps = rec.q(var + LAYERNORM_EPS)
     denom = rec.q(np.sqrt(var_eps))
     with np.errstate(divide="ignore", invalid="ignore"):
         out = rec.q(yq / denom[:, None])  # saturated rows give inf or nan
@@ -306,15 +297,6 @@ def stabilized_layernorm_rows(rows, pspec: PrenormSpec | None,
         per_row += np.count_nonzero(
             codes.reshape(x.shape[0], -1) == QuantizeStatus.OVERFLOW, axis=1)
     return out, per_row, rec.stats
-
-
-def stabilized_layernorm(x, pspec: PrenormSpec | None,
-                         lspec: LayerNormSpec | None,
-                         fmt: FloatFormat) -> tuple[np.ndarray, OverflowStats]:
-    """Single-vector wrapper around :func:`stabilized_layernorm_rows`."""
-    out, _, stats = stabilized_layernorm_rows(np.asarray(x, float)[None, :],
-                                              pspec, lspec, fmt)
-    return out[0], stats
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,6 @@ far below half-precision resolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from lowprec.floatsim import FloatFormat, QuantRecorder
@@ -23,21 +21,15 @@ from lowprec.floatsim import quantize_array  # noqa: F401
 RESCALE_THRESHOLD = 4096.0
 
 
-@dataclass(frozen=True)
 class ExpLUT:
     """Uniform-grid table of exp over [domain_lo, domain_hi]."""
 
-    domain_lo: float = -16.0
-    domain_hi: float = 0.0
-    entries: int = 1024
-    values: np.ndarray = field(init=False, repr=False)
+    domain_lo = -16.0
+    domain_hi = 0.0
+    entries = 1024
 
-    def __post_init__(self):
-        if not self.domain_lo < self.domain_hi:
-            raise ValueError("need domain_lo < domain_hi")
-        if self.entries < 2:
-            raise ValueError("need at least two table entries")
-        object.__setattr__(self, "values", np.exp(self.grid))
+    def __init__(self):
+        self.values = np.exp(self.grid)
 
     @property
     def grid(self) -> np.ndarray:

@@ -2,10 +2,9 @@
 
 The binary layout is one JSON header line per record followed by the raw
 row-major payload, repeated until end of file. Headers carry dtype and
-shape, so files are self-describing and byte-stable for fixed inputs. A
-plain CSV fallback (one row per line, blank line between chunks) exists for
-eyeballing small streams. All writes go through a temp file and a rename so
-readers never observe partial output.
+shape, so files are self-describing and byte-stable for fixed inputs. All
+writes go through a temp file and a rename so readers never observe partial
+output.
 """
 
 from __future__ import annotations
@@ -45,7 +44,11 @@ def _header(kind: str, index, array: np.ndarray) -> bytes:
 
 def _read_records(path, kind: str):
     path = Path(path)
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise StreamFormatError(f"{path}: {exc.strerror}") from None
+    with fh:
         size = os.fstat(fh.fileno()).st_size
         index = 0
         while True:
@@ -54,7 +57,7 @@ def _read_records(path, kind: str):
                 return
             try:
                 meta = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise StreamFormatError(
                     f"{path}: record {index}: bad header line: {exc}"
                 ) from None
@@ -88,11 +91,7 @@ def _read_records(path, kind: str):
 
 
 def write_stream(path, chunks) -> None:
-    """Write a sequence of arrays: CSV text for a ``.csv`` path, else binary."""
-    path = Path(path)
-    if path.suffix == ".csv":
-        _write_csv_stream(path, chunks)
-        return
+    """Write a sequence of arrays as header+payload records."""
     with atomic_write(path) as fh:
         for i, chunk in enumerate(chunks):
             arr = np.ascontiguousarray(chunk)
@@ -100,58 +99,9 @@ def write_stream(path, chunks) -> None:
             fh.write(arr.tobytes())
 
 
-def _write_csv_stream(path, chunks) -> None:
-    with atomic_write(path, "w") as fh:
-        for i, chunk in enumerate(chunks):
-            arr = np.atleast_2d(np.asarray(chunk))
-            if arr.ndim != 2:
-                raise ValueError("csv streams hold 1-d or 2-d chunks only")
-            if i:
-                fh.write("\n")
-            for row in arr:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def _read_csv_stream(path) -> list[np.ndarray]:
-    chunks, rows = [], []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if line.startswith("#"):
-                continue
-            if not line:
-                if rows:
-                    chunks.append(np.array(rows))
-                    rows = []
-                continue
-            try:
-                rows.append([float(v) for v in line.split(",")])
-            except ValueError:
-                raise StreamFormatError(
-                    f"{path}: line {lineno}: not a comma-separated number row"
-                ) from None
-            if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
-                raise StreamFormatError(
-                    f"{path}: line {lineno}: ragged row "
-                    f"(got {len(rows[-1])} values, chunk has {len(rows[0])})"
-                )
-    if rows:
-        chunks.append(np.array(rows))
-    if not chunks:
-        raise StreamFormatError(f"{path}: no data rows")
-    return chunks
-
-
 def read_stream(path) -> list[np.ndarray]:
-    """Read a chunked stream, sniffing binary versus CSV from the content."""
+    """Read a chunked stream written by :func:`write_stream`."""
     path = Path(path)
-    try:
-        with open(path, "rb") as fh:
-            first = fh.read(1)
-    except OSError as exc:
-        raise StreamFormatError(f"{path}: {exc.strerror}") from None
-    if first != b"{":
-        return _read_csv_stream(path)
     chunks = []
     for i, (index, arr) in enumerate(_read_records(path, "chunk")):
         if index != i:
@@ -173,6 +123,6 @@ def write_tensors(path, tensors: dict) -> None:
 
 def read_tensors(path) -> dict[str, np.ndarray]:
     out = {}
-    for name, arr in _read_records(Path(path), "tensor"):
+    for name, arr in _read_records(path, "tensor"):
         out[str(name)] = arr
     return out

@@ -131,13 +131,13 @@ def test_criterion_5_stabilized_layernorm_stream(acceptance, tmp_path):
     rows = np.concatenate(read_stream(stream))
     assert rows.shape == (256, 512)
 
-    _, naive_rows, _ = stabilized_layernorm_rows(rows, None, None, FP16)
+    _, naive_rows, _ = stabilized_layernorm_rows(rows, None, FP16)
     naive_frac = float(np.mean(naive_rows > 0))
     ref = layernorm(rows)
     results = {}
     for name, spec in (("theorem1", PrenormSpec(mode="theorem1", p=2.0)),
                        ("mad", PrenormSpec(mode="mad"))):
-        out, per_row, stats = stabilized_layernorm_rows(rows, spec, None, FP16)
+        out, per_row, stats = stabilized_layernorm_rows(rows, spec, FP16)
         results[name] = (float(np.mean(per_row > 0)),
                          float(np.abs(out - ref).max()),
                          stats.overflow)

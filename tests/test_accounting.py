@@ -23,11 +23,11 @@ from lowprec.softmax_lut import softmax_lut
 def test_layernorm_counts_and_per_row_overflow():
     scales = np.array([[10.0], [500.0], [5000.0], [30.0], [200.0], [50.0]])
     x = np.random.default_rng(11).normal(size=(6, 16)) * scales
-    _, per_row, stats = stabilized_layernorm_rows(x, None, None, FP16)
+    _, per_row, stats = stabilized_layernorm_rows(x, None, FP16)
     assert per_row.tolist() == [0, 26, 34, 0, 13, 0]
     assert stats == OverflowStats(396, 69, 254, 0, 73)
     spec = PrenormSpec("theorem1", max_value=FP16.max_finite)
-    _, per_row, stats = stabilized_layernorm_rows(x, spec, None, FP16)
+    _, per_row, stats = stabilized_layernorm_rows(x, spec, FP16)
     assert per_row.tolist() == [0] * 6
     assert stats == OverflowStats(396, 44, 352, 0, 0)
 

@@ -293,6 +293,51 @@ def test_usage_and_io_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["audit-softmax", "audit-layernorm"])
+def test_text_file_given_as_a_stream_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "rows.csv"
+    path.write_text("1,2,3\n4,5,6\n")
+    assert run(command, str(path), "--out-dir", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert "rows.csv: record 0: bad header line" in err and "Traceback" not in err
+
+
+def test_rewrite_graph_heads_0_exits_2(tmp_path, capsys):
+    assert run("rewrite-graph", "mha", "--heads", "0", "--out-dir", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "dimensions must be positive" in err and "heads=0" in err
+
+
+def test_audit_layernorm_p_nan_exits_2(adversarial, tmp_path, capsys):
+    out = tmp_path / "audit"
+    assert run("audit-layernorm", str(adversarial), "--p", "nan",
+               "--out-dir", str(out)) == 2
+    assert "norm order p" in capsys.readouterr().err
+    assert not (out / "layernorm_audit.json").exists()
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_rewrite_graph_check_over_no_instances_exits_2(tmp_path, capsys, n):
+    assert run("rewrite-graph", "mha", "--features", "64", "--seq", "8", "--check",
+               "--check-instances", n, "--out-dir", str(tmp_path)) == 2
+    assert "--check-instances" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("--rows", "0"), "--rows"),
+    (("--width", "0"), "--width"),
+    (("--rows", "-2"), "--rows"),
+    (("--dist", "extremal", "--width", "1"), "--width"),
+])
+def test_gen_stream_degenerate_sizes_exit_2(tmp_path, capsys, argv, flag):
+    out = tmp_path / "s.stream"
+    assert run("gen-stream", str(out), *argv) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_audit_layernorm_rows_on_a_large_dc_offset(tmp_path):
     # Centering 1e6 + N(0, 1) rows leaves a residual sum far above 1e-12 per
     # entry; the theorem-1 zero-mean check must still accept those rows.

@@ -14,7 +14,6 @@ from lowprec.graphir import (
     build_mha_bsf,
     canonical_json,
     check_equivalence,
-    execute,
     execute_traced,
     infer_shapes,
     mha_reference,
@@ -36,7 +35,7 @@ def mha():
 
 
 def _run(g, weights, x):
-    return execute(g, {"x": x[:, :, None, :]}, weights)["y"][:, :, 0, :]
+    return execute_traced(g, {"x": x[:, :, None, :]}, weights).outputs["y"][:, :, 0, :]
 
 
 def test_reference_form_matches_the_oracle(mha):
@@ -148,6 +147,13 @@ def test_equivalence_checker_accepts_rewrites_and_catches_tampering(mha):
         check_equivalence(g, bad, w, n_instances=5, seed=3)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_equivalence_over_no_instances_is_refused(mha, n):
+    g, w = mha
+    with pytest.raises(ValueError, match="at least 1 check instance"):
+        check_equivalence(g, g, w, n_instances=n)
+
+
 def test_shape_inference(mha):
     g, _ = mha
     shapes = infer_shapes(g)
@@ -188,7 +194,7 @@ def test_graph_softmax_shares_the_table_path():
         Node("y", "output", ("s",)),
     ], ["x"], ["y"])
     x = np.random.default_rng(4).normal(0.0, 3000.0, (2, 3, 8))
-    got = execute(g, {"x": x}, fmt=FP16)["y"]
+    got = execute_traced(g, {"x": x}, fmt=FP16).outputs["y"]
     want = softmax_lut(np.asarray(np.float16(x), dtype=np.float64), fmt=FP16)[0]
     assert got.tobytes() == want.tobytes()
 
@@ -202,8 +208,8 @@ def test_layernorm_axis_is_relocated_by_the_layout_pass():
     moved = pass_layout(g)
     assert moved.node("n").attrs["axis"] == 1
     x = np.random.default_rng(5).normal(size=(2, 5, 1, 8))
-    np.testing.assert_allclose(execute(moved, {"x": x})["y"],
-                               execute(g, {"x": x})["y"], atol=1e-12)
+    np.testing.assert_allclose(execute_traced(moved, {"x": x}).outputs["y"],
+                               execute_traced(g, {"x": x}).outputs["y"], atol=1e-12)
 
 
 def test_split_concat_identity():
@@ -214,7 +220,7 @@ def test_split_concat_identity():
         Node("y", "output", ("cat",)),
     ], ["x"], ["y"])
     x = np.random.default_rng(6).normal(size=(2, 8, 3))
-    np.testing.assert_array_equal(execute(g, {"x": x})["y"], x)
+    np.testing.assert_array_equal(execute_traced(g, {"x": x}).outputs["y"], x)
 
 
 def test_traced_execution_accounting(mha):
@@ -301,9 +307,9 @@ def test_structural_validation_catches_bad_graphs():
 def test_executor_rejects_bad_feeds(mha):
     g, w = mha
     with pytest.raises(GraphError, match="missing feed"):
-        execute(g, {}, w)
+        execute_traced(g, {}, w)
     with pytest.raises(GraphError, match="does not match"):
-        execute(g, {"x": np.zeros((1, 2, 3))}, w)
+        execute_traced(g, {"x": np.zeros((1, 2, 3))}, w)
 
 
 def test_params_validation():
@@ -311,4 +317,6 @@ def test_params_validation():
         MHAParams(heads=3, features=32)
     with pytest.raises(ValueError):
         MHAParams(batch=0)
+    with pytest.raises(ValueError, match="heads=0"):
+        MHAParams(heads=0)  # positivity is checked before features % heads
     assert MHAParams().head_dim == 64

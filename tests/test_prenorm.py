@@ -9,7 +9,6 @@ from hypothesis import assume, given, strategies as st
 from lowprec.floatsim import FP16
 from lowprec.prenorm import (
     BoundStats,
-    LayerNormSpec,
     PrenormSpec,
     ZeroMeanVector,
     extremal_vector,
@@ -20,7 +19,6 @@ from lowprec.prenorm import (
     merge_step,
     merge_to_spikes,
     prenormalize,
-    stabilized_layernorm,
     stabilized_layernorm_rows,
     theorem1_scale,
 )
@@ -53,9 +51,8 @@ def test_layernorm_batches_along_requested_axis():
 @given(zero_mean_vectors, st.floats(-50, 50), st.floats(0.5, 10))
 def test_layernorm_is_shift_and_scale_invariant_as_eps_vanishes(x, shift, scale):
     assume(np.abs(x).max() > 0.1)  # keep the variance far above epsilon
-    spec = LayerNormSpec(epsilon=1e-12)
-    base = layernorm(x, spec)
-    np.testing.assert_allclose(layernorm(scale * x + shift, spec), base, atol=1e-4)
+    base = layernorm(x, eps=1e-12)
+    np.testing.assert_allclose(layernorm(scale * x + shift, eps=1e-12), base, atol=1e-4)
 
 
 def test_zero_mean_vector_validation():
@@ -285,6 +282,10 @@ def test_spec_validation():
         PrenormSpec("theorem1", p=0.5)
     with pytest.raises(ValueError):
         PrenormSpec("theorem1", safety=0.0)
+    for kw in ({"p": math.nan}, {"max_value": math.nan}, {"safety": math.nan}):
+        with pytest.raises(ValueError):
+            PrenormSpec("theorem1", **kw)
+    PrenormSpec("theorem1", p=math.inf)  # the L-infinity limit stays accepted
 
 
 # ---------------------------------------------------------------------------
@@ -293,23 +294,24 @@ def test_spec_validation():
 
 def test_stabilized_layernorm_frozen_example():
     row = np.array([100.0, -100.0, 300.0, -300.0])
-    out, stats = stabilized_layernorm(row, PrenormSpec("theorem1", p=2.0), None, FP16)
+    out, _, stats = stabilized_layernorm_rows(row[None], PrenormSpec("theorem1", p=2.0),
+                                              FP16)
     np.testing.assert_array_equal(
-        out, [0.447265625, -0.447265625, 1.341796875, -1.341796875]
+        out[0], [0.447265625, -0.447265625, 1.341796875, -1.341796875]
     )
     assert stats.overflow == 0
-    np.testing.assert_allclose(out, layernorm(row), atol=2e-3)
+    np.testing.assert_allclose(out[0], layernorm(row), atol=2e-3)
 
 
 def test_large_rows_overflow_naively_but_not_stabilized():
     rng = np.random.default_rng(0)
     rows = rng.normal(0.0, 500.0, (32, 64))
-    _, per_row_naive, stats_naive = stabilized_layernorm_rows(rows, None, None, FP16)
+    _, per_row_naive, stats_naive = stabilized_layernorm_rows(rows, None, FP16)
     assert np.all(per_row_naive > 0)
     assert stats_naive.overflow > 0
     for mode in ("theorem1", "mad"):
         out, per_row, stats = stabilized_layernorm_rows(
-            rows, PrenormSpec(mode), None, FP16
+            rows, PrenormSpec(mode), FP16
         )
         assert stats.overflow == 0 and np.all(per_row == 0)
         assert np.abs(out - layernorm(rows)).max() < 1e-2
@@ -318,15 +320,15 @@ def test_large_rows_overflow_naively_but_not_stabilized():
 def test_per_row_counts_sum_to_total_overflow():
     rng = np.random.default_rng(2)
     rows = rng.normal(0.0, 400.0, (16, 32))
-    _, per_row, stats = stabilized_layernorm_rows(rows, None, None, FP16)
+    _, per_row, stats = stabilized_layernorm_rows(rows, None, FP16)
     assert int(per_row.sum()) == stats.overflow
 
 
 def test_pipeline_is_deterministic():
     rng = np.random.default_rng(9)
     rows = rng.normal(0.0, 50.0, (8, 24))
-    a = stabilized_layernorm_rows(rows, PrenormSpec("mad"), None, FP16)
-    b = stabilized_layernorm_rows(rows, PrenormSpec("mad"), None, FP16)
+    a = stabilized_layernorm_rows(rows, PrenormSpec("mad"), FP16)
+    b = stabilized_layernorm_rows(rows, PrenormSpec("mad"), FP16)
     np.testing.assert_array_equal(a[0], b[0])
 
 
@@ -334,9 +336,9 @@ def test_pipeline_is_deterministic():
 def test_moderate_rows_stay_accurate(seed):
     rng = np.random.default_rng(seed)
     row = rng.normal(0.0, 10.0, 32)
-    out, stats = stabilized_layernorm(row, PrenormSpec("theorem1"), None, FP16)
+    out, _, stats = stabilized_layernorm_rows(row[None], PrenormSpec("theorem1"), FP16)
     assert stats.overflow == 0
-    assert np.abs(out - layernorm(row)).max() < 2e-2
+    assert np.abs(out[0] - layernorm(row)).max() < 2e-2
 
 
 # ---------------------------------------------------------------------------

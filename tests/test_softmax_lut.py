@@ -3,7 +3,6 @@
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, strategies as st
 
 from lowprec.floatsim import FP16, FP32
@@ -56,16 +55,6 @@ def test_table_is_monotone():
     lut = ExpLUT()
     xs = np.linspace(-17.0, 1.0, 10_001)
     assert np.all(np.diff(lut(xs)) >= 0.0)
-
-
-def test_custom_domain():
-    lut = ExpLUT(domain_lo=-8.0, domain_hi=0.0, entries=256)
-    assert lut.step == 8.0 / 255.0
-    assert lut(-8.0) == math.exp(-8.0)
-    with pytest.raises(ValueError):
-        ExpLUT(domain_lo=0.0, domain_hi=0.0)
-    with pytest.raises(ValueError):
-        ExpLUT(entries=1)
 
 
 # ---------------------------------------------------------------------------

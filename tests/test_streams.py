@@ -27,6 +27,9 @@ def test_binary_round_trip(tmp_path):
     for a, b in zip(chunks, back):
         np.testing.assert_array_equal(a, b)
         assert b.dtype == np.float64
+    as_csv = tmp_path / "acts.csv"  # the suffix does not pick another layout
+    write_stream(as_csv, chunks)
+    assert as_csv.read_bytes() == path.read_bytes()
 
 
 def test_binary_supports_higher_rank_chunks(tmp_path):
@@ -34,37 +37,6 @@ def test_binary_supports_higher_rank_chunks(tmp_path):
     path = tmp_path / "acts.bin"
     write_stream(path, chunks)
     np.testing.assert_array_equal(read_stream(path)[0], chunks[0])
-
-
-def test_csv_round_trip(tmp_path):
-    chunks = [np.array([[1.5, -2.25], [0.1, 1e-12]]), np.array([[3.0, 4.0]])]
-    path = tmp_path / "acts.csv"
-    write_stream(path, chunks)
-    back = read_stream(path)
-    assert len(back) == 2
-    np.testing.assert_array_equal(back[0], chunks[0])  # repr() round-trips floats
-    np.testing.assert_array_equal(back[1], chunks[1])
-
-
-def test_csv_ignores_comment_lines(tmp_path):
-    path = tmp_path / "acts.csv"
-    path.write_text("# peak values per row\n1.0,2.0\n\n3.0,4.0\n")
-    back = read_stream(path)
-    assert len(back) == 2 and back[1][0, 1] == 4.0
-
-
-def test_csv_rejects_ragged_rows(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("1.0,2.0\n3.0\n")
-    with pytest.raises(StreamFormatError, match="line 2"):
-        read_stream(path)
-
-
-def test_csv_rejects_non_numeric(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("1.0,two\n")
-    with pytest.raises(StreamFormatError, match="line 1"):
-        read_stream(path)
 
 
 def test_truncated_binary_payload(tmp_path):
@@ -81,6 +53,9 @@ def test_garbage_header(tmp_path):
     path.write_bytes(b"{not json\n")
     with pytest.raises(StreamFormatError, match="bad header"):
         read_stream(path)
+    path.write_bytes(b"\x80\x01\n")  # not even text
+    with pytest.raises(StreamFormatError, match="record 0: bad header"):
+        read_stream(path)
     path.write_bytes(b"5\n")  # valid JSON, but not a header object
     with pytest.raises(StreamFormatError, match="header missing"):
         read_tensors(path)
@@ -89,6 +64,8 @@ def test_garbage_header(tmp_path):
 def test_missing_and_empty_files(tmp_path):
     with pytest.raises(StreamFormatError):
         read_stream(tmp_path / "nope.bin")
+    with pytest.raises(StreamFormatError, match=r"nope\.bin: No such file"):
+        read_tensors(tmp_path / "nope.bin")
     empty = tmp_path / "empty.bin"
     empty.write_bytes(b"")
     with pytest.raises(StreamFormatError):
