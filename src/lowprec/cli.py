@@ -113,6 +113,8 @@ def theory_report(n_max: int = 4, vectors: int = 20000,
     random-vector budget shared across the bound sweeps, ``samples`` the
     Monte-Carlo budget per distribution.
     """
+    if n_max < 2:
+        raise ValueError(f"--n-max must be at least 2, got {n_max}")
     rng = np.random.default_rng(seed)
     rows: list[dict] = []
     p_grid = (1.5, 2.0, 3.0)
@@ -147,7 +149,7 @@ def theory_report(n_max: int = 4, vectors: int = 20000,
 
     # Brute-force oracle agrees with the closed form.
     worst = 0.0
-    for n in range(2, max(2, n_max) + 1):
+    for n in range(2, n_max + 1):
         for p in p_grid:
             for S in s_grid:
                 got, _ = prenorm.lemma1_oracle(n, S, p, n_starts=500,
@@ -234,7 +236,6 @@ def cmd_verify_theory(args) -> int:
     rows = theory_report(n_max=args.n_max, vectors=args.vectors,
                          samples=args.samples, seed=args.seed)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     report = out_dir / "theory_report.json"
     _write_json(report, {"checks": rows, "seed": args.seed})
     failed = [r for r in rows if not r["pass"]]
@@ -260,7 +261,6 @@ def cmd_audit_layernorm(args) -> int:
     if bad.size:  # no overflow to audit, and no log2 bin for the row
         raise StreamFormatError(f"{args.stream}: row {bad[0]}: entries must be finite")
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.prenorm == "none":
         pspec = None
@@ -336,7 +336,6 @@ def cmd_audit_softmax(args) -> int:
     fmt = parse_format(args.format)
     rows = _load_rows(args.stream)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     out, stats = softmax_lut(rows, fmt=fmt)
     ref = softmax_reference(rows)
@@ -396,7 +395,6 @@ def cmd_profile_conv(args) -> int:
                              f"(have {sorted(SUBSAMPLERS)})")
     fmt = None if args.format == "none" else parse_format(args.format)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     if Path(args.stream).stat().st_size == 0:
         chunks = []
@@ -447,7 +445,6 @@ def cmd_profile_conv(args) -> int:
 
 def cmd_rewrite_graph(args) -> int:
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     weights: dict = {}
     if args.graph == "mha":
         params = MHAParams(batch=args.batch, heads=args.heads,
@@ -520,9 +517,7 @@ def cmd_gen_stream(args) -> int:
             j, k = rng.choice(width, size=2, replace=False)
             x[i, j] = -args.scale / 2.0
             x[i, k] = args.scale / 2.0
-    step = max(1, args.chunk_rows)
-    chunks = [x[i:i + step] for i in range(0, rows, step)]
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+    chunks = [x[i:i + args.chunk_rows] for i in range(0, rows, args.chunk_rows)]
     write_stream(args.out, chunks)
     print(f"wrote {rows} x {width} {args.dist} rows "
           f"(scale {args.scale:g}, {len(chunks)} chunks) to {args.out}")
@@ -601,7 +596,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, list[argparse.Act
     _, flag = command("verify-theory", cmd_verify_theory, "run the analytic checks",
                       "out_dir", "seed")
     flag("--n-max", type=int, default=4, help="largest oracle dimension")
-    flag("--vectors", type=int, default=20000, help="random-vector budget")
+    flag("--vectors", type=_positive_int, default=20000, help="random-vector budget")
     flag("--samples", type=int, default=1_000_000,
          help="Monte-Carlo samples per distribution")
 
@@ -653,7 +648,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, list[argparse.Act
     flag("--width", type=_positive_int, default=512, help="row width")
     flag("--scale", type=float, default=500.0,
          help="sigma / half-range / total spike mass")
-    flag("--chunk-rows", type=int, default=32, help="rows per chunk")
+    flag("--chunk-rows", type=_positive_int, default=32, help="rows per chunk")
     return parser, options
 
 

@@ -132,26 +132,6 @@ class Graph:
             return cls.from_json_dict(json.load(fh))
 
 
-def canonical_json(g: Graph) -> str:
-    """Graph JSON with ids renamed by topological position; rewrite-stable."""
-    rename = {}
-    for i, n in enumerate(g.nodes):
-        rename[n.id] = f"n{i}"
-
-    def ref(r: str) -> str:
-        base, _, port = r.partition(":")
-        return rename[base] + (":" + port if port else "")
-
-    d = g.to_json_dict()
-    d["name"] = ""
-    d["inputs"] = [rename[i] for i in d["inputs"]]
-    d["outputs"] = [rename[o] for o in d["outputs"]]
-    for n in d["nodes"]:
-        n["id"] = rename[n["id"]]
-        n["inputs"] = [ref(r) for r in n["inputs"]]
-    return json.dumps(d, sort_keys=True, separators=(",", ":"))
-
-
 # ---------------------------------------------------------------------------
 # Validation and shape inference
 
@@ -177,7 +157,7 @@ def _is_int_list(v) -> bool:
 
 # attr -> (what it must be, check); applies to every op that carries the attr.
 _ATTR_TYPES = {
-    "shape": ("a list of ints", _is_int_list),
+    "shape": ("a list of ints >= 1", lambda v: _is_int_list(v) and min(v, default=1) > 0),
     "perm": ("a list of ints", _is_int_list),
     "axis": ("an int", _is_int),
     "sections": ("a positive int", lambda v: _is_int(v) and v > 0),
@@ -208,6 +188,8 @@ def validate(g: Graph) -> None:
             if want and not ok(value):
                 raise GraphError(f"{n.id}: attr {attr!r} must be {want}, got {value!r}")
         for r in n.inputs:
+            if not isinstance(r, str):
+                raise GraphError(f"{n.id}: reference {r!r} is not a string")
             base, _, port = r.partition(":")
             if base not in seen:
                 raise GraphError(f"{n.id}: reference {r!r} not defined yet "
@@ -234,20 +216,29 @@ def validate(g: Graph) -> None:
     infer_shapes(g)
 
 
-def _einsum_shape(equation: str, shapes: list[tuple]) -> tuple:
-    lhs, _, rhs = equation.partition("->")
+def _einsum_shape(node: Node, shapes: list[tuple]) -> tuple:
+    where = f"{node.id}: einsum {node.attrs['equation']!r}"
+    lhs, _, rhs = node.attrs["equation"].partition("->")
     terms = lhs.split(",")
     if len(terms) != len(shapes):
-        raise GraphError(f"einsum {equation!r}: got {len(shapes)} operands")
+        raise GraphError(f"{where}: got {len(shapes)} operands")
     dims: dict[str, int] = {}
     for term, shp in zip(terms, shapes):
         if len(term) != len(shp):
-            raise GraphError(f"einsum {equation!r}: rank mismatch for {shp}")
+            raise GraphError(f"{where}: rank mismatch for {shp}")
         for ch, n in zip(term, shp):
             if dims.setdefault(ch, n) != n:
-                raise GraphError(f"einsum {equation!r}: dim {ch!r} is both "
-                                 f"{dims[ch]} and {n}")
+                raise GraphError(f"{where}: dim {ch!r} is both {dims[ch]} and {n}")
+    if not set(rhs) <= set(dims):
+        raise GraphError(f"{where}: an output letter is in no operand")
     return tuple(dims[c] for c in rhs)
+
+
+def _axis(n: Node, shape: tuple) -> int:
+    ax = int(n.attrs["axis"])
+    if not 0 <= ax < len(shape):
+        raise GraphError(f"{n.id}: axis {ax} is outside [0, {len(shape)})")
+    return ax
 
 
 def infer_shapes(g: Graph) -> dict[str, tuple]:
@@ -285,7 +276,7 @@ def infer_shapes(g: Graph) -> dict[str, tuple]:
             shapes[n.id] = tuple(s[p] for p in perm)
         elif n.op == "split":
             s = of(n.inputs[0])
-            ax, k = int(a["axis"]), int(a["sections"])
+            ax, k = _axis(n, s), int(a["sections"])
             if s[ax] % k:
                 raise GraphError(f"{n.id}: axis {ax} size {s[ax]} not "
                                  f"divisible into {k}")
@@ -294,7 +285,7 @@ def infer_shapes(g: Graph) -> dict[str, tuple]:
                 shapes[f"{n.id}:{p}"] = piece
         elif n.op == "concat":
             parts = [of(r) for r in n.inputs]
-            ax = int(a["axis"])
+            ax = _axis(n, parts[0])
             base = list(parts[0])
             for p in parts[1:]:
                 if len(p) != len(base) or any(
@@ -309,7 +300,7 @@ def infer_shapes(g: Graph) -> dict[str, tuple]:
                 raise GraphError(f"{n.id}: cannot matmul {s1} @ {s2}")
             shapes[n.id] = s1[:-1] + (s2[-1],)
         elif n.op == "einsum":
-            shapes[n.id] = _einsum_shape(a["equation"], [of(r) for r in n.inputs])
+            shapes[n.id] = _einsum_shape(n, [of(r) for r in n.inputs])
         elif n.op == "add":
             s1, s2 = of(n.inputs[0]), of(n.inputs[1])
             if s1 != s2:
@@ -625,8 +616,9 @@ def pass_layout(g: Graph) -> Graph:
 
     Inputs and outputs keep their (bz, S, 1, f) contract; a transpose
     adapter sits at each boundary. Head-split reshapes move to the channel
-    axis, interior transposes drop out, and each batched matmul becomes the
-    einsum that contracts the same indices in the new layout.
+    axis, interior transposes drop out, and the score and context products
+    of the one attention block become the einsums that contract the same
+    indices in the new layout.
     """
     if g.meta.get("layout") == "BC1S":
         return g
@@ -636,9 +628,13 @@ def pass_layout(g: Graph) -> Graph:
         )
     shapes = infer_shapes(g)
     producer = {n.id: n for n in g.nodes}
+    equations = {}
+    if any(n.op == "batched_matmul" for n in g.nodes):
+        qk, _, _, av = _attention_core(g)
+        equations = {qk.id: "bcui,bcuj->buij",   # query rows against key rows
+                     av.id: "buij,bcuj->bcui"}   # attention rows against value rows
     new_nodes: list[Node] = []
     edge_map: dict[str, str] = {}
-    role: dict[str, str] = {}  # semantic tag of the rewritten tensor
 
     for n in g.nodes:
         if n.op == "input":
@@ -664,70 +660,39 @@ def pass_layout(g: Graph) -> Graph:
             edge_map[n.id] = n.id
         elif n.op == "reshape":
             s_in, s_out = shapes[n.inputs[0].split(":")[0]], shapes[n.id]
-            if (len(s_in) == 4 and len(s_out) == 4 and s_in[2] == 1
-                    and s_in[:2] == s_out[:2]
-                    and s_out[2] * s_out[3] == s_in[3]):
-                bz, S, h, d = s_out  # split into heads
-                role[n.id] = "heads"
-                if h == 1:  # single head: shapes already agree, drop the copy
-                    edge_map[n.id] = _edge(edge_map, n.inputs[0])
-                else:
-                    new_nodes.append(Node(n.id, "reshape",
-                                          (_edge(edge_map, n.inputs[0]),),
-                                          {"shape": [bz * h, d, 1, S]}))
-                    edge_map[n.id] = n.id
-            elif (len(s_in) == 4 and len(s_out) == 4 and s_out[2] == 1
-                    and s_in[:2] == s_out[:2]
-                    and s_in[2] * s_in[3] == s_out[3]):
-                bz, S, _, f = s_out  # merge heads back
-                if s_in[2] == 1:  # single head: already (bz, f, 1, S)
-                    edge_map[n.id] = _edge(edge_map, n.inputs[0])
-                else:
-                    new_nodes.append(Node(n.id, "reshape",
-                                          (_edge(edge_map, n.inputs[0]),),
-                                          {"shape": [bz, f, 1, S]}))
-                    edge_map[n.id] = n.id
-            else:
+            if not (len(s_in) == len(s_out) == 4 and s_in[:2] == s_out[:2]
+                    and 1 in (s_in[2], s_out[2])):
                 raise GraphRewriteError(
                     f"{n.id}: reshape {s_in} -> {s_out} is not a head "
                     "split/merge, layout pass cannot relocate it"
                 )
+            if s_in == s_out:  # one head: shapes already agree, drop the copy
+                edge_map[n.id] = _edge(edge_map, n.inputs[0])
+            else:  # a head merge has h = 1 and becomes (bz, f, 1, S)
+                bz, S, h, d = s_out
+                new_nodes.append(Node(n.id, "reshape",
+                                      (_edge(edge_map, n.inputs[0]),),
+                                      {"shape": [bz * h, d, 1, S]}))
+                edge_map[n.id] = n.id
         elif n.op == "transpose":
             src = n.inputs[0].split(":")[0]
             if producer[src].op == "reshape" or producer[src].op in ARITHMETIC_OPS:
                 # head-routing transposes are no-ops in the new layout
                 edge_map[n.id] = edge_map[src]
-                role[n.id] = role.get(src, "")
             else:
                 raise GraphRewriteError(f"{n.id}: unexpected transpose")
         elif n.op == "batched_matmul":
-            a_ref, b_ref = n.inputs
-            a_role = role.get(a_ref.split(":")[0], "")
-            b_role = role.get(b_ref.split(":")[0], "")
-            if a_role == "heads" and b_role == "heads":
-                eq = "bcui,bcuj->buij"  # query rows against key rows
-                role[n.id] = "logits"
-            elif a_role == "attn" and b_role == "heads":
-                eq = "buij,bcuj->bcui"  # attention rows against value rows
-                role[n.id] = "heads"
-            else:
-                raise GraphRewriteError(
-                    f"{n.id}: matmul operands have roles "
-                    f"{a_role or '?'}/{b_role or '?'}, not an attention core"
-                )
+            if n.id not in equations:
+                raise GraphRewriteError(f"{n.id}: matmul is not a product of "
+                                        "the attention core")
             new_nodes.append(Node(n.id, "einsum",
-                                  (_edge(edge_map, a_ref),
-                                   _edge(edge_map, b_ref)),
-                                  {"equation": eq}))
+                                  tuple(_edge(edge_map, r) for r in n.inputs),
+                                  {"equation": equations[n.id]}))
             edge_map[n.id] = n.id
-        elif n.op in ("scale", "softmax", "add", "einsum", "concat", "conv1x1"):
+        elif n.op in ("scale", "softmax", "add"):
             new_nodes.append(Node(n.id, n.op,
                                   tuple(_edge(edge_map, r) for r in n.inputs),
                                   dict(n.attrs)))
-            if n.op == "softmax":
-                role[n.id] = "attn"
-            else:
-                role[n.id] = role.get(n.inputs[0].split(":")[0], "")
             edge_map[n.id] = n.id
         elif n.op == "layernorm":
             attrs = dict(n.attrs)
@@ -780,20 +745,33 @@ def pass_chunk(g: Graph, n_chunks: int, axis: str = "heads") -> Graph:
     heads = g.meta.get("mha", {}).get("heads")
     if heads is None:
         raise GraphRewriteError("graph does not describe an attention block")
-    if g.meta.get("layout") == "BC1S":
-        out = _chunk_bc1s(g, n_chunks, axis, heads)
+    channel_second = g.meta.get("layout") == "BC1S"
+    if axis == "query" and not channel_second:
+        raise GraphRewriteError("query chunking needs the channel-second "
+                                "layout; run the layout pass first")
+    core = qk, _, _, av = _attention_core(g)
+    shapes = infer_shapes(g)
+    q, k, v = qk.inputs[0], qk.inputs[1], av.inputs[1]
+    if axis == "query":
+        if shapes[q][-1] % n_chunks:
+            raise GraphRewriteError(f"{n_chunks} chunks do not divide "
+                                    f"{shapes[q][-1]} query positions")
+        out = _chunk_core(g, core, n_chunks, 3, {"q": q},
+                          lambda c: ([], (f"q_split:{c}", k, v)), av.id)
+    elif heads % n_chunks:
+        raise GraphRewriteError(f"{n_chunks} chunks do not divide {heads} heads")
+    elif channel_second:
+        out = _chunk_channel_second_heads(g, core, n_chunks, heads, shapes)
     else:
-        if axis == "query":
-            raise GraphRewriteError("query chunking needs the channel-second "
-                                    "layout; run the layout pass first")
-        out = _chunk_bsf(g, n_chunks, heads)
+        out = _chunk_core(g, core, n_chunks, 1, {"q": q, "k": k, "v": v},
+                          _split_refs, av.id)
     out.meta = {**g.meta, "chunked": {"n_chunks": n_chunks, "axis": axis}}
     validate(out)
     return out
 
 
 def _attention_core(g: Graph):
-    """The scale/softmax pair between the two attention products."""
+    """Score product, scale, softmax and context product of the one attention block."""
     qk = _find_single(
         g, lambda n: n.op in ("batched_matmul", "einsum")
         and any(c.op == "scale" for c in g.consumers(n.id)), "score product")
@@ -853,44 +831,28 @@ def _split_refs(c: int):
     return [], (f"q_split:{c}", f"k_split:{c}", f"v_split:{c}")
 
 
-def _chunk_bsf(g: Graph, n_chunks: int, heads: int) -> Graph:
-    if heads % n_chunks:
-        raise GraphRewriteError(f"{n_chunks} chunks do not divide {heads} heads")
-    core = qk, _, _, av = _attention_core(g)
-    splits = {"q": qk.inputs[0], "k": qk.inputs[1], "v": av.inputs[1]}
-    return _chunk_core(g, core, n_chunks, 1, splits, _split_refs, av.id)
-
-
-def _chunk_bc1s(g: Graph, n_chunks: int, axis: str, heads: int) -> Graph:
-    core = qk, _, _, av = _attention_core(g)
-    if axis == "query":
-        return _chunk_bc1s_query(g, n_chunks, core)
-    if heads % n_chunks:
-        raise GraphRewriteError(f"{n_chunks} chunks do not divide {heads} heads")
-    hpc = heads // n_chunks
-
-    shapes = infer_shapes(g)
+def _chunk_channel_second_heads(g: Graph, core, n_chunks: int, heads: int,
+                                shapes: dict) -> Graph:
+    """Head chunks split the inputs of the head reshapes feeding the core."""
+    qk, _, _, av = core
     producer = {n.id: n for n in g.nodes}
-
-    def head_reshape(ref: str) -> Node:
-        node = producer[ref.split(":")[0]]
+    reshapes = [producer[r.split(":")[0]]
+                for r in (qk.inputs[0], qk.inputs[1], av.inputs[1])]
+    for node in reshapes:
         if node.op != "reshape":
             raise GraphRewriteError(
                 f"{node.id}: expected the head-split reshape feeding the core"
             )
-        return node
-
-    q_r, k_r = (head_reshape(r) for r in qk.inputs)
-    v_r = head_reshape(av.inputs[1])
     merge = _find_single(
         g, lambda n: n.op == "reshape" and av.id in n.inputs, "head merge")
-    bzh, d, _, S = shapes[q_r.id]
-    bz = bzh // heads
-    splits = {"q": q_r.inputs[0], "k": k_r.inputs[0], "v": v_r.inputs[0]}
-    removed = (q_r.id, k_r.id, v_r.id, merge.id)
+    splits = {tag: r.inputs[0] for tag, r in zip("qkv", reshapes)}
+    removed = (*(r.id for r in reshapes), merge.id)
+    hpc = heads // n_chunks
     if hpc == 1:  # one head per branch: the split pieces are already heads
         return _chunk_core(g, core, n_chunks, 1, splits, _split_refs, merge.id,
                            removed)
+    bzh, d, _, S = shapes[reshapes[0].id]
+    bz = bzh // heads
 
     def refs(c):  # several heads per branch still need their reshapes
         pre = [Node(f"{tag}_r_c{c}", "reshape", (f"{tag}_split:{c}",),
@@ -903,18 +865,6 @@ def _chunk_bc1s(g: Graph, n_chunks: int, axis: str, heads: int) -> Graph:
 
     return _chunk_core(g, core, n_chunks, 1, splits, refs, merge.id, removed,
                        post)
-
-
-def _chunk_bc1s_query(g: Graph, n_chunks: int, core) -> Graph:
-    qk, _, _, av = core
-    q_ref = qk.inputs[0]
-    S = infer_shapes(g)[q_ref][-1]
-    if S % n_chunks:
-        raise GraphRewriteError(f"{n_chunks} chunks do not divide {S} query "
-                                "positions")
-    return _chunk_core(g, core, n_chunks, 3, {"q": q_ref},
-                       lambda c: ([], (f"q_split:{c}", qk.inputs[1], av.inputs[1])),
-                       av.id)
 
 
 def pass_einsum(g: Graph) -> Graph:

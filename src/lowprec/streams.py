@@ -26,6 +26,7 @@ class StreamFormatError(Exception):
 @contextlib.contextmanager
 def atomic_write(path, mode: str = "wb"):
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, mode) as handle:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from lowprec import cli
-from lowprec.graphir import GraphRewriteError, canonical_json, Graph, build_mha_bsf, MHAParams
+from lowprec.graphir import GraphRewriteError, Graph, build_mha_bsf, MHAParams
 from lowprec.graphir import apply_passes, mha_weights
 from lowprec.streams import read_stream, write_stream, write_tensors
 
@@ -235,7 +235,7 @@ def test_rewrite_graph_empty_pass_list_is_identity(tmp_path):
                "--passes", "", "--out-dir", str(out)) == 0
     loaded = Graph.load(out / "graph_out.json")
     built = build_mha_bsf(MHAParams(batch=1, heads=8, features=64, seq=8))
-    assert canonical_json(loaded) == canonical_json(built)
+    assert loaded.to_json_dict() == built.to_json_dict()
 
 
 def test_rewrite_graph_check_catches_a_bad_pass(tmp_path, monkeypatch):
@@ -329,12 +329,38 @@ def test_rewrite_graph_check_over_no_instances_exits_2(tmp_path, capsys, n):
     (("--width", "0"), "--width"),
     (("--rows", "-2"), "--rows"),
     (("--dist", "extremal", "--width", "1"), "--width"),
+    (("--chunk-rows", "0"), "--chunk-rows"),
+    (("--chunk-rows", "-3"), "--chunk-rows"),
 ])
 def test_gen_stream_degenerate_sizes_exit_2(tmp_path, capsys, argv, flag):
     out = tmp_path / "s.stream"
     assert run("gen-stream", str(out), *argv) == 2
     err = capsys.readouterr().err
     assert flag in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("--vectors", "-5", "--n-max", "2"), "--vectors"),
+    (("--n-max", "-3"), "--n-max"),
+])
+def test_verify_theory_invalid_counts_exit_2(tmp_path, capsys, argv, flag):
+    assert run("verify-theory", *argv, "--samples", "20000",
+               "--out-dir", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("rewrite-graph", "mha", "--heads", "0"),
+    ("rewrite-graph", "mha", "--chunks", "-2"),
+    ("audit-layernorm", "{stream}", "--p", "nan"),
+])
+def test_refused_runs_leave_no_out_dir(adversarial, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run(*[a.format(stream=adversarial) for a in argv], "--out-dir", str(out)) == 2
+    assert "Traceback" not in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -392,6 +418,29 @@ def test_graph_attr_of_the_wrong_type_exits_2(tmp_path, capsys, passes, node, at
     assert run("rewrite-graph", str(path), "--passes", "", "--out-dir", str(tmp_path)) == 2
     err = capsys.readouterr().err
     assert f"{node}: attr {attr!r} must be" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("shape, node, message", [
+    ([2, 4], ("sp", "split", ["a"], {"axis": 2, "sections": 2}),
+     "sp: axis 2 is outside [0, 2)"),
+    ([2, 4], ("sp", "split", ["a"], {"axis": -1, "sections": 2}),
+     "sp: axis -1 is outside [0, 2)"),
+    ([2, 4], ("cat", "concat", ["a", "a"], {"axis": 2}), "cat: axis 2 is outside [0, 2)"),
+    ([2, 4], ("e", "einsum", ["a"], {"equation": "ij->k"}),
+     "e: einsum 'ij->k': an output letter is in no operand"),
+    ([2, 4], ("s", "scale", [3], {"factor": 1.0}), "s: reference 3 is not a string"),
+    ([-1, 4], None, "a: attr 'shape' must be a list of ints >= 1"),
+])
+def test_malformed_graph_file_exits_2(tmp_path, capsys, shape, node, message):
+    nodes = [{"id": "a", "op": "input", "inputs": [], "attrs": {"shape": shape}}]
+    if node:
+        nodes.append(dict(zip(("id", "op", "inputs", "attrs"), node)))
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"name": "g", "nodes": nodes, "inputs": ["a"],
+                                "outputs": []}))
+    assert run("rewrite-graph", str(path), "--passes", "", "--out-dir", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_rewrite_graph_check_without_weights_exits_2(tmp_path, capsys):
