@@ -107,7 +107,8 @@ def conv2d_forward(x, weight, bias, layer: ConvLayerSpec) -> np.ndarray:
     filt = np.asarray(weight, dtype=np.float64).reshape(g, cog, cig * kh * kw)
     with np.errstate(invalid="ignore"):  # saturated inputs propagate inf/nan
         out = np.matmul(filt, cols).reshape(layer.out_channels, oh, ow)
-    return out + np.asarray(bias, dtype=np.float64)[:, None, None]
+    out += np.asarray(bias, dtype=np.float64)[:, None, None]
+    return out
 
 
 def init_weights(config: SubsamplingConfig, seed: int) -> dict[str, np.ndarray]:
@@ -140,7 +141,8 @@ def subsample_forward(x, config: SubsamplingConfig, weights: dict,
     for i, layer in enumerate(config.layers):
         x = conv2d_forward(x, weights[f"layer{i}.weight"],
                            weights[f"layer{i}.bias"], layer)
-        x = np.maximum(rec.q(x), 0.0)
+        x = rec.q(x)  # a fresh array, never the caller's: ReLU in place
+        np.maximum(x, 0.0, out=x)
         peaks.append(float(np.abs(x).max()))
     if config.output_multiplier != 1.0:
         x = rec.q(x * config.output_multiplier)

@@ -16,6 +16,15 @@ shrinking, so those magnitudes are rounded by one float64 addition
 instead: with c = 2**(min_exponent - mantissa_bits + 52), a + c lands in
 [c, 2c), where the float64 spacing is exactly the format's subnormal
 quantum, so the addition is the RNE step and subtracting c is exact.
+
+``quantize_array`` runs these steps over blocks of ``_BLOCK`` elements
+(256 KiB of float64), so each step reads and writes a block still held in
+the L2 cache rather than a whole array from memory. A block whose smallest
+magnitude is at least min_normal skips the subnormal and underflow steps,
+overflow saturates without a masked copy (``codes |= 3 * over`` and
+``r = maximum(r, over * inf)``), and the block's status counts are taken
+while its codes are in cache; ``QuantRecorder`` takes its stats from them.
+Block boundaries change no bit: every step is element-wise.
 """
 
 from __future__ import annotations
@@ -58,9 +67,15 @@ class FloatFormat:
     @classmethod
     def from_bits(cls, name: str, mantissa_bits: int,
                   exponent_bits: int) -> "FloatFormat":
+        # float64 carries the values, so its 11 exponent bits are the limit.
+        if mantissa_bits < 1 or not 2 <= exponent_bits <= 11:
+            raise ValueError("need at least 1 mantissa bit and 2 to 11 exponent bits")
         bias = 2 ** (exponent_bits - 1) - 1
         max_exp = bias  # all-ones exponent is inf/nan
-        max_finite = math.ldexp(2.0 - math.ldexp(1.0, -mantissa_bits), max_exp)
+        try:
+            max_finite = math.ldexp(2.0 - math.ldexp(1.0, -mantissa_bits), max_exp)
+        except OverflowError:
+            raise ValueError("max_finite is past the float64 range") from None
         min_normal = math.ldexp(1.0, 1 - bias)
         return cls(name, mantissa_bits, exponent_bits, max_finite, min_normal)
 
@@ -83,11 +98,14 @@ def parse_format(spec: str) -> FloatFormat:
         return FP32
     if s.startswith("custom:"):
         try:
-            m, e = s[len("custom:"):].split(",")
-            return FloatFormat.from_bits(f"custom_m{int(m)}e{int(e)}", int(m), int(e))
-        except ValueError as exc:
+            m, e = map(int, s[len("custom:"):].split(","))
+        except ValueError:
             raise ValueError(f"bad custom format {spec!r}, "
-                             "expected custom:<mantissa>,<exponent>") from exc
+                             "expected custom:<mantissa>,<exponent>") from None
+        try:
+            return FloatFormat.from_bits(f"custom_m{m}e{e}", m, e)
+        except ValueError as exc:
+            raise ValueError(f"format {spec!r} is not representable: {exc}") from None
     raise ValueError(f"unknown float format {spec!r}")
 
 
@@ -98,17 +116,6 @@ class OverflowStats:
     rounded: int = 0
     underflow: int = 0
     overflow: int = 0
-
-    @classmethod
-    def from_codes(cls, codes: np.ndarray) -> "OverflowStats":
-        c = np.asarray(codes)
-        return cls(
-            total=int(c.size),
-            exact=int(np.count_nonzero(c == QuantizeStatus.EXACT)),
-            rounded=int(np.count_nonzero(c == QuantizeStatus.ROUNDED)),
-            underflow=int(np.count_nonzero(c == QuantizeStatus.UNDERFLOW)),
-            overflow=int(np.count_nonzero(c == QuantizeStatus.OVERFLOW)),
-        )
 
     def __add__(self, other: "OverflowStats") -> "OverflowStats":
         return OverflowStats(
@@ -122,9 +129,83 @@ _ABS = np.uint64((1 << 63) - 1)
 _INF = np.uint64(0x7FF0_0000_0000_0000)
 _QNAN = np.uint64(0x7FF8_0000_0000_0000)
 
+# Elements per block of the quantize loop: 256 KiB of float64 keeps a
+# block's working set in L2, and a 64x512 graph tensor is one block.
+_BLOCK = 1 << 15
+
 
 def _bits(v: float) -> np.uint64:
     return np.float64(v).view(np.uint64)
+
+
+def _quantize_blocks(xs, fmt: FloatFormat) -> tuple[np.ndarray, np.ndarray, OverflowStats]:
+    """``quantize_array``, plus the status counts of the codes it returns."""
+    x = np.asarray(xs, dtype=np.float64)
+    bits = np.ascontiguousarray(x).view(np.uint64).reshape(-1)
+    n = bits.size
+    r_all = np.empty(n, dtype=np.uint64)
+    codes_all = np.empty(n, dtype=np.int8)
+    k = min(n, _BLOCK)
+    u_buf, t_buf = np.empty(k, dtype=np.uint64), np.empty(k, dtype=np.uint64)
+    m_buf, m2_buf = np.empty(k, dtype=np.bool_), np.empty(k, dtype=np.bool_)
+    s = 52 - fmt.mantissa_bits
+    # Below min_normal, a + c lands in [c, 2c), whose float64 spacing is the
+    # subnormal quantum, so the addition is the RNE step and the subtraction
+    # exact. With more than 52 fraction bits c sits below min_normal, and
+    # magnitudes from c up are on the grid already, so the step stops at c.
+    c = math.ldexp(1.0, fmt.min_exponent - fmt.mantissa_bits + 52)
+    sub_lim = _bits(min(c, fmt.min_normal))
+    normal, max_finite = _bits(fmt.min_normal), _bits(fmt.max_finite)
+    counts = dict.fromkeys((1, 2, 3), 0)  # ROUNDED, UNDERFLOW, OVERFLOW
+    for i in range(0, n, _BLOCK):
+        b = bits[i:i + _BLOCK]
+        j = b.size
+        u, t, m, m2 = u_buf[:j], t_buf[:j], m_buf[:j], m2_buf[:j]
+        r, codes = r_all[i:i + j], codes_all[i:i + j]
+        np.bitwise_and(b, _ABS, out=u)  # |x| as bits, ordered like the magnitudes
+        if s > 0:
+            # RNE on the dropped fraction bits; a carry into the exponent
+            # field moves the value to the next binade, which is exactly right.
+            np.right_shift(u, s, out=r)
+            r &= 1
+            r += u
+            r += (1 << (s - 1)) - 1
+            r &= (1 << 64) - (1 << s)
+        else:  # the target grid holds every float64 above its subnormal range
+            np.copyto(r, u)
+        low = u.min() < normal  # else no subnormal step and no underflow
+        if low:
+            np.less(u, sub_lim, out=m)
+            if m.any():
+                tf = t.view(np.float64)
+                with np.errstate(invalid="ignore"):  # signalling NaN payloads
+                    np.add(u.view(np.float64), c, out=tf)
+                    tf -= c
+                np.copyto(r, t, where=m)
+        changed = np.not_equal(r, u, out=codes.view(np.bool_))  # ROUNDED or EXACT
+        if low:
+            np.less(r, normal, out=m)  # only subnormal inputs can get here
+            m &= changed
+            codes += m.view(np.int8)  # ROUNDED + 1 == UNDERFLOW
+        over = np.greater(r, max_finite, out=m)  # inf and nan included
+        nan = None
+        if over.any():
+            # EXACT/ROUNDED | 3 == OVERFLOW, and inf is the largest non-nan
+            # bit pattern, so both saturations are branch free.
+            codes |= np.multiply(over.view(np.int8), 3, out=m2.view(np.int8))
+            np.maximum(r, np.multiply(over, _INF, out=t), out=r)
+            nan = np.greater(u, _INF, out=m2)
+        np.bitwise_and(b, _SIGN, out=u)
+        r |= u
+        if nan is not None and nan.any():
+            np.copyto(codes, QuantizeStatus.EXACT, where=nan)
+            np.copyto(r, _QNAN, where=nan)
+        for code in counts:  # plain ints: an IntEnum operand is far slower
+            counts[code] += int(np.count_nonzero(np.equal(codes, code, out=m)))
+    rounded, underflow, overflow = counts.values()
+    stats = OverflowStats(n, n - rounded - underflow - overflow,
+                          rounded, underflow, overflow)
+    return r_all.view(np.float64).reshape(x.shape), codes_all.reshape(x.shape), stats
 
 
 def quantize_array(xs, fmt: FloatFormat) -> tuple[np.ndarray, np.ndarray]:
@@ -135,48 +216,7 @@ def quantize_array(xs, fmt: FloatFormat) -> tuple[np.ndarray, np.ndarray]:
     magnitudes past the overflow rounding boundary saturate to +/-inf.
     NaN comes back as the positive quiet NaN with status EXACT.
     """
-    x = np.asarray(xs, dtype=np.float64)
-    bits = np.ascontiguousarray(x).view(np.uint64)  # 0-d input turns 1-d here
-    u = bits & _ABS  # |x| as bits, ordered like the magnitudes
-    s = 52 - fmt.mantissa_bits
-    if s > 0:
-        # RNE on the dropped fraction bits; a carry into the exponent field
-        # moves the value to the next binade, which is exactly right.
-        r = u >> s
-        r &= 1
-        r += u
-        r += (1 << (s - 1)) - 1
-        r &= (1 << 64) - (1 << s)
-    else:  # the target grid holds every float64 above its subnormal range
-        r = u.copy()
-    # Below min_normal, a + c lands in [c, 2c), whose float64 spacing is the
-    # subnormal quantum, so the addition is the RNE step and the subtraction
-    # exact. With more than 52 fraction bits c sits below min_normal, and
-    # magnitudes from c up are on the grid already, so the step stops at c.
-    c = math.ldexp(1.0, fmt.min_exponent - fmt.mantissa_bits + 52)
-    sub = u < _bits(min(c, fmt.min_normal))
-    if sub.any():
-        with np.errstate(invalid="ignore"):  # signalling NaN payloads
-            t = u.view(np.float64) + c
-            t -= c
-        np.copyto(r, t.view(np.uint64), where=sub)
-        del t
-
-    codes = np.not_equal(r, u).view(np.int8)  # QuantizeStatus.ROUNDED or EXACT
-    under = r < _bits(fmt.min_normal)  # only subnormal inputs can get here
-    under &= codes.view(np.bool_)
-    codes += under.view(np.int8)  # ROUNDED + 1 == UNDERFLOW
-    over = r > _bits(fmt.max_finite)  # inf and nan included
-    nan = None
-    if over.any():
-        np.copyto(codes, QuantizeStatus.OVERFLOW, where=over)
-        np.copyto(r, _INF, where=over)
-        nan = u > _INF
-        np.copyto(codes, QuantizeStatus.EXACT, where=nan)
-    r |= np.bitwise_and(bits, _SIGN, out=u)  # u is not needed any more
-    if nan is not None:
-        np.copyto(r, _QNAN, where=nan)
-    return r.view(np.float64).reshape(x.shape), codes.reshape(x.shape)
+    return _quantize_blocks(xs, fmt)[:2]
 
 
 def quantize(v: float, fmt: FloatFormat) -> tuple[float, QuantizeStatus]:
@@ -202,8 +242,8 @@ class QuantRecorder:
     def q(self, values) -> np.ndarray:
         if self.fmt is None:
             return np.asarray(values, dtype=np.float64)
-        out, codes = quantize_array(values, self.fmt)
+        out, codes, stats = _quantize_blocks(values, self.fmt)
         self.codes.append(codes)
-        self.stats = self.stats + OverflowStats.from_codes(codes)
+        self.stats = self.stats + stats
         return out
 

@@ -172,6 +172,8 @@ def validate(g: Graph) -> None:
     seen: set[str] = set()
     ports: dict[str, int] = {}
     for n in g.nodes:
+        if not isinstance(n.id, str):
+            raise GraphError(f"{n.op} node id {n.id!r} is not a string")
         if n.id in seen:
             raise GraphError(f"duplicate node id {n.id!r}")
         want = _ARITY[n.op]
@@ -203,6 +205,10 @@ def validate(g: Graph) -> None:
         seen.add(n.id)
         if n.op == "split":
             ports[n.id] = int(n.attrs["sections"])
+    for kind, refs in (("input", g.inputs), ("output", g.outputs)):
+        for r in refs:
+            if not isinstance(r, str):
+                raise GraphError(f"graph {kind} {r!r} is not a string")
     ops = {n.id: n.op for n in g.nodes}
     for i in g.inputs:
         if ops.get(i) != "input":
@@ -218,7 +224,9 @@ def validate(g: Graph) -> None:
 
 def _einsum_shape(node: Node, shapes: list[tuple]) -> tuple:
     where = f"{node.id}: einsum {node.attrs['equation']!r}"
-    lhs, _, rhs = node.attrs["equation"].partition("->")
+    lhs, arrow, rhs = node.attrs["equation"].partition("->")
+    if not arrow:
+        raise GraphError(f"{where}: the output needs an explicit '->'")
     terms = lhs.split(",")
     if len(terms) != len(shapes):
         raise GraphError(f"{where}: got {len(shapes)} operands")
@@ -231,6 +239,8 @@ def _einsum_shape(node: Node, shapes: list[tuple]) -> tuple:
                 raise GraphError(f"{where}: dim {ch!r} is both {dims[ch]} and {n}")
     if not set(rhs) <= set(dims):
         raise GraphError(f"{where}: an output letter is in no operand")
+    if len(set(rhs)) != len(rhs):
+        raise GraphError(f"{where}: an output letter repeats")
     return tuple(dims[c] for c in rhs)
 
 

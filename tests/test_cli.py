@@ -430,6 +430,12 @@ def test_graph_attr_of_the_wrong_type_exits_2(tmp_path, capsys, passes, node, at
      "e: einsum 'ij->k': an output letter is in no operand"),
     ([2, 4], ("s", "scale", [3], {"factor": 1.0}), "s: reference 3 is not a string"),
     ([-1, 4], None, "a: attr 'shape' must be a list of ints >= 1"),
+    ([2, 4], (["s"], "scale", ["a"], {"factor": 1.0}),
+     "scale node id ['s'] is not a string"),
+    ([2, 4], ("e", "einsum", ["a", "a"], {"equation": "ij,kj"}),
+     "e: einsum 'ij,kj': the output needs an explicit '->'"),
+    ([2, 2], ("e", "einsum", ["a"], {"equation": "ij->ii"}),
+     "e: einsum 'ij->ii': an output letter repeats"),
 ])
 def test_malformed_graph_file_exits_2(tmp_path, capsys, shape, node, message):
     nodes = [{"id": "a", "op": "input", "inputs": [], "attrs": {"shape": shape}}]
@@ -441,6 +447,30 @@ def test_malformed_graph_file_exits_2(tmp_path, capsys, shape, node, message):
     assert run("rewrite-graph", str(path), "--passes", "", "--out-dir", str(tmp_path)) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["inputs", "outputs"])
+def test_graph_input_or_output_entry_that_is_not_a_string_exits_2(tmp_path, capsys, key):
+    d = {"name": "g", "inputs": ["a"], "outputs": [],
+         "nodes": [{"id": "a", "op": "input", "inputs": [], "attrs": {"shape": [2]}}]}
+    d[key].append(["a"])
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(d))
+    assert run("rewrite-graph", str(path), "--passes", "", "--out-dir", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert f"graph {key[:-1]} ['a'] is not a string" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("custom:3,12", "2 to 11 exponent bits"),
+    ("custom:53,11", "max_finite is past the float64 range"),
+])
+def test_custom_format_outside_float64_exits_2(adversarial, tmp_path, capsys, spec, message):
+    assert run("audit-layernorm", str(adversarial), "--format", spec,
+               "--out-dir", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert f"format {spec!r} is not representable" in err and message in err
+    assert "Traceback" not in err
 
 
 def test_rewrite_graph_check_without_weights_exits_2(tmp_path, capsys):

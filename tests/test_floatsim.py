@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from lowprec import floatsim
 from lowprec.floatsim import (
     FP16,
     FP32,
@@ -267,3 +268,25 @@ def test_quantize_array_matches_the_frexp_oracle(case):
     assert codes.dtype == want_codes.dtype
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
     np.testing.assert_array_equal(codes, want_codes)
+
+
+def test_quantize_array_matches_the_frexp_oracle_across_blocks(monkeypatch):
+    # With 7-element blocks most cases span several blocks, and their
+    # specials and ties land on every position within a block.
+    monkeypatch.setattr(floatsim, "_BLOCK", 7)
+    test_quantize_array_matches_the_frexp_oracle()
+
+
+@pytest.mark.parametrize("block", [7, 1000])
+def test_recorder_stats_count_the_returned_codes(monkeypatch, block):
+    monkeypatch.setattr(floatsim, "_BLOCK", block)
+    rng = np.random.default_rng(5)
+    x = rng.normal(0.0, 500.0, 5000) ** 2  # about half of it past fp16's range
+    x[::97] = rng.choice([np.inf, -np.inf, np.nan, 0.0, 2.0**-30, 2.0**-20], x[::97].size)
+    x[1000:1500] = 2.0 ** rng.uniform(-26, -13, 500)  # a subnormal stretch
+    rec = QuantRecorder(FP16)
+    rec.q(x)
+    [codes] = rec.codes
+    want = [int(np.count_nonzero(codes == s)) for s in QuantizeStatus]
+    assert rec.stats == OverflowStats(x.size, *want)
+    assert min(want) > 0
