@@ -445,18 +445,17 @@ def cmd_profile_conv(args) -> int:
 
 def cmd_rewrite_graph(args) -> int:
     out_dir = Path(args.out_dir)
-    weights: dict = {}
+    weights = read_tensors(args.weights) if args.weights else {}
     if args.graph == "mha":
         params = MHAParams(batch=args.batch, heads=args.heads,
                            features=args.features, seq=args.seq)
         g = build_mha_bsf(params)
-        weights = mha_weights(params, seed=args.seed)
+        if not args.weights:
+            weights = mha_weights(params, seed=args.seed)
         n_chunks = args.chunks if args.chunks else params.heads
     else:
         g = Graph.load(args.graph)
         n_chunks = args.chunks if args.chunks else 1
-    if args.weights:
-        weights = dict(read_tensors(args.weights))
 
     passes = [p.strip() for p in args.passes.split(",") if p.strip()]
     rewritten = apply_passes(g, passes, n_chunks=n_chunks,

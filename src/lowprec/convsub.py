@@ -6,6 +6,16 @@ axis by 6. Convolutions are valid (no padding) with floor output sizes and
 a ReLU after every layer. The optional sqrt(512) output multiplier mirrors
 the transformer embedding scale and is the main driver of large activation
 magnitudes downstream, which is why the range profiler lives here.
+
+``conv2d_forward`` builds its im2col columns one block of groups at a time
+(about ``_COLS_BYTES`` of columns per block) and multiplies each block into
+a preallocated output. numpy's stacked ``matmul`` already makes one BLAS
+call per group, so splitting the stack along the group axis makes the same
+calls on the same operands and changes no bit. A dense layer is one group
+and so one block: its GEMM is never split, because splitting the positions
+or channels of a GEMM changes how BLAS blocks the sum, and so its bits.
+The depthwise layer's columns thus never exist at once (512 x 25 x 1980
+float64, 203 MB, for one 80x1000 chunk).
 """
 
 from __future__ import annotations
@@ -59,6 +69,10 @@ class SubsamplingConfig:
     def __post_init__(self):
         if not self.layers:
             raise ValueError("need at least one layer")
+        # subsample_forward's peaks rely on the multiplier keeping signs
+        if not self.output_multiplier > 0:
+            raise ValueError(f"output multiplier {self.output_multiplier} "
+                             "is not positive")
         for a, b in zip(self.layers, self.layers[1:]):
             if a.out_channels != b.in_channels:
                 raise ValueError(
@@ -83,10 +97,22 @@ DWS2D6_X22 = SubsamplingConfig("dws2d6x22", DWS2D6.layers, math.sqrt(512.0))
 SUBSAMPLERS = {c.name: c for c in (CONV2D6, DWS2D6, CONV2D6_X22, DWS2D6_X22)}
 
 
+# Target bytes of im2col columns per group block in conv2d_forward (a
+# larger group is a block of its own): a block stays in L2 between its copy
+# and its matmul. For dws2d6 this is one 396 KB group per block, which ran
+# faster than blocks of 1 to 8 MiB.
+_COLS_BYTES = 1 << 18
+
+
 def conv2d_forward(x, weight, bias, layer: ConvLayerSpec) -> np.ndarray:
     """Valid grouped 2-d convolution of one sample.
 
     x: (C_in, H, W); weight: (C_out, C_in/groups, kh, kw); bias: (C_out,).
+
+    The im2col columns are built for one block of groups at a time, each
+    block's product written into its slice of the output. Each group is
+    still one BLAS call on the same operands, so the output bits do not
+    depend on the block size; a dense layer is a single block.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[0] != layer.in_channels:
@@ -99,14 +125,22 @@ def conv2d_forward(x, weight, bias, layer: ConvLayerSpec) -> np.ndarray:
         raise ValueError(f"bad weight shape {weight.shape}")
     oh, ow = layer.out_hw(x.shape[1], x.shape[2])
     sh, sw = layer.stride
+    # (C_in, kh, kw, oh, ow) view; im2col of groups g0:g1 is a copy of
+    # channels g0*cig:g1*cig, against (g, cog, cig*kh*kw) filters
     win = sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::sh, ::sw]
-    # im2col: (g, cig*kh*kw, oh*ow) columns against (g, cog, cig*kh*kw) filters
-    cols = np.ascontiguousarray(win.transpose(0, 3, 4, 1, 2)).reshape(
-        g, cig * kh * kw, oh * ow
-    )
-    filt = np.asarray(weight, dtype=np.float64).reshape(g, cog, cig * kh * kw)
+    win = win.transpose(0, 3, 4, 1, 2)
+    k = cig * kh * kw
+    filt = np.asarray(weight, dtype=np.float64).reshape(g, cog, k)
+    out = np.empty((g, cog, oh * ow))
+    step = max(1, _COLS_BYTES // (k * oh * ow * 8))
     with np.errstate(invalid="ignore"):  # saturated inputs propagate inf/nan
-        out = np.matmul(filt, cols).reshape(layer.out_channels, oh, ow)
+        for g0 in range(0, g, step):
+            g1 = min(g0 + step, g)
+            cols = np.ascontiguousarray(win[g0 * cig:g1 * cig]).reshape(
+                g1 - g0, k, oh * ow
+            )
+            np.matmul(filt[g0:g1], cols, out=out[g0:g1])
+    out = out.reshape(layer.out_channels, oh, ow)
     out += np.asarray(bias, dtype=np.float64)[:, None, None]
     return out
 
@@ -143,10 +177,12 @@ def subsample_forward(x, config: SubsamplingConfig, weights: dict,
                            weights[f"layer{i}.bias"], layer)
         x = rec.q(x)  # a fresh array, never the caller's: ReLU in place
         np.maximum(x, 0.0, out=x)
-        peaks.append(float(np.abs(x).max()))
+        # after the ReLU (and the positive multiplier) x is >= 0 or nan,
+        # so |max x| is max |x| without an |x| temporary
+        peaks.append(abs(float(x.max())))
     if config.output_multiplier != 1.0:
         x = rec.q(x * config.output_multiplier)
-        peaks.append(float(np.abs(x).max()))
+        peaks.append(abs(float(x.max())))
     return x, rec.stats, tuple(peaks)
 
 

@@ -70,12 +70,14 @@ class FloatFormat:
         # float64 carries the values, so its 11 exponent bits are the limit.
         if mantissa_bits < 1 or not 2 <= exponent_bits <= 11:
             raise ValueError("need at least 1 mantissa bit and 2 to 11 exponent bits")
+        if exponent_bits == 11 and mantissa_bits > 52:
+            # (2 - 2**-m) * 2**1023 is past the largest float64
+            raise ValueError("max_finite is past the float64 range")
         bias = 2 ** (exponent_bits - 1) - 1
         max_exp = bias  # all-ones exponent is inf/nan
-        try:
-            max_finite = math.ldexp(2.0 - math.ldexp(1.0, -mantissa_bits), max_exp)
-        except OverflowError:
-            raise ValueError("max_finite is past the float64 range") from None
+        # The largest float64 on the format's grid: past 52 fraction bits
+        # (2 - 2**-m) * 2**max_exp is no float64, and 2**(max_exp + 1) overflows.
+        max_finite = math.ldexp(2.0 - math.ldexp(1.0, -min(mantissa_bits, 52)), max_exp)
         min_normal = math.ldexp(1.0, 1 - bias)
         return cls(name, mantissa_bits, exponent_bits, max_finite, min_normal)
 

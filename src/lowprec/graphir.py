@@ -129,7 +129,10 @@ class Graph:
     @classmethod
     def load(cls, path) -> "Graph":
         with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
+            try:  # JSON and text decoding errors are ValueErrors
+                return cls.from_json_dict(json.load(fh))
+            except (GraphError, ValueError) as exc:
+                raise GraphError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

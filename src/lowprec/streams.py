@@ -86,8 +86,10 @@ def _read_records(path, kind: str):
                     f"{path}: record {index}: truncated payload "
                     f"(wanted {nbytes} bytes, {left} left in the file)"
                 )
-            payload = fh.read(nbytes)
-            yield meta[kind], np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+            buf = np.empty(nbytes, dtype=np.uint8)  # read in place, no second copy
+            if fh.readinto(buf) != nbytes:
+                raise StreamFormatError(f"{path}: record {index}: truncated payload")
+            yield meta[kind], buf.view(dtype).reshape(shape)
             index += 1
 
 

@@ -5,9 +5,14 @@ an explicit multiply counter) so they share no code path, vectorization
 trick, or library routine with the package under test. The quantizer
 oracle rounds through frexp/ldexp/rint, the package through integer
 operations on the float64 bit pattern.
+
+``im2col_conv`` is the exception: it is the package's former one-shot
+im2col convolution, kept unchanged as the bit-for-bit reference for the
+group-blocked one (the loop oracle only agrees to a tolerance).
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from lowprec.floatsim import FloatFormat, QuantizeStatus
 
@@ -35,6 +40,34 @@ def naive_conv(x, w, b, layer):
                             n_mult += 1
                 out[o, i, j] = acc + b[o]
     return out, n_mult
+
+
+def im2col_conv(x, weight, bias, layer) -> np.ndarray:
+    """Valid grouped 2-d convolution of one sample, one im2col for all groups.
+
+    x: (C_in, H, W); weight: (C_out, C_in/groups, kh, kw); bias: (C_out,).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 3 or x.shape[0] != layer.in_channels:
+        raise ValueError(f"expected ({layer.in_channels}, H, W) input, got {x.shape}")
+    g = layer.groups
+    cig = layer.in_channels // g
+    cog = layer.out_channels // g
+    kh, kw = layer.kernel
+    if weight.shape != (layer.out_channels, cig, kh, kw):
+        raise ValueError(f"bad weight shape {weight.shape}")
+    oh, ow = layer.out_hw(x.shape[1], x.shape[2])
+    sh, sw = layer.stride
+    win = sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::sh, ::sw]
+    # im2col: (g, cig*kh*kw, oh*ow) columns against (g, cog, cig*kh*kw) filters
+    cols = np.ascontiguousarray(win.transpose(0, 3, 4, 1, 2)).reshape(
+        g, cig * kh * kw, oh * ow
+    )
+    filt = np.asarray(weight, dtype=np.float64).reshape(g, cog, cig * kh * kw)
+    with np.errstate(invalid="ignore"):  # saturated inputs propagate inf/nan
+        out = np.matmul(filt, cols).reshape(layer.out_channels, oh, ow)
+    out += np.asarray(bias, dtype=np.float64)[:, None, None]
+    return out
 
 
 def naive_subsample(x, config, weights):

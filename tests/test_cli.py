@@ -449,6 +449,22 @@ def test_malformed_graph_file_exits_2(tmp_path, capsys, shape, node, message):
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text, message", [
+    (json.dumps({"name": "g", "inputs": ["a"], "outputs": [], "nodes": [
+        {"id": "a", "op": "input", "inputs": [], "attrs": {"shape": [2, 4]}},
+        {"id": "e", "op": "einsum", "inputs": ["a"], "attrs": {"equation": "ij->k"}},
+    ]}), "e: einsum 'ij->k': an output letter is in no operand"),
+    ('{"name": "g", "nodes": [}', "Expecting value"),
+    ("[1, 2]", "malformed graph JSON"),
+])
+def test_graph_file_errors_name_the_file(tmp_path, capsys, text, message):
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    assert run("rewrite-graph", str(path), "--passes", "", "--out-dir", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and message in err
+
+
 @pytest.mark.parametrize("key", ["inputs", "outputs"])
 def test_graph_input_or_output_entry_that_is_not_a_string_exits_2(tmp_path, capsys, key):
     d = {"name": "g", "inputs": ["a"], "outputs": [],
@@ -489,6 +505,27 @@ def test_rewrite_graph_weights_file_missing_a_tensor_exits_2(tmp_path, capsys):
     assert run("rewrite-graph", str(path), "--check", "--check-instances", "1",
                "--weights", str(wpath), "--out-dir", str(tmp_path)) == 2
     assert "q_lin: bias tensor 'bq'" in capsys.readouterr().err
+
+
+def test_rewrite_graph_mha_reads_weights_instead_of_generating_them(tmp_path, monkeypatch):
+    params = MHAParams(batch=1, heads=2, features=16, seq=4)
+    wpath = tmp_path / "w.bin"
+    write_tensors(wpath, mha_weights(params, 3))
+    argv = ["rewrite-graph", "mha", "--batch", "1", "--heads", "2", "--features", "16",
+            "--seq", "4", "--seed", "3", "--check", "--check-instances", "2"]
+    assert run(*argv, "--out-dir", str(tmp_path / "gen")) == 0
+
+    def unused(*args, **kwargs):
+        raise AssertionError("weights generated although --weights was given")
+
+    monkeypatch.setattr(cli, "mha_weights", unused)
+    # a missing weights file is reported before any weights are generated
+    assert run(*argv, "--weights", str(tmp_path / "none.bin"),
+               "--out-dir", str(tmp_path / "none")) == 2
+    assert run(*argv, "--weights", str(wpath), "--out-dir", str(tmp_path / "read")) == 0
+    for name in ("graph_out.json", "rewrite_metrics.json"):
+        assert ((tmp_path / "read" / name).read_bytes()
+                == (tmp_path / "gen" / name).read_bytes())
 
 
 def test_stream_header_larger_than_the_file_exits_2(tmp_path, capsys):

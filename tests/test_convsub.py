@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from lowprec import convsub
 from lowprec.convsub import (
     CONV2D6,
     CONV2D6_X22,
@@ -22,7 +23,7 @@ from lowprec.convsub import (
     subsample_forward,
 )
 from lowprec.floatsim import FP16
-from oracles import naive_conv, naive_subsample
+from oracles import im2col_conv, naive_conv, naive_subsample
 
 
 def test_builtin_configurations():
@@ -68,6 +69,61 @@ def test_forward_matches_loop_oracle(layer):
     got = conv2d_forward(x, w, b, layer)
     assert np.abs(got - want).max() <= 1e-10
     assert layer.macs(11, 13) == n_mult
+
+
+@pytest.mark.parametrize("per_block", [1, 4, None])
+@pytest.mark.parametrize("layer, hw", [
+    (ConvLayerSpec(3, 4, (3, 3), (2, 2)), (11, 13)),
+    (ConvLayerSpec(4, 6, (3, 2), (2, 1), groups=2), (11, 13)),
+    (ConvLayerSpec(6, 6, (5, 5), (3, 3), groups=6), (11, 13)),
+    (DWS2D6.layers[1], (14, 40)),
+])
+def test_group_blocks_match_the_one_shot_im2col_bit_for_bit(monkeypatch, layer, hw,
+                                                            per_block):
+    rng = np.random.default_rng(layer.groups)
+    x = rng.normal(size=(layer.in_channels, *hw))
+    x[0, 2, 3], x[-1, 7, 8], x[layer.in_channels // 2, 5, 5] = np.inf, -np.inf, np.nan
+    w = rng.normal(size=(layer.out_channels, layer.in_channels // layer.groups,
+                         *layer.kernel))
+    b = rng.normal(size=layer.out_channels)
+    if per_block is not None:
+        # groups per block: 4 leaves a ragged last block of 6 groups; the
+        # default puts 27 of the 512 depthwise groups in a block
+        oh, ow = layer.out_hw(*hw)
+        k = layer.in_channels // layer.groups * layer.kernel[0] * layer.kernel[1]
+        monkeypatch.setattr(convsub, "_COLS_BYTES", per_block * k * oh * ow * 8)
+    got = conv2d_forward(x, w, b, layer)
+    want = im2col_conv(x, w, b, layer)
+    assert np.isnan(want).any() and np.isinf(want).any()
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _same(a: float, b: float) -> bool:
+    """Equal floats with equal signs, or both NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+@pytest.mark.parametrize("fill, want", [
+    (0.0, 0.0),        # zero input, -0.0 biases: every output is a zero
+    (1e6, math.inf),   # one pixel saturates fp16: inf, then inf - inf
+    (np.nan, math.nan),
+])
+def test_layer_peaks_are_the_max_magnitude_of_each_output(fill, want):
+    wts = init_weights(DWS2D6_X22, 4)
+    for i in range(len(DWS2D6_X22.layers)):
+        wts[f"layer{i}.bias"] = np.full(512, -0.0)
+    x = np.zeros((1, 30, 40)) if fill == 0.0 else np.random.default_rng(5).normal(
+        size=(1, 30, 40))
+    x[0, 5, 5] = fill
+    out, _, peaks = subsample_forward(x, DWS2D6_X22, wts, FP16)
+    outs = [subsample_forward(x, SubsamplingConfig("head", DWS2D6_X22.layers[:n]),
+                              wts, FP16)[0] for n in (1, 2, 3)] + [out]
+    assert len(peaks) == len(outs) == 4
+    for peak, o in zip(peaks, outs):
+        assert _same(peak, float(np.abs(o).max()))
+    assert _same(peaks[0], want)
 
 
 def test_whole_frontend_matches_loop_oracle():
@@ -187,3 +243,6 @@ def test_layer_spec_validation():
             ConvLayerSpec(1, 8, (3, 3), (2, 2)),
             ConvLayerSpec(16, 8, (1, 1), (1, 1)),
         ))
+    for multiplier in (-1.0, 0.0, math.nan):
+        with pytest.raises(ValueError):
+            SubsamplingConfig("bad", CONV2D6.layers, multiplier)

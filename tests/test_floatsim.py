@@ -169,6 +169,17 @@ def test_from_bits_reproduces_the_builtin_formats():
     assert f32.min_normal == 2.0**-126
 
 
+def test_past_52_fraction_bits_the_ceiling_is_the_largest_float64_on_the_grid():
+    # (2 - 2**-60) * 2**127 is not a float64; (2 - 2**-52) * 2**127 is the
+    # largest float64 below it, and 2**128 lies past the rounding boundary.
+    fmt = parse_format("custom:60,8")
+    top = 3.4028236692093843e38
+    assert top == (2.0 - 2.0**-52) * 2.0**127
+    assert quantize(top, fmt) == (top, QuantizeStatus.EXACT)
+    assert quantize(2.0**128, fmt) == (math.inf, QuantizeStatus.OVERFLOW)
+    assert quantize(-2.0**128, fmt) == (-math.inf, QuantizeStatus.OVERFLOW)
+
+
 def test_parse_format():
     assert parse_format("fp16") is FP16
     assert parse_format("fp32") is FP32

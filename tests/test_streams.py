@@ -1,6 +1,8 @@
 """Round trips and failure diagnostics for the stream/tensor file formats."""
 
 import json
+import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -45,6 +47,16 @@ def test_truncated_binary_payload(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw[:-16])
     with pytest.raises(StreamFormatError, match="truncated"):
+        read_stream(path)
+
+
+def test_payload_cut_after_the_size_check(tmp_path, monkeypatch):
+    # the file shrinks between the size check and the read
+    path = tmp_path / "acts.bin"
+    write_stream(path, [np.ones((4, 4))])
+    path.write_bytes(path.read_bytes()[:-16])
+    monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=1 << 20))
+    with pytest.raises(StreamFormatError, match=r"acts\.bin: record 0: truncated"):
         read_stream(path)
 
 
