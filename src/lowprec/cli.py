@@ -37,7 +37,7 @@ from .convsub import (
     profile_dynamic_range,
 )
 # quantize_array: the benchmark tracer (perfbench/spans.py) wraps it at this name.
-from .floatsim import FP16, FloatFormat, parse_format, quantize_array
+from .floatsim import FP16, FloatFormat, log2_bins, parse_format, quantize_array
 from .graphir import (
     Graph,
     GraphError,
@@ -91,6 +91,8 @@ def _load_rows(path: str) -> np.ndarray:
     widths = {c.shape[-1] for c in chunks}
     if len(widths) != 1:
         raise StreamFormatError(f"{path}: chunks have mixed widths {sorted(widths)}")
+    if not any(c.size for c in chunks):  # no rows, or rows of width 0
+        raise StreamFormatError(f"{path}: the stream holds no entries")
     return np.concatenate([c.reshape(-1, c.shape[-1]) for c in chunks])
 
 
@@ -293,8 +295,7 @@ def cmd_audit_layernorm(args) -> int:
     hist_path = out_dir / "layernorm_hist.csv"
     peaks = {m: np.abs(rows * s).max(axis=1)
              for m, s in (("1", 1.0), ("sqrt512", SQRT512))}
-    logs = {m: np.floor(np.log2(np.clip(v, 1e-30, 1e308))).astype(int)
-            for m, v in peaks.items()}  # 1e308's bin is the top one; inf goes there
+    logs = {m: log2_bins(v) for m, v in peaks.items()}
     lo = min(v.min() for v in logs.values())
     hi = max(v.max() for v in logs.values())
     csv_rows = [
@@ -389,6 +390,8 @@ _MAC_ASSUMPTIONS = [
 
 def cmd_profile_conv(args) -> int:
     names = [n.strip() for n in args.conv.split(",") if n.strip()]
+    if not names:
+        raise ValueError(f"--conv {args.conv!r} names no subsampling config")
     for name in names:
         if name not in SUBSAMPLERS:
             raise ValueError(f"unknown subsampling config {name!r} "
@@ -537,6 +540,16 @@ def _positive_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
 
 
+def _finite_nonnegative(text: str) -> float:
+    """argparse type for a magnitude: a finite number of at least 0."""
+    try:
+        if 0.0 <= float(text) < math.inf:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+
+
 def _preset(path: str, options: list[argparse.Action]) -> None:
     """Make the values in the JSON config ``path`` the defaults of ``options``.
 
@@ -645,7 +658,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, list[argparse.Act
          help="row distribution")
     flag("--rows", type=_positive_int, default=256, help="total rows")
     flag("--width", type=_positive_int, default=512, help="row width")
-    flag("--scale", type=float, default=500.0,
+    flag("--scale", type=_finite_nonnegative, default=500.0,
          help="sigma / half-range / total spike mass")
     flag("--chunk-rows", type=_positive_int, default=32, help="rows per chunk")
     return parser, options

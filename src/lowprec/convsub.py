@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from lowprec.floatsim import FloatFormat, OverflowStats, QuantRecorder
+from lowprec.floatsim import FloatFormat, OverflowStats, QuantRecorder, log2_bins
 # Bound here so the benchmark tracer (perfbench/spans.py) can wrap it.
 from lowprec.floatsim import quantize_array  # noqa: F401
 
@@ -267,8 +267,9 @@ def profile_dynamic_range(chunks, config: SubsamplingConfig, weights: dict,
                           fmt: FloatFormat | None = None) -> RangeProfile:
     """Forward every chunk and summarize output magnitudes.
 
-    The histogram buckets per-chunk peak output magnitude by integer log2,
-    the natural scale for judging distance to a float format's ceiling.
+    The histogram buckets per-chunk peak output magnitude by integer log2
+    (``log2_bins``), the natural scale for judging distance to a float
+    format's ceiling.
     """
     peak_per_chunk = []
     layer_peaks = None
@@ -284,7 +285,7 @@ def profile_dynamic_range(chunks, config: SubsamplingConfig, weights: dict,
     if not peak_per_chunk:
         raise ValueError("empty stream")
 
-    logs = np.floor(np.log2(np.clip(peak_per_chunk, 1e-30, 1e30))).astype(int)
+    logs = log2_bins(peak_per_chunk)
     lo, hi = int(logs.min()), int(logs.max()) + 1
     edges = tuple(range(lo, hi + 1))
     counts = tuple(int(np.count_nonzero(logs == e)) for e in edges[:-1])

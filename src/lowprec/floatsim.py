@@ -30,7 +30,7 @@ Block boundaries change no bit: every step is element-wise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
@@ -49,37 +49,29 @@ class FloatFormat:
 
     ``mantissa_bits`` counts explicit fraction bits (10 for fp16), the
     all-ones exponent is reserved for inf/nan, and subnormals are
-    representable.
+    representable. ``max_finite`` and ``min_normal`` follow from the bits.
     """
 
     name: str
     mantissa_bits: int
     exponent_bits: int
-    max_finite: float
-    min_normal: float
+    max_finite: float = field(init=False)
+    min_normal: float = field(init=False)
 
     def __post_init__(self):
-        if self.mantissa_bits < 1 or self.exponent_bits < 2:
-            raise ValueError("need at least 1 mantissa bit and 2 exponent bits")
-        if not (self.max_finite > self.min_normal > 0):
-            raise ValueError("require max_finite > min_normal > 0")
-
-    @classmethod
-    def from_bits(cls, name: str, mantissa_bits: int,
-                  exponent_bits: int) -> "FloatFormat":
+        m, e = self.mantissa_bits, self.exponent_bits
         # float64 carries the values, so its 11 exponent bits are the limit.
-        if mantissa_bits < 1 or not 2 <= exponent_bits <= 11:
+        if m < 1 or not 2 <= e <= 11:
             raise ValueError("need at least 1 mantissa bit and 2 to 11 exponent bits")
-        if exponent_bits == 11 and mantissa_bits > 52:
+        if e == 11 and m > 52:
             # (2 - 2**-m) * 2**1023 is past the largest float64
             raise ValueError("max_finite is past the float64 range")
-        bias = 2 ** (exponent_bits - 1) - 1
-        max_exp = bias  # all-ones exponent is inf/nan
+        max_exp = 2 ** (e - 1) - 1  # the bias; the all-ones exponent is inf/nan
         # The largest float64 on the format's grid: past 52 fraction bits
         # (2 - 2**-m) * 2**max_exp is no float64, and 2**(max_exp + 1) overflows.
-        max_finite = math.ldexp(2.0 - math.ldexp(1.0, -min(mantissa_bits, 52)), max_exp)
-        min_normal = math.ldexp(1.0, 1 - bias)
-        return cls(name, mantissa_bits, exponent_bits, max_finite, min_normal)
+        object.__setattr__(self, "max_finite",
+                           math.ldexp(2.0 - math.ldexp(1.0, -min(m, 52)), max_exp))
+        object.__setattr__(self, "min_normal", math.ldexp(1.0, 1 - max_exp))
 
     @property
     def min_exponent(self) -> int:
@@ -87,8 +79,8 @@ class FloatFormat:
         return math.frexp(self.min_normal)[1] - 1
 
 
-FP16 = FloatFormat.from_bits("fp16", 10, 5)
-FP32 = FloatFormat.from_bits("fp32", 23, 8)
+FP16 = FloatFormat("fp16", 10, 5)
+FP32 = FloatFormat("fp32", 23, 8)
 
 
 def parse_format(spec: str) -> FloatFormat:
@@ -105,7 +97,7 @@ def parse_format(spec: str) -> FloatFormat:
             raise ValueError(f"bad custom format {spec!r}, "
                              "expected custom:<mantissa>,<exponent>") from None
         try:
-            return FloatFormat.from_bits(f"custom_m{m}e{e}", m, e)
+            return FloatFormat(f"custom_m{m}e{e}", m, e)
         except ValueError as exc:
             raise ValueError(f"format {spec!r} is not representable: {exc}") from None
     raise ValueError(f"unknown float format {spec!r}")
@@ -225,6 +217,15 @@ def quantize(v: float, fmt: FloatFormat) -> tuple[float, QuantizeStatus]:
     """Quantize one value; NaN passes through with status EXACT."""
     vals, codes = quantize_array(np.array([v], dtype=np.float64), fmt)
     return float(vals[0]), QuantizeStatus(int(codes[0]))
+
+
+def log2_bins(peaks) -> np.ndarray:
+    """Integer log2 bin of each peak magnitude, the scale of a format's range.
+
+    Peaks are clipped to [1e-30, 1e308] first, so 0 lands in bin -100 and
+    inf in the top bin, 1023, with the largest finite float64s.
+    """
+    return np.floor(np.log2(np.clip(peaks, 1e-30, 1e308))).astype(int)
 
 
 class QuantRecorder:

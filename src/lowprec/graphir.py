@@ -331,19 +331,9 @@ def infer_shapes(g: Graph) -> dict[str, tuple]:
 def _boundary_ids(g: Graph) -> set[str]:
     """Movement nodes touching the graph edge (layout adapters)."""
     input_ids = {n.id for n in g.nodes if n.op == "input"}
-    output_srcs: dict[str, list[Node]] = {}
-    for n in g.nodes:
-        for r in n.inputs:
-            output_srcs.setdefault(r.split(":")[0], []).append(n)
-    out = set()
-    for n in g.nodes:
-        if n.op not in ("reshape", "transpose"):
-            continue
-        if n.inputs[0].split(":")[0] in input_ids:
-            out.add(n.id)
-        elif all(c.op == "output" for c in output_srcs.get(n.id, [])):
-            out.add(n.id)
-    return out
+    return {n.id for n in g.nodes if n.op in ("reshape", "transpose") and (
+        n.inputs[0].split(":")[0] in input_ids
+        or all(c.op == "output" for c in g.consumers(n.id)))}
 
 
 def movement_profile(g: Graph) -> dict[str, int]:
@@ -562,7 +552,7 @@ def mha_weights(p: MHAParams, seed: int = 0) -> dict[str, np.ndarray]:
     return out
 
 
-def build_mha_bsf(p: MHAParams, name: str = "mha") -> Graph:
+def build_mha_bsf(p: MHAParams) -> Graph:
     """Reference attention block on (bz, S, 1, f) tensors.
 
     The singleton third axis makes the sequence-last and channel-second
@@ -593,8 +583,7 @@ def build_mha_bsf(p: MHAParams, name: str = "mha") -> Graph:
              {"weight": "wo", "bias": "bo", "out_features": f}),
         Node("y", "output", ("out_lin",)),
     ]
-    g = Graph(name, nodes, ["x"], ["y"], meta={"layout": "BSF",
-                                               "mha": {"heads": h}})
+    g = Graph("mha", nodes, ["x"], ["y"], meta={"layout": "BSF", "mha": {"heads": h}})
     validate(g)
     return g
 
@@ -640,7 +629,6 @@ def pass_layout(g: Graph) -> Graph:
             "layout pass must run before the chunk pass (found split nodes)"
         )
     shapes = infer_shapes(g)
-    producer = {n.id: n for n in g.nodes}
     equations = {}
     if any(n.op == "batched_matmul" for n in g.nodes):
         qk, _, _, av = _attention_core(g)
@@ -650,27 +638,17 @@ def pass_layout(g: Graph) -> Graph:
     edge_map: dict[str, str] = {}
 
     for n in g.nodes:
+        op, ins, attrs = n.op, tuple(_edge(edge_map, r) for r in n.inputs), dict(n.attrs)
         if n.op == "input":
-            bz, S, u, f = shapes[n.id]
+            _, _, u, _ = shapes[n.id]
             if u != 1:
                 raise GraphRewriteError(f"{n.id}: expected (bz, S, 1, f) input")
-            new_nodes.append(n)
-            adapter = f"{n.id}_to_c"
-            new_nodes.append(Node(adapter, "transpose", (n.id,),
+        elif n.op == "output":  # the adapter back to (bz, S, 1, f) goes first
+            new_nodes.append(Node(f"{n.id}_to_s", "transpose", ins,
                                   {"perm": [0, 3, 2, 1]}))
-            edge_map[n.id] = adapter
-        elif n.op == "output":
-            src = _edge(edge_map, n.inputs[0])
-            adapter = f"{n.id}_to_s"
-            new_nodes.append(Node(adapter, "transpose", (src,),
-                                  {"perm": [0, 3, 2, 1]}))
-            new_nodes.append(Node(n.id, "output", (adapter,)))
-            edge_map[n.id] = n.id
+            ins, attrs = (f"{n.id}_to_s",), {}
         elif n.op == "linear":
-            new_nodes.append(Node(n.id, "conv1x1",
-                                  (_edge(edge_map, n.inputs[0]),),
-                                  dict(n.attrs)))
-            edge_map[n.id] = n.id
+            op = "conv1x1"
         elif n.op == "reshape":
             s_in, s_out = shapes[n.inputs[0].split(":")[0]], shapes[n.id]
             if not (len(s_in) == len(s_out) == 4 and s_in[:2] == s_out[:2]
@@ -679,43 +657,35 @@ def pass_layout(g: Graph) -> Graph:
                     f"{n.id}: reshape {s_in} -> {s_out} is not a head "
                     "split/merge, layout pass cannot relocate it"
                 )
-            if s_in == s_out:  # one head: shapes already agree, drop the copy
-                edge_map[n.id] = _edge(edge_map, n.inputs[0])
-            else:  # a head merge has h = 1 and becomes (bz, f, 1, S)
-                bz, S, h, d = s_out
-                new_nodes.append(Node(n.id, "reshape",
-                                      (_edge(edge_map, n.inputs[0]),),
-                                      {"shape": [bz * h, d, 1, S]}))
-                edge_map[n.id] = n.id
+            bz, S, h, d = s_out
+            # one head: shapes already agree, drop the copy; a head merge
+            # has h = 1 and becomes (bz, f, 1, S)
+            op = None if s_in == s_out else "reshape"
+            attrs = {"shape": [bz * h, d, 1, S]}
         elif n.op == "transpose":
-            src = n.inputs[0].split(":")[0]
-            if producer[src].op == "reshape" or producer[src].op in ARITHMETIC_OPS:
-                # head-routing transposes are no-ops in the new layout
-                edge_map[n.id] = edge_map[src]
-            else:
+            src = g.node(n.inputs[0].split(":")[0])
+            if src.op != "reshape" and src.op not in ARITHMETIC_OPS:
                 raise GraphRewriteError(f"{n.id}: unexpected transpose")
+            op = None  # head-routing transposes are no-ops in the new layout
         elif n.op == "batched_matmul":
             if n.id not in equations:
                 raise GraphRewriteError(f"{n.id}: matmul is not a product of "
                                         "the attention core")
-            new_nodes.append(Node(n.id, "einsum",
-                                  tuple(_edge(edge_map, r) for r in n.inputs),
-                                  {"equation": equations[n.id]}))
-            edge_map[n.id] = n.id
-        elif n.op in ("scale", "softmax", "add"):
-            new_nodes.append(Node(n.id, n.op,
-                                  tuple(_edge(edge_map, r) for r in n.inputs),
-                                  dict(n.attrs)))
-            edge_map[n.id] = n.id
+            op, attrs = "einsum", {"equation": equations[n.id]}
         elif n.op == "layernorm":
-            attrs = dict(n.attrs)
             attrs["axis"] = 1  # features live on the channel axis now
-            new_nodes.append(Node(n.id, "layernorm",
-                                  (_edge(edge_map, n.inputs[0]),), attrs))
-            edge_map[n.id] = n.id
-        else:
+        elif n.op not in ("scale", "softmax", "add"):
             raise GraphRewriteError(f"{n.id}: op {n.op} not supported by "
                                     "the layout pass")
+        if op is None:  # a copy the new layout does not need
+            edge_map[n.id] = ins[0]
+            continue
+        new_nodes.append(Node(n.id, op, ins, attrs))
+        edge_map[n.id] = n.id
+        if n.op == "input":  # the adapter to (bz, f, 1, S) follows
+            edge_map[n.id] = f"{n.id}_to_c"
+            new_nodes.append(Node(f"{n.id}_to_c", "transpose", (n.id,),
+                                  {"perm": [0, 3, 2, 1]}))
 
     out = Graph(g.name, new_nodes, list(g.inputs), list(g.outputs),
                 meta={**g.meta, "layout": "BC1S"})
@@ -764,20 +734,33 @@ def pass_chunk(g: Graph, n_chunks: int, axis: str = "heads") -> Graph:
                                 "layout; run the layout pass first")
     core = qk, _, _, av = _attention_core(g)
     shapes = infer_shapes(g)
-    q, k, v = qk.inputs[0], qk.inputs[1], av.inputs[1]
+    qkv = (qk.inputs[0], qk.inputs[1], av.inputs[1])
     if axis == "query":
-        if shapes[q][-1] % n_chunks:
+        if shapes[qkv[0]][-1] % n_chunks:
             raise GraphRewriteError(f"{n_chunks} chunks do not divide "
-                                    f"{shapes[q][-1]} query positions")
-        out = _chunk_core(g, core, n_chunks, 3, {"q": q},
-                          lambda c: ([], (f"q_split:{c}", k, v)), av.id)
+                                    f"{shapes[qkv[0]][-1]} query positions")
+        out = _chunk_core(g, core, n_chunks, 3, qkv, "q", None, av.id)
     elif heads % n_chunks:
         raise GraphRewriteError(f"{n_chunks} chunks do not divide {heads} heads")
-    elif channel_second:
-        out = _chunk_channel_second_heads(g, core, n_chunks, heads, shapes)
-    else:
-        out = _chunk_core(g, core, n_chunks, 1, {"q": q, "k": k, "v": v},
-                          _split_refs, av.id)
+    elif not channel_second:
+        out = _chunk_core(g, core, n_chunks, 1, qkv, "qkv", None, av.id)
+    else:  # split the inputs of the head reshapes feeding the core
+        reshapes = [g.node(r.split(":")[0]) for r in qkv]
+        for node in reshapes:
+            if node.op != "reshape":
+                raise GraphRewriteError(
+                    f"{node.id}: expected the head-split reshape feeding the core"
+                )
+        merge = _find_single(
+            g, lambda n: n.op == "reshape" and av.id in n.inputs, "head merge")
+        hpc = heads // n_chunks
+        bzh, d, _, S = shapes[reshapes[0].id]
+        bz = bzh // heads
+        # with one head per branch the split pieces are already heads
+        head_shapes = None if hpc == 1 else ([bz * hpc, d, 1, S], [bz, hpc * d, 1, S])
+        out = _chunk_core(g, core, n_chunks, 1, [r.inputs[0] for r in reshapes],
+                          "qkv", head_shapes, merge.id,
+                          removed=(*(r.id for r in reshapes), merge.id))
     out.meta = {**g.meta, "chunked": {"n_chunks": n_chunks, "axis": axis}}
     validate(out)
     return out
@@ -798,27 +781,39 @@ def _attention_core(g: Graph):
     return qk, scale, smax, av
 
 
-def _chunk_core(g: Graph, core, n_chunks: int, axis: int, splits: dict,
-                refs, anchor: str, removed=(), post=None) -> Graph:
+def _chunk_core(g: Graph, core, n_chunks: int, axis: int, qkv, split: str,
+                head_shapes, anchor: str, removed=()) -> Graph:
     """Replace the attention core with ``n_chunks`` branches and a concat.
 
-    ``splits`` maps a tag to the tensor split into ``<tag>_split`` along
-    ``axis``. ``refs(c)`` returns the nodes placed before branch ``c`` and
-    its (q, k, v) operands; ``post(c, ref)`` returns the nodes placed after
-    the branch's context product and the ref to join. Each branch repeats
-    the core's four nodes with their op and attrs. The subgraph goes in
-    front of the first consumer of ``anchor``, which then reads the join.
+    ``qkv`` holds the refs the branches read as query, key and value. Each
+    one whose tag ("q", "k" or "v") is in ``split`` goes through a split
+    node ``<tag>_split`` along ``axis`` and branch ``c`` reads its port
+    ``c``; the others are read whole by every branch. ``head_shapes`` is
+    ``None`` when the branch operands are already in head form; otherwise
+    it is a (head, merge) pair of shapes: each branch reshapes its q, k and
+    v to the head shape (``<tag>_r_c<c>``) and its context product to the
+    merge shape (``<ctx>_merge_c<c>``). Each branch repeats the core's four
+    nodes with their op and attrs, and the concat ``<ctx>_join`` joins the
+    branches along ``axis``. The nodes in ``removed`` go along with the
+    core. The subgraph goes in front of the first consumer of ``anchor``,
+    which then reads the join.
     """
     qk, scale, smax, av = core
     removed = {qk.id, scale.id, smax.id, av.id, *removed}
     nodes = [n for n in g.nodes if n.id not in removed]
     insert = [Node(f"{tag}_split", "split", (src,),
                    {"axis": axis, "sections": n_chunks})
-              for tag, src in splits.items()]
+              for tag, src in zip("qkv", qkv) if tag in split]
     branch_out = []
     for c in range(n_chunks):
-        pre, (q, k, v) = refs(c)
-        insert += pre + [
+        q, k, v = (f"{tag}_split:{c}" if tag in split else src
+                   for tag, src in zip("qkv", qkv))
+        if head_shapes:
+            pre = [Node(f"{tag}_r_c{c}", "reshape", (ref,), {"shape": list(head_shapes[0])})
+                   for tag, ref in zip("qkv", (q, k, v))]
+            insert += pre
+            q, k, v = (n.id for n in pre)
+        insert += [
             Node(f"{qk.id}_c{c}", qk.op, (q, k), dict(qk.attrs)),
             Node(f"{scale.id}_c{c}", scale.op, (f"{qk.id}_c{c}",),
                  dict(scale.attrs)),
@@ -827,8 +822,11 @@ def _chunk_core(g: Graph, core, n_chunks: int, axis: int, splits: dict,
             Node(f"{av.id}_c{c}", av.op, (f"{smax.id}_c{c}", v),
                  dict(av.attrs)),
         ]
-        tail, out_ref = post(c, f"{av.id}_c{c}") if post else ([], f"{av.id}_c{c}")
-        insert += tail
+        out_ref = f"{av.id}_c{c}"
+        if head_shapes:
+            insert.append(Node(f"{av.id}_merge_c{c}", "reshape", (out_ref,),
+                               {"shape": list(head_shapes[1])}))
+            out_ref = insert[-1].id
         branch_out.append(out_ref)
     insert.append(Node(f"{av.id}_join", "concat", tuple(branch_out),
                        {"axis": axis}))
@@ -838,46 +836,6 @@ def _chunk_core(g: Graph, core, n_chunks: int, axis: int, splits: dict,
     nodes = nodes[:idx] + insert + nodes[idx:]
     nodes = _replace_ref(nodes, anchor, f"{av.id}_join")
     return Graph(g.name, nodes, list(g.inputs), list(g.outputs), dict(g.meta))
-
-
-def _split_refs(c: int):
-    return [], (f"q_split:{c}", f"k_split:{c}", f"v_split:{c}")
-
-
-def _chunk_channel_second_heads(g: Graph, core, n_chunks: int, heads: int,
-                                shapes: dict) -> Graph:
-    """Head chunks split the inputs of the head reshapes feeding the core."""
-    qk, _, _, av = core
-    producer = {n.id: n for n in g.nodes}
-    reshapes = [producer[r.split(":")[0]]
-                for r in (qk.inputs[0], qk.inputs[1], av.inputs[1])]
-    for node in reshapes:
-        if node.op != "reshape":
-            raise GraphRewriteError(
-                f"{node.id}: expected the head-split reshape feeding the core"
-            )
-    merge = _find_single(
-        g, lambda n: n.op == "reshape" and av.id in n.inputs, "head merge")
-    splits = {tag: r.inputs[0] for tag, r in zip("qkv", reshapes)}
-    removed = (*(r.id for r in reshapes), merge.id)
-    hpc = heads // n_chunks
-    if hpc == 1:  # one head per branch: the split pieces are already heads
-        return _chunk_core(g, core, n_chunks, 1, splits, _split_refs, merge.id,
-                           removed)
-    bzh, d, _, S = shapes[reshapes[0].id]
-    bz = bzh // heads
-
-    def refs(c):  # several heads per branch still need their reshapes
-        pre = [Node(f"{tag}_r_c{c}", "reshape", (f"{tag}_split:{c}",),
-                    {"shape": [bz * hpc, d, 1, S]}) for tag in "qkv"]
-        return pre, tuple(n.id for n in pre)
-
-    def post(c, ref):
-        rid = f"{av.id}_merge_c{c}"
-        return [Node(rid, "reshape", (ref,), {"shape": [bz, hpc * d, 1, S]})], rid
-
-    return _chunk_core(g, core, n_chunks, 1, splits, refs, merge.id, removed,
-                       post)
 
 
 def pass_einsum(g: Graph) -> Graph:

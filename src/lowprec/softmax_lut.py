@@ -67,11 +67,11 @@ def _hot_ratio(x, mx):
     return ratio
 
 
-def softmax_reference(x, axis: int = -1) -> np.ndarray:
-    """Max-subtracted float64 softmax, the comparison baseline."""
+def softmax_reference(x) -> np.ndarray:
+    """Max-subtracted float64 softmax over the last axis, the comparison baseline."""
     x = np.asarray(x, dtype=np.float64)
-    e = np.exp(x - np.max(x, axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_lut(x, fmt: FloatFormat | None = None):

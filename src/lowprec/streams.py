@@ -70,7 +70,7 @@ def _read_records(path, kind: str):
             try:
                 dtype = np.dtype(meta["dtype"])
                 shape = tuple(int(d) for d in meta["shape"])
-                ok = dtype.kind in "biufc" and min(shape, default=0) >= 0
+                ok = dtype.kind in "biuf" and min(shape, default=0) >= 0  # real numbers
             except (TypeError, ValueError, OverflowError):
                 ok = False
             if not ok:

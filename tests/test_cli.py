@@ -331,6 +331,11 @@ def test_rewrite_graph_check_over_no_instances_exits_2(tmp_path, capsys, n):
     (("--dist", "extremal", "--width", "1"), "--width"),
     (("--chunk-rows", "0"), "--chunk-rows"),
     (("--chunk-rows", "-3"), "--chunk-rows"),
+    (("--scale", "nan"), "--scale"),
+    (("--dist", "uniform", "--scale", "inf"), "--scale"),
+    (("--dist", "extremal", "--scale", "-1"), "--scale"),
+    (("--dist", "uniform", "--scale", "-1"), "--scale"),
+    (("--scale", "1e400"), "--scale"),
 ])
 def test_gen_stream_degenerate_sizes_exit_2(tmp_path, capsys, argv, flag):
     out = tmp_path / "s.stream"
@@ -653,3 +658,38 @@ def test_every_declared_option_is_read_by_its_command(tmp_path):
         assert args.func(args) == 0, command
         unread = {a.dest for a in options[command]} - args.__dict__["_reads"]
         assert not unread, f"{command} declares options it never reads: {unread}"
+
+
+@pytest.mark.parametrize("command", ["audit-softmax", "audit-layernorm"])
+def test_complex_stream_exits_2_naming_the_file(tmp_path, capsys, command):
+    path = tmp_path / "cplx.stream"
+    write_stream(path, [np.full((4, 8), 1.0 + 2.0j)])
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's ComplexWarning would raise here
+        assert run(command, str(path), "--out-dir", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "cplx.stream: record 0: bad dtype '<c16'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["audit-softmax", "audit-layernorm"])
+@pytest.mark.parametrize("shape", [(0, 8), (4, 0)])
+def test_stream_without_entries_exits_2_naming_the_file(tmp_path, capsys, command, shape):
+    path = tmp_path / "none.stream"
+    write_stream(path, [np.zeros(shape), np.zeros(shape)])
+    out = tmp_path / "out"
+    assert run(command, str(path), "--out-dir", str(out)) == 2
+    assert "error: " + str(path) + ": the stream holds no entries" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("conv", [",", "", " , "])
+def test_profile_conv_without_a_config_exits_2(tmp_path, capsys, conv):
+    path = tmp_path / "s.stream"
+    run("gen-stream", str(path), "--rows", "4", "--width", "8")
+    out = tmp_path / "prof"
+    assert run("profile-conv", str(path), "--conv", conv, "--out-dir", str(out)) == 2
+    assert f"--conv {conv!r} names no subsampling config" in capsys.readouterr().err
+    assert not out.exists()
+

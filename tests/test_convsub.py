@@ -22,7 +22,7 @@ from lowprec.convsub import (
     profile_dynamic_range,
     subsample_forward,
 )
-from lowprec.floatsim import FP16
+from lowprec.floatsim import FP16, log2_bins
 from oracles import im2col_conv, naive_conv, naive_subsample
 
 
@@ -226,6 +226,22 @@ def test_range_profile_accounting():
     assert d["chunks"] == 6 and d["quantize"]["total"] == prof.overflow.total
     again = profile_dynamic_range(chunks, DWS2D6_X22, wts, FP16)
     assert again == prof  # deterministic
+
+
+def test_log2_bins_share_one_rule():
+    peaks = [0.0, 1e-40, 0.75, 1.0, 3.0, 2.06e35, 1e308, math.inf]
+    assert log2_bins(peaks).tolist() == [-100, -100, -1, 0, 1, 117, 1023, 1023]
+
+
+@pytest.mark.parametrize("fmt,peak,edges", [
+    (None, 1.7766751014301652e+33, (110, 111)),  # exact, far past fp16's range
+    (FP16, math.inf, (1023, 1024)),  # every output saturated: the top bin
+])
+def test_range_profile_bins_huge_and_saturated_peaks(fmt, peak, edges):
+    x = np.random.default_rng(0).normal(0.0, 1e33, (20, 40))
+    prof = profile_dynamic_range([x], DWS2D6, init_weights(DWS2D6, 0), fmt)
+    assert prof.per_chunk_peak == (peak,)
+    assert prof.histogram_log2_edges == edges and prof.histogram_counts == (1,)
 
 
 def test_profile_rejects_empty_stream():

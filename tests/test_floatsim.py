@@ -161,10 +161,10 @@ def test_fp32_round_trips_float32_exactly():
 
 
 def test_from_bits_reproduces_the_builtin_formats():
-    f16 = FloatFormat.from_bits("half", 10, 5)
+    f16 = FloatFormat("half", 10, 5)
     assert f16.max_finite == FP16.max_finite == 65504.0
     assert f16.min_normal == FP16.min_normal == 2.0**-14
-    f32 = FloatFormat.from_bits("single", 23, 8)
+    f32 = FloatFormat("single", 23, 8)
     assert f32.max_finite == FP32.max_finite
     assert f32.min_normal == 2.0**-126
 
