@@ -8,9 +8,9 @@ emit metrics, optionally verify outputs) and ``gen-stream`` (synthetic
 chunked streams).
 
 Exit codes: 0 when every check passes, 1 when an invariant is violated,
-2 for usage or file errors. Outputs are deterministic for fixed arguments
-and seeds: files are written atomically, JSON keys are sorted, floats go
-through repr.
+2 for usage or file errors, 3 for an unexpected error (its traceback is
+printed). Outputs are deterministic for fixed arguments and seeds: files
+are written atomically, JSON keys are sorted, floats go through repr.
 
 A JSON config file (``--config``) may preset any option of its subcommand
 that takes a value, keyed by destination name (``format``, ``prenorm``,
@@ -21,9 +21,11 @@ command line, and explicit flags win over the file.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +39,8 @@ from .convsub import (
     profile_dynamic_range,
 )
 # quantize_array: the benchmark tracer (perfbench/spans.py) wraps it at this name.
-from .floatsim import FP16, FloatFormat, log2_bins, parse_format, quantize_array
+from .floatsim import (FloatFormat, QuantRecorder, log2_bins, parse_format,
+                       quantize_array)
 from .graphir import (
     Graph,
     GraphError,
@@ -77,12 +80,6 @@ def _write_csv(path: Path, header: str, rows) -> None:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(row) + "\n")
-
-
-def _stats_dict(stats) -> dict:
-    return {"total": stats.total, "exact": stats.exact,
-            "rounded": stats.rounded, "underflow": stats.underflow,
-            "overflow": stats.overflow}
 
 
 def _load_rows(path: str) -> np.ndarray:
@@ -269,27 +266,22 @@ def cmd_audit_layernorm(args) -> int:
     else:
         pspec = PrenormSpec(mode=args.prenorm, p=args.p,
                             max_value=fmt.max_finite, safety=args.safety)
-    variants = []
+    variants = {"none": None, args.prenorm: pspec}  # one entry for --prenorm none
+    table, violated = [], False
     for mult_name, mult in (("1", 1.0), ("sqrt512", SQRT512)):
-        for pre_name, pre in (("none", None), (args.prenorm, pspec)):
-            variants.append((f"prenorm={pre_name},mult={mult_name}", pre, mult))
-    seen, table = set(), []
-    violated = False
-    for name, pre, mult in variants:
-        if name in seen:
-            continue
-        seen.add(name)
-        _, per_row, stats = stabilized_layernorm_rows(rows * mult, pre, fmt)
-        bad = int(np.count_nonzero(per_row > 0))
-        if pre is not None and bad:
-            violated = True  # the bound promised this could not happen
-        table.append({
-            "config": name,
-            "invocations": int(len(per_row)),
-            "overflow_invocations": bad,
-            "overflow_fraction": bad / len(per_row),
-            "quantize": _stats_dict(stats),
-        })
+        for pre_name, pre in variants.items():
+            rec = QuantRecorder(fmt, rows=len(rows))
+            stabilized_layernorm_rows(rows * mult, pre, rec)
+            bad = int(np.count_nonzero(rec.row_overflow))
+            if pre is not None and bad:
+                violated = True  # the bound promised this could not happen
+            table.append({
+                "config": f"prenorm={pre_name},mult={mult_name}",
+                "invocations": len(rows),
+                "overflow_invocations": bad,
+                "overflow_fraction": bad / len(rows),
+                "quantize": dataclasses.asdict(rec.stats),
+            })
 
     # Histogram of per-row peak input magnitude, integer log2 bins.
     hist_path = out_dir / "layernorm_hist.csv"
@@ -338,7 +330,8 @@ def cmd_audit_softmax(args) -> int:
     rows = _load_rows(args.stream)
     out_dir = Path(args.out_dir)
 
-    out, stats = softmax_lut(rows, fmt=fmt)
+    rec = QuantRecorder(fmt)
+    out = softmax_lut(rows, rec)
     ref = softmax_reference(rows)
     q, _ = quantize_array(rows, fmt)
     srt = np.sort(q, axis=1)
@@ -362,7 +355,7 @@ def cmd_audit_softmax(args) -> int:
         "worst_sum_abs_dev": sum_dev,
         "sum_tolerance": tol,
         "rescaled_rows": rescaled,
-        "quantize": _stats_dict(stats),
+        "quantize": dataclasses.asdict(rec.stats),
         "pass": ok,
     })
     print(f"rows={rows.shape[0]} unique_max={int(np.count_nonzero(unique))} "
@@ -679,6 +672,9 @@ def main(argv=None) -> int:
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:  # a bug, not a violated invariant
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

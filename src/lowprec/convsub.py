@@ -158,18 +158,17 @@ def init_weights(config: SubsamplingConfig, seed: int) -> dict[str, np.ndarray]:
 
 
 def subsample_forward(x, config: SubsamplingConfig, weights: dict,
-                      fmt: FloatFormat | None = None):
+                      rec: QuantRecorder):
     """Run the subsampler on one (C, H, W) sample.
 
-    With a float format, the input and each layer output (and the final
-    multiplied result) are quantized; arithmetic inside a convolution stays
-    in float64, so the simulation tracks activation range rather than
-    accumulator rounding. Returns (output, stats, per-layer peak |values|).
+    The input and each layer output (and the final multiplied result) are
+    rounded into ``rec``, which keeps the counts; arithmetic inside a
+    convolution stays in float64, so the simulation tracks activation range
+    rather than accumulator rounding. Returns (output, per-layer peak |values|).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 2:
         x = x[None]
-    rec = QuantRecorder(fmt)
     x = rec.q(x)
     peaks = []
     for i, layer in enumerate(config.layers):
@@ -183,7 +182,7 @@ def subsample_forward(x, config: SubsamplingConfig, weights: dict,
     if config.output_multiplier != 1.0:
         x = rec.q(x * config.output_multiplier)
         peaks.append(abs(float(x.max())))
-    return x, rec.stats, tuple(peaks)
+    return x, tuple(peaks)
 
 
 @dataclass(frozen=True)
@@ -269,16 +268,16 @@ def profile_dynamic_range(chunks, config: SubsamplingConfig, weights: dict,
 
     The histogram buckets per-chunk peak output magnitude by integer log2
     (``log2_bins``), the natural scale for judging distance to a float
-    format's ceiling.
+    format's ceiling. Every chunk rounds into one recorder, whose counts
+    become ``overflow``.
     """
     peak_per_chunk = []
     layer_peaks = None
-    stats = OverflowStats()
+    rec = QuantRecorder(fmt)
     for chunk in chunks:
-        out, st, peaks = subsample_forward(chunk, config, weights, fmt)
+        out, peaks = subsample_forward(chunk, config, weights, rec)
         finite = np.abs(out[np.isfinite(out)])
         peak_per_chunk.append(float(finite.max()) if finite.size else math.inf)
-        stats = stats + st
         layer_peaks = peaks if layer_peaks is None else tuple(
             max(a, b) for a, b in zip(layer_peaks, peaks)
         )
@@ -296,5 +295,5 @@ def profile_dynamic_range(chunks, config: SubsamplingConfig, weights: dict,
         per_layer_peak=layer_peaks,
         histogram_log2_edges=edges,
         histogram_counts=counts,
-        overflow=stats,
+        overflow=rec.stats,
     )

@@ -231,22 +231,27 @@ def log2_bins(peaks) -> np.ndarray:
 class QuantRecorder:
     """Quantize-and-account: the one way the pipelines round intermediates.
 
-    ``q(values)`` rounds ``values`` onto ``fmt``, keeps the status codes
-    in ``codes`` (one array per call, in call order) and merges them into
-    ``stats``. With ``fmt=None`` values pass through as float64 and
-    nothing is kept.
+    ``q(values)`` rounds ``values`` onto ``fmt`` and merges their status
+    counts into ``stats``; a pipeline rounds into the recorder its caller
+    passes, so the counts of a whole run accumulate in one place. A
+    recorder made for ``rows`` rows also adds, for each call that
+    overflowed, the OVERFLOW codes of each leading-axis index to
+    ``row_overflow``. With ``fmt=None`` values pass through as float64 and
+    nothing is counted.
     """
 
-    def __init__(self, fmt: FloatFormat | None):
+    def __init__(self, fmt: FloatFormat | None, rows: int = 0):
         self.fmt = fmt
         self.stats = OverflowStats()
-        self.codes: list[np.ndarray] = []
+        self.row_overflow = np.zeros(rows, dtype=np.int64)
 
     def q(self, values) -> np.ndarray:
         if self.fmt is None:
             return np.asarray(values, dtype=np.float64)
         out, codes, stats = _quantize_blocks(values, self.fmt)
-        self.codes.append(codes)
         self.stats = self.stats + stats
+        if stats.overflow and self.row_overflow.size:
+            # a plain int: numpy compares with an IntEnum operand far slower
+            over = codes.reshape(self.row_overflow.size, -1) == int(QuantizeStatus.OVERFLOW)
+            self.row_overflow += np.count_nonzero(over, axis=1)
         return out
-

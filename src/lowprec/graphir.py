@@ -36,6 +36,7 @@ from lowprec.floatsim import FloatFormat, OverflowStats, QuantRecorder
 # Bound here so the benchmark tracer (perfbench/spans.py) can wrap it.
 from lowprec.floatsim import quantize_array
 from lowprec.prenorm import layernorm as _layernorm_ref
+from lowprec.prenorm import stabilized_layernorm_rows
 from lowprec.softmax_lut import softmax_lut, softmax_reference
 
 ARITHMETIC_OPS = {"linear", "conv1x1", "batched_matmul", "einsum", "scale",
@@ -115,7 +116,7 @@ class Graph:
                 outputs=list(d["outputs"]),
                 meta=dict(d.get("meta", {})),
             )
-        except (KeyError, TypeError, AttributeError) as exc:
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise GraphError(f"malformed graph JSON: {exc!r}") from None
         validate(g)
         return g
@@ -377,10 +378,7 @@ class ExecTrace:
 
     @property
     def total_overflow(self) -> OverflowStats:
-        s = OverflowStats()
-        for st in self.node_stats.values():
-            s = s + st
-        return s
+        return sum(self.node_stats.values(), OverflowStats())
 
 
 def _apply(node: Node, args: list[np.ndarray], weights: dict,
@@ -411,11 +409,14 @@ def _apply(node: Node, args: list[np.ndarray], weights: dict,
             raise GraphError(f"{node.id}: softmax only along the last axis")
         if rec.fmt is None:
             return softmax_reference(args[0])
-        out, stats = softmax_lut(args[0], fmt=rec.fmt)
-        rec.stats = rec.stats + stats  # the table path quantizes internally
-        return out
+        return softmax_lut(args[0], rec)
     if node.op == "layernorm":
-        return _layernorm_ref(args[0], axis=int(a.get("axis", -1)))
+        ax = int(a.get("axis", -1))
+        if rec.fmt is None:
+            return _layernorm_ref(args[0], axis=ax)
+        x = np.moveaxis(args[0], ax, -1)  # the audited kernel reduces rows
+        out = stabilized_layernorm_rows(x.reshape(-1, x.shape[-1]), None, rec)
+        return np.moveaxis(out.reshape(x.shape), -1, ax)
     if node.op == "add":
         return args[0] + args[1]
     if node.op == "reshape":
@@ -432,11 +433,12 @@ def execute_traced(g: Graph, feeds: dict[str, np.ndarray],
                    fmt: FloatFormat | None = None) -> ExecTrace:
     """Run the graph; quantize arithmetic results when a format is given.
 
-    Movement ops shuffle already-quantized values, so they never re-quantize
-    (re-counting saturated entries would double-book them). Softmax runs
-    through the table/rescale path in format mode, where ``node_stats``
-    holds that path's own quantize counts, and the float64 reference
-    otherwise.
+    Each node rounds into its own recorder, whose counts are its
+    ``node_stats``. Movement ops shuffle already-quantized values, so they
+    never re-quantize (re-counting saturated entries would double-book
+    them). In format mode softmax runs the table/rescale path and layernorm
+    the audited kernel along its axis, each rounding its own stages, so
+    their outputs are not rounded again; in float64 both run the reference.
     """
     weights = weights or {}
     for n in g.nodes:
@@ -472,7 +474,7 @@ def execute_traced(g: Graph, feeds: dict[str, np.ndarray],
         else:
             args = [values[r] for r in n.inputs]
             out = _apply(n, args, weights, rec)
-            if n.op in ARITHMETIC_OPS and n.op != "softmax":
+            if n.op in ARITHMETIC_OPS and n.op not in ("softmax", "layernorm"):
                 out = rec.q(out)
             values[n.id] = out
             if n.op in MOVEMENT_OPS:
@@ -640,9 +642,10 @@ def pass_layout(g: Graph) -> Graph:
     for n in g.nodes:
         op, ins, attrs = n.op, tuple(_edge(edge_map, r) for r in n.inputs), dict(n.attrs)
         if n.op == "input":
-            _, _, u, _ = shapes[n.id]
-            if u != 1:
-                raise GraphRewriteError(f"{n.id}: expected (bz, S, 1, f) input")
+            shape = shapes[n.id]
+            if len(shape) != 4 or shape[2] != 1:
+                raise GraphRewriteError(f"{n.id}: expected (bz, S, 1, f) input, "
+                                        f"got {shape}")
         elif n.op == "output":  # the adapter back to (bz, S, 1, f) goes first
             new_nodes.append(Node(f"{n.id}_to_s", "transpose", ins,
                                   {"perm": [0, 3, 2, 1]}))

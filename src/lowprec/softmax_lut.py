@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from lowprec.floatsim import FloatFormat, QuantRecorder
+from lowprec.floatsim import QuantRecorder
 # Bound here so the benchmark tracer (perfbench/spans.py) can wrap it.
 from lowprec.floatsim import quantize_array  # noqa: F401
 
@@ -74,24 +74,24 @@ def softmax_reference(x) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_lut(x, fmt: FloatFormat | None = None):
-    """Softmax over the last axis via rescale + table exp, optionally in ``fmt``.
+def softmax_lut(x, rec: QuantRecorder | None = None) -> np.ndarray:
+    """Softmax over the last axis via rescale + table exp, rounded into ``rec``.
 
     Rows whose max exceeds ``RESCALE_THRESHOLD`` are first mapped by
     x -> RESCALE_THRESHOLD * x / max(x); other rows pass through untouched.
-    Every named stage is re-quantized when a format is given: the input,
-    the rescale ratio and product (on rescaled rows only), the
+    Every named stage is rounded to ``rec.fmt`` and counted in ``rec``:
+    the input, the rescale ratio and product (on rescaled rows only), the
     max-subtracted values, the table outputs, the row total, and the final
     quotient. The total is accumulated in a wide register and rounded once;
     chaining narrow partial sums instead would put the row-sum error at
     levels*u and break the 1e-3 normalization guarantee for wide rows (u
     being the format's unit roundoff). With one rounding on the total and
     one on each quotient the deviation of the output sum from 1 is bounded
-    by 2u + u^2, about 9.8e-4 in half precision.
-
-    Returns (softmax array, quantize statistics).
+    by 2u + u^2, about 9.8e-4 in half precision. With ``rec=None`` every
+    stage runs in float64.
     """
-    rec = QuantRecorder(fmt)
+    if rec is None:
+        rec = QuantRecorder(None)
     x = rec.q(x)
     mx = np.max(x, axis=-1, keepdims=True)
     hot = mx[..., 0] > RESCALE_THRESHOLD
@@ -102,4 +102,4 @@ def softmax_lut(x, fmt: FloatFormat | None = None):
         x = rec.q(x - np.max(x, axis=-1, keepdims=True))
     e = rec.q(_LUT(x))
     total = rec.q(e.sum(axis=-1, keepdims=True))
-    return rec.q(e / total), rec.stats
+    return rec.q(e / total)

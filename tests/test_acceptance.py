@@ -20,7 +20,7 @@ from lowprec.convsub import (
     mac_count,
     profile_dynamic_range,
 )
-from lowprec.floatsim import FP16, quantize_array
+from lowprec.floatsim import FP16, QuantRecorder, quantize_array
 from lowprec.graphir import (
     MHAParams,
     apply_passes,
@@ -131,16 +131,18 @@ def test_criterion_5_stabilized_layernorm_stream(acceptance, tmp_path):
     rows = np.concatenate(read_stream(stream))
     assert rows.shape == (256, 512)
 
-    _, naive_rows, _ = stabilized_layernorm_rows(rows, None, FP16)
-    naive_frac = float(np.mean(naive_rows > 0))
+    naive = QuantRecorder(FP16, rows=len(rows))
+    stabilized_layernorm_rows(rows, None, naive)
+    naive_frac = float(np.mean(naive.row_overflow > 0))
     ref = layernorm(rows)
     results = {}
     for name, spec in (("theorem1", PrenormSpec(mode="theorem1", p=2.0)),
                        ("mad", PrenormSpec(mode="mad"))):
-        out, per_row, stats = stabilized_layernorm_rows(rows, spec, FP16)
-        results[name] = (float(np.mean(per_row > 0)),
+        rec = QuantRecorder(FP16, rows=len(rows))
+        out = stabilized_layernorm_rows(rows, spec, rec)
+        results[name] = (float(np.mean(rec.row_overflow > 0)),
                          float(np.abs(out - ref).max()),
-                         stats.overflow)
+                         rec.stats.overflow)
     ok = naive_frac >= 0.5 and all(
         frac == 0.0 and err <= 1e-2 and ovf == 0
         for frac, err, ovf in results.values()
@@ -155,7 +157,7 @@ def test_criterion_6_softmax_argmax_and_mass(acceptance):
     rng = np.random.default_rng(0)
     scales = 10.0 ** rng.uniform(0, 5.5, 10000)
     x = rng.normal(0.0, 1.0, (10000, 64)) * scales[:, None]
-    out, _ = softmax_lut(x, fmt=FP16)
+    out = softmax_lut(x, QuantRecorder(FP16))
     ref = softmax_reference(x)
     q, _ = quantize_array(x, FP16)
     srt = np.sort(q, axis=1)

@@ -8,7 +8,7 @@ itself.
 import numpy as np
 
 from lowprec.convsub import SUBSAMPLERS, init_weights, subsample_forward
-from lowprec.floatsim import FP16, OverflowStats
+from lowprec.floatsim import FP16, OverflowStats, QuantRecorder
 from lowprec.graphir import (
     MHAParams,
     apply_passes,
@@ -23,28 +23,32 @@ from lowprec.softmax_lut import softmax_lut
 def test_layernorm_counts_and_per_row_overflow():
     scales = np.array([[10.0], [500.0], [5000.0], [30.0], [200.0], [50.0]])
     x = np.random.default_rng(11).normal(size=(6, 16)) * scales
-    _, per_row, stats = stabilized_layernorm_rows(x, None, FP16)
-    assert per_row.tolist() == [0, 26, 34, 0, 13, 0]
-    assert stats == OverflowStats(396, 69, 254, 0, 73)
+    rec = QuantRecorder(FP16, rows=6)
+    stabilized_layernorm_rows(x, None, rec)
+    assert rec.row_overflow.tolist() == [0, 26, 34, 0, 13, 0]
+    assert rec.stats == OverflowStats(396, 69, 254, 0, 73)
     spec = PrenormSpec("theorem1", max_value=FP16.max_finite)
-    _, per_row, stats = stabilized_layernorm_rows(x, spec, FP16)
-    assert per_row.tolist() == [0] * 6
-    assert stats == OverflowStats(396, 44, 352, 0, 0)
+    rec = QuantRecorder(FP16, rows=6)
+    stabilized_layernorm_rows(x, spec, rec)
+    assert rec.row_overflow.tolist() == [0] * 6
+    assert rec.stats == OverflowStats(396, 44, 352, 0, 0)
 
 
 def test_softmax_counts_only_hot_rows_in_the_rescale():
     x = np.random.default_rng(12).normal(0.0, 3000.0, (5, 8))
     assert (x.max(axis=1) > 4096.0).tolist() == [True, True, False, False, True]
-    _, stats = softmax_lut(x, fmt=FP16)
+    rec = QuantRecorder(FP16)
+    softmax_lut(x, rec)
     # 40 inputs, 2 x 24 hot-row rescale entries, 3 x 40 stage outputs, 5 totals
-    assert stats == OverflowStats(213, 132, 81, 0, 0)
+    assert rec.stats == OverflowStats(213, 132, 81, 0, 0)
 
 
 def test_subsampler_counts():
     config = SUBSAMPLERS["dws2d6x22"]
     x = np.random.default_rng(13).normal(0.0, 3000.0, (13, 20))
-    _, stats, peaks = subsample_forward(x, config, init_weights(config, 13), FP16)
-    assert stats == OverflowStats(30980, 510, 30433, 0, 37)
+    rec = QuantRecorder(FP16)
+    _, peaks = subsample_forward(x, config, init_weights(config, 13), rec)
+    assert rec.stats == OverflowStats(30980, 510, 30433, 0, 37)
     assert peaks == (19168.0, 10128.0, 5524.0, np.inf)
 
 

@@ -135,9 +135,8 @@ def test_audit_softmax_flags_broken_normalization(tmp_path, monkeypatch):
 
     real = cli.softmax_lut
 
-    def lopsided(x, **kw):
-        out, stats = real(x, **kw)
-        return out * 1.5, stats  # mass no longer sums to 1
+    def lopsided(x, rec=None):
+        return real(x, rec) * 1.5  # mass no longer sums to 1
 
     monkeypatch.setattr(cli, "softmax_lut", lopsided)
     assert run("audit-softmax", str(path), "--out-dir", str(tmp_path)) == 1
@@ -452,6 +451,31 @@ def test_malformed_graph_file_exits_2(tmp_path, capsys, shape, node, message):
     assert run("rewrite-graph", str(path), "--passes", "", "--out-dir", str(tmp_path)) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("shape", [[2, 4, 16], [2, 4, 1, 16, 1]])
+def test_layout_pass_names_an_input_of_the_wrong_rank(tmp_path, capsys, shape):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"name": "g", "inputs": ["a"], "outputs": ["y"], "nodes": [
+        {"id": "a", "op": "input", "inputs": [], "attrs": {"shape": shape}},
+        {"id": "y", "op": "output", "inputs": ["a"], "attrs": {}},
+    ]}))
+    assert run("rewrite-graph", str(path), "--passes", "layout",
+               "--out-dir", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert f"a: expected (bz, S, 1, f) input, got {tuple(shape)}" in err
+    assert "Traceback" not in err
+
+
+def test_unexpected_exception_prints_its_traceback_and_exits_3(tmp_path, monkeypatch,
+                                                                capsys):
+    def broken(args):
+        raise ZeroDivisionError("a bug")
+
+    monkeypatch.setattr(cli, "cmd_gen_stream", broken)
+    assert run("gen-stream", str(tmp_path / "s.stream")) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "ZeroDivisionError: a bug" in err
 
 
 @pytest.mark.parametrize("text, message", [

@@ -22,7 +22,7 @@ from lowprec.convsub import (
     profile_dynamic_range,
     subsample_forward,
 )
-from lowprec.floatsim import FP16, log2_bins
+from lowprec.floatsim import FP16, QuantRecorder, log2_bins
 from oracles import im2col_conv, naive_conv, naive_subsample
 
 
@@ -117,9 +117,9 @@ def test_layer_peaks_are_the_max_magnitude_of_each_output(fill, want):
     x = np.zeros((1, 30, 40)) if fill == 0.0 else np.random.default_rng(5).normal(
         size=(1, 30, 40))
     x[0, 5, 5] = fill
-    out, _, peaks = subsample_forward(x, DWS2D6_X22, wts, FP16)
+    out, peaks = subsample_forward(x, DWS2D6_X22, wts, QuantRecorder(FP16))
     outs = [subsample_forward(x, SubsamplingConfig("head", DWS2D6_X22.layers[:n]),
-                              wts, FP16)[0] for n in (1, 2, 3)] + [out]
+                              wts, QuantRecorder(FP16))[0] for n in (1, 2, 3)] + [out]
     assert len(peaks) == len(outs) == 4
     for peak, o in zip(peaks, outs):
         assert _same(peak, float(np.abs(o).max()))
@@ -138,10 +138,11 @@ def test_whole_frontend_matches_loop_oracle():
     wts = init_weights(small_dws, 1)
     x = rng.normal(size=(1, 30, 40))
     want, n_mult = naive_subsample(x, small_dws, wts)
-    got, stats, _ = subsample_forward(x, small_dws, wts)
+    rec = QuantRecorder(None)
+    got, _ = subsample_forward(x, small_dws, wts, rec)
     assert np.abs(got - want).max() <= 1e-10
     assert mac_count(small_dws, (30, 40)).total == n_mult
-    assert stats.total == 0  # double mode performs no quantization
+    assert rec.stats.total == 0  # double mode performs no quantization
 
 
 def test_mac_counts_for_the_real_frontends():
@@ -189,8 +190,8 @@ def test_output_multiplier_is_exact_in_double():
     rng = np.random.default_rng(3)
     wts = init_weights(DWS2D6, 5)
     x = rng.normal(0.0, 1.0, (1, 80, 60))
-    plain, _, _ = subsample_forward(x, DWS2D6, wts)
-    scaled, _, _ = subsample_forward(x, DWS2D6_X22, wts)
+    plain, _ = subsample_forward(x, DWS2D6, wts, QuantRecorder(None))
+    scaled, _ = subsample_forward(x, DWS2D6_X22, wts, QuantRecorder(None))
     assert np.abs(scaled - plain * math.sqrt(512.0)).max() < 1e-12
     assert np.all(plain >= 0.0)  # last op before the multiplier is a ReLU
 
@@ -198,17 +199,19 @@ def test_output_multiplier_is_exact_in_double():
 def test_quantized_forward_counts_overflow():
     wts = init_weights(CONV2D6, 2)
     x = np.full((1, 30, 40), 50000.0)
-    _, stats, _ = subsample_forward(x, CONV2D6, wts, fmt=FP16)
-    assert stats.overflow > 0
-    _, stats2, _ = subsample_forward(x * 1e-4, CONV2D6, wts, fmt=FP16)
-    assert stats2.overflow == 0
+    rec = QuantRecorder(FP16)
+    subsample_forward(x, CONV2D6, wts, rec)
+    assert rec.stats.overflow > 0
+    rec2 = QuantRecorder(FP16)
+    subsample_forward(x * 1e-4, CONV2D6, wts, rec2)
+    assert rec2.stats.overflow == 0
 
 
 def test_two_dimensional_input_is_promoted():
     wts = init_weights(CONV2D6, 2)
     x = np.random.default_rng(0).normal(size=(30, 40))
-    a, _, _ = subsample_forward(x, CONV2D6, wts)
-    b, _, _ = subsample_forward(x[None], CONV2D6, wts)
+    a, _ = subsample_forward(x, CONV2D6, wts, QuantRecorder(None))
+    b, _ = subsample_forward(x[None], CONV2D6, wts, QuantRecorder(None))
     np.testing.assert_array_equal(a, b)
 
 

@@ -288,16 +288,39 @@ def test_quantize_array_matches_the_frexp_oracle_across_blocks(monkeypatch):
     test_quantize_array_matches_the_frexp_oracle()
 
 
-@pytest.mark.parametrize("block", [7, 1000])
-def test_recorder_stats_count_the_returned_codes(monkeypatch, block):
-    monkeypatch.setattr(floatsim, "_BLOCK", block)
-    rng = np.random.default_rng(5)
+def _recorder_input(rng):
     x = rng.normal(0.0, 500.0, 5000) ** 2  # about half of it past fp16's range
     x[::97] = rng.choice([np.inf, -np.inf, np.nan, 0.0, 2.0**-30, 2.0**-20], x[::97].size)
     x[1000:1500] = 2.0 ** rng.uniform(-26, -13, 500)  # a subnormal stretch
+    return x
+
+
+@pytest.mark.parametrize("block", [7, 1000])
+def test_recorder_stats_count_the_returned_codes(monkeypatch, block):
+    monkeypatch.setattr(floatsim, "_BLOCK", block)
+    x = _recorder_input(np.random.default_rng(5))
     rec = QuantRecorder(FP16)
     rec.q(x)
-    [codes] = rec.codes
+    _, codes = quantize_array(x, FP16)
     want = [int(np.count_nonzero(codes == s)) for s in QuantizeStatus]
     assert rec.stats == OverflowStats(x.size, *want)
     assert min(want) > 0
+
+
+@pytest.mark.parametrize("block", [7, 1000])
+def test_recorder_row_overflow_counts_each_rows_overflow_codes(monkeypatch, block):
+    monkeypatch.setattr(floatsim, "_BLOCK", block)
+    rng = np.random.default_rng(6)
+    x = _recorder_input(rng).reshape(50, 100)
+    x[7] = 1.0  # a row that never overflows
+    rec = QuantRecorder(FP16, rows=50)
+    want = np.zeros(50, dtype=np.int64)
+    # (rows, n), (rows, k) and (rows,) calls, as in the layernorm kernel,
+    # plus one call without an overflow, which adds nothing
+    for a in (x, x[:, 10:13] * 100.0, x[:, 0], np.ones(50)):
+        rec.q(a)
+        _, codes = quantize_array(a, FP16)
+        want += np.count_nonzero(codes.reshape(50, -1) == QuantizeStatus.OVERFLOW, axis=1)
+    assert rec.row_overflow.tolist() == want.tolist()
+    assert want[7] == 0 and want.min() == 0 < want.max()
+    assert int(want.sum()) == rec.stats.overflow

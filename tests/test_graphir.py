@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lowprec.floatsim import FP16
+from lowprec.floatsim import FP16, QuantRecorder, quantize_array
 from lowprec.graphir import (
     Graph,
     GraphError,
@@ -23,6 +23,7 @@ from lowprec.graphir import (
     pass_layout,
     validate,
 )
+from lowprec.prenorm import stabilized_layernorm_rows
 from lowprec.softmax_lut import softmax_lut
 
 P = MHAParams(batch=2, heads=4, features=32, seq=6)
@@ -217,7 +218,7 @@ def test_graph_softmax_shares_the_table_path():
     ], ["x"], ["y"])
     x = np.random.default_rng(4).normal(0.0, 3000.0, (2, 3, 8))
     got = execute_traced(g, {"x": x}, fmt=FP16).outputs["y"]
-    want = softmax_lut(np.asarray(np.float16(x), dtype=np.float64), fmt=FP16)[0]
+    want = softmax_lut(np.asarray(np.float16(x), dtype=np.float64), QuantRecorder(FP16))
     assert got.tobytes() == want.tobytes()
 
 
@@ -232,6 +233,33 @@ def test_layernorm_axis_is_relocated_by_the_layout_pass():
     x = np.random.default_rng(5).normal(size=(2, 5, 1, 8))
     np.testing.assert_allclose(execute_traced(moved, {"x": x}).outputs["y"],
                                execute_traced(g, {"x": x}).outputs["y"], atol=1e-12)
+
+
+def test_graph_layernorm_runs_the_audited_kernel():
+    # Under a format the node runs prenorm's kernel: its counts are the
+    # kernel's on the rounded input, and its output is not rounded again.
+    x = np.random.default_rng(6).normal(0.0, 500.0, (64, 512))
+    g = Graph("ln", [
+        Node("x", "input", (), {"shape": [64, 512]}),
+        Node("n", "layernorm", ("x",), {"axis": -1}),
+        Node("y", "output", ("n",)),
+    ], ["x"], ["y"])
+    trace = execute_traced(g, {"x": x}, fmt=FP16)
+    rec = QuantRecorder(FP16)
+    want = stabilized_layernorm_rows(quantize_array(x, FP16)[0], None, rec)
+    assert trace.node_stats["n"] == rec.stats and rec.stats.overflow > 50_000
+    assert trace.outputs["y"].tobytes() == want.tobytes()
+    # along a moved axis the node reduces the same rows
+    g4 = Graph("ln4", [
+        Node("x", "input", (), {"shape": [2, 5, 1, 8], "layout": "BSF"}),
+        Node("n", "layernorm", ("x",), {"axis": -1}),
+        Node("y", "output", ("n",)),
+    ], ["x"], ["y"])
+    x4 = np.random.default_rng(7).normal(0.0, 300.0, (2, 5, 1, 8))
+    a = execute_traced(g4, {"x": x4}, fmt=FP16)
+    b = execute_traced(pass_layout(g4), {"x": x4}, fmt=FP16)
+    assert a.outputs["y"].tobytes() == b.outputs["y"].tobytes()
+    assert a.node_stats["n"] == b.node_stats["n"]
 
 
 def test_split_concat_identity():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from lowprec.floatsim import FP16
+from lowprec.floatsim import FP16, QuantRecorder
 from lowprec.prenorm import (
     BoundStats,
     PrenormSpec,
@@ -294,50 +294,52 @@ def test_spec_validation():
 
 def test_stabilized_layernorm_frozen_example():
     row = np.array([100.0, -100.0, 300.0, -300.0])
-    out, _, stats = stabilized_layernorm_rows(row[None], PrenormSpec("theorem1", p=2.0),
-                                              FP16)
+    rec = QuantRecorder(FP16)
+    out = stabilized_layernorm_rows(row[None], PrenormSpec("theorem1", p=2.0), rec)
     np.testing.assert_array_equal(
         out[0], [0.447265625, -0.447265625, 1.341796875, -1.341796875]
     )
-    assert stats.overflow == 0
+    assert rec.stats.overflow == 0
     np.testing.assert_allclose(out[0], layernorm(row), atol=2e-3)
 
 
 def test_large_rows_overflow_naively_but_not_stabilized():
     rng = np.random.default_rng(0)
     rows = rng.normal(0.0, 500.0, (32, 64))
-    _, per_row_naive, stats_naive = stabilized_layernorm_rows(rows, None, FP16)
-    assert np.all(per_row_naive > 0)
-    assert stats_naive.overflow > 0
+    naive = QuantRecorder(FP16, rows=32)
+    stabilized_layernorm_rows(rows, None, naive)
+    assert np.all(naive.row_overflow > 0)
+    assert naive.stats.overflow > 0
     for mode in ("theorem1", "mad"):
-        out, per_row, stats = stabilized_layernorm_rows(
-            rows, PrenormSpec(mode), FP16
-        )
-        assert stats.overflow == 0 and np.all(per_row == 0)
+        rec = QuantRecorder(FP16, rows=32)
+        out = stabilized_layernorm_rows(rows, PrenormSpec(mode), rec)
+        assert rec.stats.overflow == 0 and np.all(rec.row_overflow == 0)
         assert np.abs(out - layernorm(rows)).max() < 1e-2
 
 
 def test_per_row_counts_sum_to_total_overflow():
     rng = np.random.default_rng(2)
     rows = rng.normal(0.0, 400.0, (16, 32))
-    _, per_row, stats = stabilized_layernorm_rows(rows, None, FP16)
-    assert int(per_row.sum()) == stats.overflow
+    rec = QuantRecorder(FP16, rows=16)
+    stabilized_layernorm_rows(rows, None, rec)
+    assert int(rec.row_overflow.sum()) == rec.stats.overflow
 
 
 def test_pipeline_is_deterministic():
     rng = np.random.default_rng(9)
     rows = rng.normal(0.0, 50.0, (8, 24))
-    a = stabilized_layernorm_rows(rows, PrenormSpec("mad"), FP16)
-    b = stabilized_layernorm_rows(rows, PrenormSpec("mad"), FP16)
-    np.testing.assert_array_equal(a[0], b[0])
+    a = stabilized_layernorm_rows(rows, PrenormSpec("mad"), QuantRecorder(FP16))
+    b = stabilized_layernorm_rows(rows, PrenormSpec("mad"), QuantRecorder(FP16))
+    np.testing.assert_array_equal(a, b)
 
 
 @given(st.integers(0, 10_000))
 def test_moderate_rows_stay_accurate(seed):
     rng = np.random.default_rng(seed)
     row = rng.normal(0.0, 10.0, 32)
-    out, _, stats = stabilized_layernorm_rows(row[None], PrenormSpec("theorem1"), FP16)
-    assert stats.overflow == 0
+    rec = QuantRecorder(FP16)
+    out = stabilized_layernorm_rows(row[None], PrenormSpec("theorem1"), rec)
+    assert rec.stats.overflow == 0
     assert np.abs(out[0] - layernorm(row)).max() < 2e-2
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 from hypothesis import given, strategies as st
 
-from lowprec.floatsim import FP16, FP32
+from lowprec.floatsim import FP16, FP32, QuantRecorder
 from lowprec.softmax_lut import (
     RESCALE_THRESHOLD,
     ExpLUT,
@@ -73,41 +73,43 @@ def unrescaled(x):
 
 def test_rescale_example_row():
     x = np.array([5000.0, 4995.0, -3000.0])
-    out, _ = softmax_lut(x)
-    assert same_bits(out, softmax_lut(4096.0 * (x / x.max()))[0])
+    out = softmax_lut(x)
+    assert same_bits(out, softmax_lut(4096.0 * (x / x.max())))
     assert out[1] > unrescaled(x)[1]  # the gap of 5 shrank to 4.096
 
 
 def test_rescale_threshold_is_strict():
     assert RESCALE_THRESHOLD == 4096.0
     x = np.array([4096.0, 4090.5, 1.0])
-    assert same_bits(softmax_lut(x)[0], unrescaled(x))
-    _, stats = softmax_lut(x, fmt=FP16)
-    assert stats.total == 3 * 4 + 1  # input, shift, table, quotient + total
+    assert same_bits(softmax_lut(x), unrescaled(x))
+    rec = QuantRecorder(FP16)
+    softmax_lut(x, rec)
+    assert rec.stats.total == 3 * 4 + 1  # input, shift, table, quotient + total
     y = np.array([4100.0, 4092.0, 1.0])
-    assert same_bits(softmax_lut(y)[0], softmax_lut(4096.0 * (y / y.max()))[0])
-    _, stats = softmax_lut(y, fmt=FP16)
-    assert stats.total == 3 * 6 + 1  # plus the ratio and the product
+    assert same_bits(softmax_lut(y), softmax_lut(4096.0 * (y / y.max())))
+    rec = QuantRecorder(FP16)
+    softmax_lut(y, rec)
+    assert rec.stats.total == 3 * 6 + 1  # plus the ratio and the product
 
 
 def test_rescale_is_per_row():
     x = np.array([[9000.0, 0.0, 8990.0], [1.0, 2.0, -3.0]])
-    out, _ = softmax_lut(x)
-    assert same_bits(out[0], softmax_lut(4096.0 * (x[0] / 9000.0))[0])
-    assert same_bits(out[1], softmax_lut(x[1])[0])
+    out = softmax_lut(x)
+    assert same_bits(out[0], softmax_lut(4096.0 * (x[0] / 9000.0)))
+    assert same_bits(out[1], softmax_lut(x[1]))
 
 
 @given(st.lists(st.floats(-1e5, 1e5), min_size=2, max_size=6))
 def test_rescale_preserves_order(xs):
     x = np.array(xs)
-    out, _ = softmax_lut(x)
+    out = softmax_lut(x)
     # weakly monotone: sorting by x must leave the output sorted (ties allowed)
     assert np.all(np.diff(out[np.argsort(x)]) >= 0.0)
 
 
 def test_all_negative_rows_are_never_rescaled():
     x = np.array([-5000.0, -9000.0, -5003.0])
-    out, _ = softmax_lut(x)
+    out = softmax_lut(x)
     assert same_bits(out, unrescaled(x))
     assert np.argmax(out) == 0
 
@@ -119,15 +121,16 @@ def test_all_negative_rows_are_never_rescaled():
 def test_exact_mode_tracks_the_reference():
     rng = np.random.default_rng(1)
     x = rng.uniform(-6.0, 6.0, (40, 32))
-    out, stats = softmax_lut(x)
-    assert stats.total == 0  # no quantization happened
+    rec = QuantRecorder(None)
+    out = softmax_lut(x, rec)
+    assert rec.stats.total == 0  # no quantization happened
     np.testing.assert_allclose(out, softmax_reference(x), atol=1e-4)
     np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-4)
 
 
 def test_wide_spread_rows_flush_their_tail():
     x = np.array([[0.0, -20.0, -30.0]])
-    out, _ = softmax_lut(x)
+    out = softmax_lut(x)
     assert out[0, 0] == 1.0 and out[0, 1] == 0.0 and out[0, 2] == 0.0
 
 
@@ -136,17 +139,18 @@ def test_half_precision_hot_rows_keep_argmax_and_mass():
     rows = rng.normal(0.0, 3000.0, (100, 64))
     rows = rows[np.max(rows, axis=1) > 4096.0]
     assert len(rows) >= 50
-    out, stats = softmax_lut(rows, fmt=FP16)
+    rec = QuantRecorder(FP16)
+    out = softmax_lut(rows, rec)
     ref = softmax_reference(rows)
     assert np.all(np.argmax(out, axis=1) == np.argmax(ref, axis=1))
     assert np.abs(out.sum(axis=1) - 1.0).max() <= 1e-3
-    assert stats.overflow == 0
+    assert rec.stats.overflow == 0
 
 
 def test_single_precision_mass_is_much_tighter():
     rng = np.random.default_rng(5)
     x = rng.normal(0.0, 100.0, (200, 48))
-    out, _ = softmax_lut(x, fmt=FP32)
+    out = softmax_lut(x, QuantRecorder(FP32))
     assert np.abs(out.sum(axis=1) - 1.0).max() <= 1e-6
 
 
@@ -160,14 +164,14 @@ def test_skipping_max_subtraction_ruins_the_answer():
     ref = softmax_reference(rows)
     agree = np.mean(np.argmax(e, axis=1) == np.argmax(ref, axis=1))
     assert agree < 0.5
-    assert np.argmax(softmax_lut(rows)[0], axis=1).tolist() == \
+    assert np.argmax(softmax_lut(rows), axis=1).tolist() == \
         np.argmax(ref, axis=1).tolist()
 
 
 def test_nd_batches():
     rng = np.random.default_rng(3)
     x = rng.normal(0.0, 2.0, (2, 3, 5))
-    out, _ = softmax_lut(x)
+    out = softmax_lut(x)
     np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-4)
     np.testing.assert_allclose(out, softmax_reference(x), atol=1e-4)
 
@@ -175,6 +179,6 @@ def test_nd_batches():
 def test_half_precision_runs_are_deterministic():
     rng = np.random.default_rng(4)
     x = rng.normal(0.0, 5000.0, (10, 16))
-    a, _ = softmax_lut(x, fmt=FP16)
-    b, _ = softmax_lut(x, fmt=FP16)
+    a = softmax_lut(x, QuantRecorder(FP16))
+    b = softmax_lut(x, QuantRecorder(FP16))
     assert a.tobytes() == b.tobytes()
