@@ -174,13 +174,14 @@ def subsample_forward(x, config: SubsamplingConfig, weights: dict,
     for i, layer in enumerate(config.layers):
         x = conv2d_forward(x, weights[f"layer{i}.weight"],
                            weights[f"layer{i}.bias"], layer)
-        x = rec.q(x)  # a fresh array, never the caller's: ReLU in place
+        rec.q(x, out=x)  # a fresh array, never the caller's: round and ReLU in place
         np.maximum(x, 0.0, out=x)
         # after the ReLU (and the positive multiplier) x is >= 0 or nan,
         # so |max x| is max |x| without an |x| temporary
         peaks.append(abs(float(x.max())))
     if config.output_multiplier != 1.0:
-        x = rec.q(x * config.output_multiplier)
+        x = x * config.output_multiplier
+        rec.q(x, out=x)
         peaks.append(abs(float(x.max())))
     return x, tuple(peaks)
 

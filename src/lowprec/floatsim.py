@@ -19,11 +19,18 @@ quantum, so the addition is the RNE step and subtracting c is exact.
 
 ``quantize_array`` runs these steps over blocks of ``_BLOCK`` elements
 (256 KiB of float64), so each step reads and writes a block still held in
-the L2 cache rather than a whole array from memory. A block whose smallest
-magnitude is at least min_normal skips the subnormal and underflow steps,
-overflow saturates without a masked copy (``codes |= 3 * over`` and
-``r = maximum(r, over * inf)``), and the block's status counts are taken
-while its codes are in cache; ``QuantRecorder`` takes its stats from them.
+the L2 cache rather than a whole array from memory. The rounded values go
+to an ``out`` array that may be the input itself: each block's sign bits
+are saved before its first write, and nothing reads the input block after
+that. A block whose smallest magnitude is at least min_normal skips the
+subnormal and underflow steps. The subnormal step covers only the non-zero
+magnitudes below its limit; it gathers them by index when fewer than one
+in ``_SPARSE`` of the block qualify (table-exp outputs are almost all
+zero) and runs over the whole block otherwise. Overflow saturates without
+a masked copy (``codes |= 3 * over`` and ``r = maximum(r, over * inf)``).
+The status counts come from masks the block already holds: its non-zero
+codes, the underflow mask, and the saturation mask less the NaNs. The
+codes of the whole array are kept only when a caller asks for them.
 Block boundaries change no bit: every step is element-wise.
 """
 
@@ -127,20 +134,35 @@ _QNAN = np.uint64(0x7FF8_0000_0000_0000)
 # block's working set in L2, and a 64x512 graph tensor is one block.
 _BLOCK = 1 << 15
 
+# The subnormal step gathers its elements by index when fewer than one in
+# _SPARSE of a block needs it, and runs over the whole block otherwise.
+_SPARSE = 16
+
 
 def _bits(v: float) -> np.uint64:
     return np.float64(v).view(np.uint64)
 
 
-def _quantize_blocks(xs, fmt: FloatFormat) -> tuple[np.ndarray, np.ndarray, OverflowStats]:
-    """``quantize_array``, plus the status counts of the codes it returns."""
+def _quantize_blocks(xs, fmt: FloatFormat, out=None, codes: bool = True
+                     ) -> tuple[np.ndarray, np.ndarray | None, OverflowStats]:
+    """``quantize_array`` into ``out``, plus the status counts of the codes.
+
+    ``out``, a C-contiguous float64 array of the input's shape, may be
+    ``xs`` itself; ``None`` allocates it. The codes array is built only
+    when ``codes`` is true, and is returned as ``None`` otherwise.
+    """
     x = np.asarray(xs, dtype=np.float64)
+    if out is None:
+        out = np.empty(x.shape)
+    elif not (out.dtype == np.float64 and out.shape == x.shape
+              and out.flags.c_contiguous):
+        raise ValueError("out must be a C-contiguous float64 array of the input's shape")
     bits = np.ascontiguousarray(x).view(np.uint64).reshape(-1)
+    r_all = out.view(np.uint64).reshape(-1)
     n = bits.size
-    r_all = np.empty(n, dtype=np.uint64)
-    codes_all = np.empty(n, dtype=np.int8)
     k = min(n, _BLOCK)
-    u_buf, t_buf = np.empty(k, dtype=np.uint64), np.empty(k, dtype=np.uint64)
+    codes_all = np.empty(n if codes else k, dtype=np.int8)
+    u_buf, t_buf, sign_buf = (np.empty(k, dtype=np.uint64) for _ in range(3))
     m_buf, m2_buf = np.empty(k, dtype=np.bool_), np.empty(k, dtype=np.bool_)
     s = 52 - fmt.mantissa_bits
     # Below min_normal, a + c lands in [c, 2c), whose float64 spacing is the
@@ -150,13 +172,15 @@ def _quantize_blocks(xs, fmt: FloatFormat) -> tuple[np.ndarray, np.ndarray, Over
     c = math.ldexp(1.0, fmt.min_exponent - fmt.mantissa_bits + 52)
     sub_lim = _bits(min(c, fmt.min_normal))
     normal, max_finite = _bits(fmt.min_normal), _bits(fmt.max_finite)
-    counts = dict.fromkeys((1, 2, 3), 0)  # ROUNDED, UNDERFLOW, OVERFLOW
+    changed_n = underflow = overflow = 0
     for i in range(0, n, _BLOCK):
         b = bits[i:i + _BLOCK]
         j = b.size
-        u, t, m, m2 = u_buf[:j], t_buf[:j], m_buf[:j], m2_buf[:j]
-        r, codes = r_all[i:i + j], codes_all[i:i + j]
+        u, t, sign, m, m2 = u_buf[:j], t_buf[:j], sign_buf[:j], m_buf[:j], m2_buf[:j]
+        r = r_all[i:i + j]
+        code = codes_all[i:i + j] if codes else codes_all[:j]
         np.bitwise_and(b, _ABS, out=u)  # |x| as bits, ordered like the magnitudes
+        np.bitwise_and(b, _SIGN, out=sign)  # r may be b: nothing reads b after this
         if s > 0:
             # RNE on the dropped fraction bits; a carry into the exponent
             # field moves the value to the next binade, which is exactly right.
@@ -169,37 +193,49 @@ def _quantize_blocks(xs, fmt: FloatFormat) -> tuple[np.ndarray, np.ndarray, Over
             np.copyto(r, u)
         low = u.min() < normal  # else no subnormal step and no underflow
         if low:
-            np.less(u, sub_lim, out=m)
-            if m.any():
+            # 0 < u < sub_lim: zero wraps past sub_lim under u - 1, and the
+            # integer step has already rounded it, so zero-heavy blocks
+            # (the table exp's output) take the sparse path.
+            np.subtract(u, 1, out=t)
+            np.less(t, sub_lim - 1, out=m)
+            sub = np.count_nonzero(m)
+            if sub * _SPARSE >= j:
                 tf = t.view(np.float64)
                 with np.errstate(invalid="ignore"):  # signalling NaN payloads
                     np.add(u.view(np.float64), c, out=tf)
                     tf -= c
                 np.copyto(r, t, where=m)
-        changed = np.not_equal(r, u, out=codes.view(np.bool_))  # ROUNDED or EXACT
+            elif sub:
+                idx = np.flatnonzero(m)
+                a = u[idx].view(np.float64)
+                a += c
+                a -= c
+                r[idx] = a.view(np.uint64)
+        changed = np.not_equal(r, u, out=code.view(np.bool_))  # ROUNDED or EXACT
         if low:
             np.less(r, normal, out=m)  # only subnormal inputs can get here
             m &= changed
-            codes += m.view(np.int8)  # ROUNDED + 1 == UNDERFLOW
+            underflow += np.count_nonzero(m)
+            code += m.view(np.int8)  # ROUNDED + 1 == UNDERFLOW
         over = np.greater(r, max_finite, out=m)  # inf and nan included
-        nan = None
-        if over.any():
+        over_n, nan_n = np.count_nonzero(over), 0
+        if over_n:
             # EXACT/ROUNDED | 3 == OVERFLOW, and inf is the largest non-nan
             # bit pattern, so both saturations are branch free.
-            codes |= np.multiply(over.view(np.int8), 3, out=m2.view(np.int8))
+            code |= np.multiply(over.view(np.int8), 3, out=m2.view(np.int8))
             np.maximum(r, np.multiply(over, _INF, out=t), out=r)
             nan = np.greater(u, _INF, out=m2)
-        np.bitwise_and(b, _SIGN, out=u)
-        r |= u
-        if nan is not None and nan.any():
-            np.copyto(codes, QuantizeStatus.EXACT, where=nan)
+            nan_n = np.count_nonzero(nan)
+            overflow += over_n - nan_n
+        r |= sign
+        if nan_n:
+            np.copyto(code, QuantizeStatus.EXACT, where=nan)
             np.copyto(r, _QNAN, where=nan)
-        for code in counts:  # plain ints: an IntEnum operand is far slower
-            counts[code] += int(np.count_nonzero(np.equal(codes, code, out=m)))
-    rounded, underflow, overflow = counts.values()
-    stats = OverflowStats(n, n - rounded - underflow - overflow,
-                          rounded, underflow, overflow)
-    return r_all.view(np.float64).reshape(x.shape), codes_all.reshape(x.shape), stats
+        changed_n += np.count_nonzero(code)
+    changed_n, underflow, overflow = int(changed_n), int(underflow), int(overflow)
+    stats = OverflowStats(n, n - changed_n, changed_n - underflow - overflow,
+                          underflow, overflow)
+    return out, codes_all.reshape(x.shape) if codes else None, stats
 
 
 def quantize_array(xs, fmt: FloatFormat) -> tuple[np.ndarray, np.ndarray]:
@@ -231,13 +267,16 @@ def log2_bins(peaks) -> np.ndarray:
 class QuantRecorder:
     """Quantize-and-account: the one way the pipelines round intermediates.
 
-    ``q(values)`` rounds ``values`` onto ``fmt`` and merges their status
-    counts into ``stats``; a pipeline rounds into the recorder its caller
-    passes, so the counts of a whole run accumulate in one place. A
+    ``q(values)`` rounds ``values`` onto ``fmt`` into a new array and
+    merges their status counts into ``stats``; a pipeline rounds into the
+    recorder its caller passes, so the counts of a whole run accumulate in
+    one place. ``q(values, out=values)`` rounds in place and returns
+    ``values``, which must then be a C-contiguous float64 array; pass it
+    only for an array the caller owns, never for one it was handed. A
     recorder made for ``rows`` rows also adds, for each call that
     overflowed, the OVERFLOW codes of each leading-axis index to
-    ``row_overflow``. With ``fmt=None`` values pass through as float64 and
-    nothing is counted.
+    ``row_overflow``; only such a recorder builds the codes. With
+    ``fmt=None`` values pass through as float64 and nothing is counted.
     """
 
     def __init__(self, fmt: FloatFormat | None, rows: int = 0):
@@ -245,10 +284,11 @@ class QuantRecorder:
         self.stats = OverflowStats()
         self.row_overflow = np.zeros(rows, dtype=np.int64)
 
-    def q(self, values) -> np.ndarray:
+    def q(self, values, out=None) -> np.ndarray:
         if self.fmt is None:
             return np.asarray(values, dtype=np.float64)
-        out, codes, stats = _quantize_blocks(values, self.fmt)
+        out, codes, stats = _quantize_blocks(values, self.fmt, out,
+                                             codes=self.row_overflow.size > 0)
         self.stats = self.stats + stats
         if stats.overflow and self.row_overflow.size:
             # a plain int: numpy compares with an IntEnum operand far slower

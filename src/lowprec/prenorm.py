@@ -162,7 +162,7 @@ def _scale_rows(rows: np.ndarray, spec: PrenormSpec) -> tuple[np.ndarray, np.nda
     else:
         denom = s1 / rows.shape[1]
     denom[degenerate] = 1.0  # x / 1 returns the row unchanged
-    return rows / denom[:, None], degenerate
+    return np.divide(rows, denom[:, None], out=a), degenerate
 
 
 # ---------------------------------------------------------------------------
@@ -270,21 +270,24 @@ def stabilized_layernorm_rows(rows, pspec: PrenormSpec | None,
         raise ValueError("empty input")
     n = x.shape[1]
 
-    centered = x - x.mean(axis=1, keepdims=True)
+    # Every array rounded below is this function's own, so each is rounded
+    # in place and no stage holds a second copy of its values.
+    yq = x - x.mean(axis=1, keepdims=True)
     if pspec is not None and pspec.mode == "theorem1":
         # rows centered here miss zero sum only by float64 cancellation
-        bad = np.flatnonzero(~np.isfinite(centered).all(axis=1))
+        bad = np.flatnonzero(~np.isfinite(yq).all(axis=1))
         if bad.size:
             raise ValueError(f"row {bad[0]}: entries must be finite")
-    y = centered if pspec is None else _scale_rows(centered, pspec)[0]
+    if pspec is not None:
+        yq = _scale_rows(yq, pspec)[0]
+    rec.q(yq, out=yq)
 
-    yq = rec.q(y)
-
-    sq = rec.q(yq * yq)
-    acc = sq
+    acc = yq * yq
+    rec.q(acc, out=acc)
     while acc.shape[1] > 1:
         even = acc.shape[1] // 2 * 2
-        pairs = rec.q(acc[:, 0:even:2] + acc[:, 1:even:2])
+        pairs = acc[:, 0:even:2] + acc[:, 1:even:2]
+        rec.q(pairs, out=pairs)
         if even != acc.shape[1]:  # odd leftover rides along unchanged
             pairs = np.concatenate([pairs, acc[:, even:]], axis=1)
         acc = pairs
@@ -292,7 +295,8 @@ def stabilized_layernorm_rows(rows, pspec: PrenormSpec | None,
     var_eps = rec.q(var + LAYERNORM_EPS)
     denom = rec.q(np.sqrt(var_eps))
     with np.errstate(divide="ignore", invalid="ignore"):
-        return rec.q(yq / denom[:, None])  # saturated rows give inf or nan
+        np.divide(yq, denom[:, None], out=yq)  # saturated rows give inf or nan
+    return rec.q(yq, out=yq)
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,9 @@ class ExpLUT:
     def __call__(self, x) -> np.ndarray:
         """Interpolated exp; below-domain inputs become exactly zero."""
         x = np.asarray(x, dtype=np.float64)
-        out = np.interp(x, self.grid, self.values)
-        return np.where(x < self.domain_lo, 0.0, out)
+        out = np.asarray(np.interp(x, self.grid, self.values))  # 0-d for a scalar
+        np.copyto(out, 0.0, where=x < self.domain_lo)
+        return out
 
 
 _LUT = ExpLUT()
@@ -70,8 +71,10 @@ def _hot_ratio(x, mx):
 def softmax_reference(x) -> np.ndarray:
     """Max-subtracted float64 softmax over the last axis, the comparison baseline."""
     x = np.asarray(x, dtype=np.float64)
-    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = x - np.max(x, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def softmax_lut(x, rec: QuantRecorder | None = None) -> np.ndarray:
@@ -92,14 +95,22 @@ def softmax_lut(x, rec: QuantRecorder | None = None) -> np.ndarray:
     """
     if rec is None:
         rec = QuantRecorder(None)
-    x = rec.q(x)
+    # Rounding the input makes a fresh array; without a format it is copied,
+    # so every later stage works and rounds in place on arrays owned here.
+    x = rec.q(x) if rec.fmt is not None else np.array(x, dtype=np.float64)
     mx = np.max(x, axis=-1, keepdims=True)
     hot = mx[..., 0] > RESCALE_THRESHOLD
     if np.any(hot):
-        x = x.copy()  # with fmt=None, rec.q returned the caller's array
-        x[hot] = rec.q(RESCALE_THRESHOLD * rec.q(_hot_ratio(x[hot], mx[hot])))
+        ratio = _hot_ratio(x[hot], mx[hot])
+        rec.q(ratio, out=ratio)
+        ratio *= RESCALE_THRESHOLD
+        x[hot] = rec.q(ratio, out=ratio)
+        mx = np.max(x, axis=-1, keepdims=True)
     with np.errstate(invalid="ignore"):  # inf - inf on saturated rows gives nan
-        x = rec.q(x - np.max(x, axis=-1, keepdims=True))
-    e = rec.q(_LUT(x))
+        x -= mx
+    rec.q(x, out=x)
+    e = _LUT(x)
+    rec.q(e, out=e)
     total = rec.q(e.sum(axis=-1, keepdims=True))
-    return rec.q(e / total)
+    e /= total
+    return rec.q(e, out=e)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import hypothesis
 import pytest
 
@@ -18,6 +20,21 @@ def acceptance():
         assert ok, line
 
     return emit
+
+
+@pytest.fixture()
+def traced_peak():
+    """Peak bytes numpy and Python allocate while ``fn()`` runs."""
+
+    def peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -207,6 +207,16 @@ def test_quantized_forward_counts_overflow():
     assert rec2.stats.overflow == 0
 
 
+def test_quantized_forward_holds_no_second_copy_of_a_layer_output(traced_peak):
+    # Each layer output is rounded in place, so the fp16 forward peaks where
+    # the float64 one does: at the largest layer output and its conv.
+    wts = init_weights(DWS2D6, 0)
+    x = np.random.default_rng(0).normal(0.0, 2.0, (80, 200))
+    fp16 = traced_peak(lambda: subsample_forward(x, DWS2D6, wts, QuantRecorder(FP16)))
+    exact = traced_peak(lambda: subsample_forward(x, DWS2D6, wts, QuantRecorder(None)))
+    assert fp16 <= 1.05 * exact
+
+
 def test_two_dimensional_input_is_promoted():
     wts = init_weights(CONV2D6, 2)
     x = np.random.default_rng(0).normal(size=(30, 40))

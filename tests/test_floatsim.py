@@ -324,3 +324,75 @@ def test_recorder_row_overflow_counts_each_rows_overflow_codes(monkeypatch, bloc
     assert rec.row_overflow.tolist() == want.tolist()
     assert want[7] == 0 and want.min() == 0 < want.max()
     assert int(want.sum()) == rec.stats.overflow
+
+
+# ---------------------------------------------------------------------------
+# Rounding in place, without codes
+
+IN_PLACE_FORMATS = ["fp16", "fp32", "custom:7,8", "custom:3,4", "custom:60,8",
+                    "custom:52,11"]
+
+
+def _in_place_inputs(fmt, n, rng):
+    """Zero-heavy, dense- and sparse-subnormal, special and overflow-heavy inputs.
+
+    The tiny magnitudes spread over 2**-50 below min_normal, so most sit
+    below where each format's subnormal step stops. Zero-heavy and 1 %
+    subnormal blocks take the step by index, an all-subnormal block over
+    the whole block.
+    """
+    sign = rng.choice([-1.0, 1.0], n)
+    tiny = sign * fmt.min_normal * 2.0 ** rng.uniform(-50.0, 0.0, n)
+    zero_heavy = np.where(rng.random(n) < 0.998, 0.0, rng.normal(0.0, 1.0, n))
+    zero_heavy[::503] = tiny[::503]
+    sparse = rng.normal(0.0, 1.0, n)
+    sparse[::100] = tiny[::100]
+    specials = rng.choice([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, fmt.max_finite,
+                           fmt.min_normal], n)
+    overflow_heavy = sign * fmt.max_finite * rng.uniform(0.5, 1.0, n)
+    overflow_heavy[::2] = np.inf
+    return {"zero-heavy": zero_heavy, "dense-subnormal": tiny, "sparse-subnormal": sparse,
+            "specials": specials, "overflow-heavy": overflow_heavy}
+
+
+@pytest.mark.parametrize("block", [7, floatsim._BLOCK])
+@pytest.mark.parametrize("spec", IN_PLACE_FORMATS)
+def test_in_place_rounding_without_codes_matches_quantize_array(monkeypatch, block, spec):
+    monkeypatch.setattr(floatsim, "_BLOCK", block)
+    fmt = parse_format(spec)
+    n = 2 * block + 123 if block > 7 else 701  # several blocks, the last one short
+    for name, x in _in_place_inputs(fmt, n, np.random.default_rng(block)).items():
+        want, want_codes = frexp_quantize(x, fmt)
+        y = x.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # nan and inf input must stay quiet
+            got, codes = quantize_array(x, fmt)
+            out, no_codes, stats = floatsim._quantize_blocks(y, fmt, out=y, codes=False)
+        assert out is y and no_codes is None, name
+        for v in (got, y):
+            np.testing.assert_array_equal(v.view(np.uint64), want.view(np.uint64), name)
+        np.testing.assert_array_equal(codes, want_codes, name)
+        counts = [int(np.count_nonzero(want_codes == s)) for s in QuantizeStatus]
+        assert stats == OverflowStats(n, *counts), name
+
+
+def test_out_must_be_a_contiguous_float64_array_of_the_input_shape():
+    x = np.ones((3, 2))
+    for out in (np.empty((2, 3)).T, np.empty((3, 2), dtype=np.float32), np.empty(6)):
+        with pytest.raises(ValueError):
+            floatsim._quantize_blocks(x, FP16, out=out)
+
+
+@pytest.mark.parametrize("block", [7, 1000])
+def test_recorder_stats_do_not_depend_on_rows_or_in_place_rounding(monkeypatch, block):
+    monkeypatch.setattr(floatsim, "_BLOCK", block)
+    x = _recorder_input(np.random.default_rng(7)).reshape(50, 100)
+    plain, per_row = QuantRecorder(FP16), QuantRecorder(FP16, rows=50)
+    for a in (x, x[:, 10:13] * 1e-9, x[:, 0]):
+        want = per_row.q(a)  # out of place, with codes for row_overflow
+        y = a.copy()
+        assert plain.q(y, out=y) is y  # in place, without codes
+        np.testing.assert_array_equal(y.view(np.uint64), want.view(np.uint64))
+    s = plain.stats
+    assert per_row.stats == s and min(s.exact, s.rounded, s.underflow, s.overflow) > 0
+    assert s.exact + s.rounded + s.underflow + s.overflow == s.total == 5000 + 150 + 50

@@ -325,6 +325,17 @@ def test_per_row_counts_sum_to_total_overflow():
     assert int(rec.row_overflow.sum()) == rec.stats.overflow
 
 
+def test_theorem1_kernel_peaks_below_four_and_a_quarter_inputs(traced_peak):
+    # The kernel rounds its own temporaries in place, so at most y, y**2 and
+    # the first tree level are alive at once, under three inputs' worth.
+    rows = np.random.default_rng(3).normal(0.0, 500.0, (1024, 512))
+    before = rows.copy()
+    spec = PrenormSpec("theorem1", max_value=FP16.max_finite)
+    rec = QuantRecorder(FP16, rows=1024)
+    assert traced_peak(lambda: stabilized_layernorm_rows(rows, spec, rec)) <= 4.25 * rows.nbytes
+    np.testing.assert_array_equal(rows, before)  # the caller's rows stay as they were
+
+
 def test_pipeline_is_deterministic():
     rng = np.random.default_rng(9)
     rows = rng.normal(0.0, 50.0, (8, 24))
