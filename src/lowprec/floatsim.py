@@ -23,11 +23,11 @@ the L2 cache rather than a whole array from memory. The rounded values go
 to an ``out`` array that may be the input itself: each block's sign bits
 are saved before its first write, and nothing reads the input block after
 that. A block whose smallest magnitude is at least min_normal skips the
-subnormal and underflow steps. The subnormal step covers only the non-zero
-magnitudes below its limit; it gathers them by index when fewer than one
-in ``_SPARSE`` of the block qualify (table-exp outputs are almost all
-zero) and runs over the whole block otherwise. Overflow saturates without
-a masked copy (``codes |= 3 * over`` and ``r = maximum(r, over * inf)``).
+subnormal and underflow steps. The subnormal step gathers by index only
+the non-zero magnitudes below its limit, which in the audit and graph
+workloads are under 1 % of a block (table-exp outputs are almost all
+zero, and zero needs no step). Overflow saturates without a masked copy
+(``codes |= 3 * over`` and ``r = maximum(r, over * inf)``).
 The status counts come from masks the block already holds: its non-zero
 codes, the underflow mask, and the saturation mask less the NaNs. The
 codes of the whole array are kept only when a caller asks for them.
@@ -134,10 +134,6 @@ _QNAN = np.uint64(0x7FF8_0000_0000_0000)
 # block's working set in L2, and a 64x512 graph tensor is one block.
 _BLOCK = 1 << 15
 
-# The subnormal step gathers its elements by index when fewer than one in
-# _SPARSE of a block needs it, and runs over the whole block otherwise.
-_SPARSE = 16
-
 
 def _bits(v: float) -> np.uint64:
     return np.float64(v).view(np.uint64)
@@ -170,7 +166,10 @@ def _quantize_blocks(xs, fmt: FloatFormat, out=None, codes: bool = True
     # exact. With more than 52 fraction bits c sits below min_normal, and
     # magnitudes from c up are on the grid already, so the step stops at c.
     c = math.ldexp(1.0, fmt.min_exponent - fmt.mantissa_bits + 52)
-    sub_lim = _bits(min(c, fmt.min_normal))
+    # 0 < u < sub_lim as one uint64 test, u - 1 < sub_lim - 1: zero wraps
+    # past it. Both sides stay uint64 (an int operand would promote a
+    # uint64 scalar to float64 under numpy 1.x and blur the limit).
+    sub_hi = _bits(min(c, fmt.min_normal)) - np.uint64(1)
     normal, max_finite = _bits(fmt.min_normal), _bits(fmt.max_finite)
     changed_n = underflow = overflow = 0
     for i in range(0, n, _BLOCK):
@@ -193,24 +192,12 @@ def _quantize_blocks(xs, fmt: FloatFormat, out=None, codes: bool = True
             np.copyto(r, u)
         low = u.min() < normal  # else no subnormal step and no underflow
         if low:
-            # 0 < u < sub_lim: zero wraps past sub_lim under u - 1, and the
-            # integer step has already rounded it, so zero-heavy blocks
-            # (the table exp's output) take the sparse path.
-            np.subtract(u, 1, out=t)
-            np.less(t, sub_lim - 1, out=m)
-            sub = np.count_nonzero(m)
-            if sub * _SPARSE >= j:
-                tf = t.view(np.float64)
-                with np.errstate(invalid="ignore"):  # signalling NaN payloads
-                    np.add(u.view(np.float64), c, out=tf)
-                    tf -= c
-                np.copyto(r, t, where=m)
-            elif sub:
-                idx = np.flatnonzero(m)
-                a = u[idx].view(np.float64)
-                a += c
-                a -= c
-                r[idx] = a.view(np.uint64)
+            np.subtract(u, np.uint64(1), out=t)
+            idx = np.flatnonzero(np.less(t, sub_hi, out=m))
+            a = u[idx].view(np.float64)  # finite subnormal magnitudes only
+            a += c
+            a -= c
+            r[idx] = a.view(np.uint64)
         changed = np.not_equal(r, u, out=code.view(np.bool_))  # ROUNDED or EXACT
         if low:
             np.less(r, normal, out=m)  # only subnormal inputs can get here

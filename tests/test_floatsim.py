@@ -337,9 +337,8 @@ def _in_place_inputs(fmt, n, rng):
     """Zero-heavy, dense- and sparse-subnormal, special and overflow-heavy inputs.
 
     The tiny magnitudes spread over 2**-50 below min_normal, so most sit
-    below where each format's subnormal step stops. Zero-heavy and 1 %
-    subnormal blocks take the step by index, an all-subnormal block over
-    the whole block.
+    below where each format's subnormal step stops, and the step gathers
+    from 0.2 %, 1 % and all of a block.
     """
     sign = rng.choice([-1.0, 1.0], n)
     tiny = sign * fmt.min_normal * 2.0 ** rng.uniform(-50.0, 0.0, n)
@@ -374,6 +373,25 @@ def test_in_place_rounding_without_codes_matches_quantize_array(monkeypatch, blo
         np.testing.assert_array_equal(codes, want_codes, name)
         counts = [int(np.count_nonzero(want_codes == s)) for s in QuantizeStatus]
         assert stats == OverflowStats(n, *counts), name
+
+
+@pytest.mark.parametrize("spec", ["custom:60,8", "custom:50,8", "fp16"])
+def test_magnitudes_next_to_where_the_subnormal_step_stops(spec):
+    # The step stops at min(c, min_normal); bit patterns there are about
+    # 2**62, where float64 steps by 512 or more, so the limit test has to
+    # stay in uint64.
+    fmt = parse_format(spec)
+    c = math.ldexp(1.0, fmt.min_exponent - fmt.mantissa_bits + 52)
+    lim = int(np.float64(min(c, fmt.min_normal)).view(np.uint64))
+    d = np.r_[-1000, -16:3, 1000]
+    u = (lim + d).astype(np.uint64)
+    u = np.concatenate([u, u | np.uint64(1 << 63)])
+    x = u.view(np.float64)
+    want, want_codes = frexp_quantize(x, fmt)
+    got, codes = quantize_array(x, fmt)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    np.testing.assert_array_equal(codes, want_codes)
+    assert np.count_nonzero(got != x) > 0  # some of them do round
 
 
 def test_out_must_be_a_contiguous_float64_array_of_the_input_shape():
