@@ -26,6 +26,7 @@ import json
 import math
 import sys
 import traceback
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -82,15 +83,48 @@ def _write_csv(path: Path, header: str, rows) -> None:
             fh.write(",".join(row) + "\n")
 
 
-def _load_rows(path: str) -> np.ndarray:
-    """Stream chunks concatenated into one (rows, width) matrix."""
+# Bytes of float64 rows per audit block. The audits walk a stream one block at
+# a time, so their temporaries follow this size and not the stream's.
+_BLOCK_BYTES = 1 << 19
+
+
+def _row_blocks(path: str) -> tuple[int, Iterator[tuple[int, np.ndarray]]]:
+    """The stream's row count, and its rows as (first row, block) pairs.
+
+    A block holds about ``_BLOCK_BYTES`` of (rows, width) rows: a view of
+    one large chunk, or several small chunks joined, since every call on a
+    block pays a fixed cost. Every block has the dtype the whole stream
+    concatenates to, so scaled rows round as they would in one pass.
+    """
     chunks = [np.atleast_2d(c) for c in read_stream(path)]
     widths = {c.shape[-1] for c in chunks}
     if len(widths) != 1:
         raise StreamFormatError(f"{path}: chunks have mixed widths {sorted(widths)}")
     if not any(c.size for c in chunks):  # no rows, or rows of width 0
         raise StreamFormatError(f"{path}: the stream holds no entries")
-    return np.concatenate([c.reshape(-1, c.shape[-1]) for c in chunks])
+    chunks = [c.reshape(-1, c.shape[-1]) for c in chunks]
+    dtype = np.result_type(*{c.dtype for c in chunks})
+    step = max(1, _BLOCK_BYTES // (8 * widths.pop()))
+
+    def join(parts):
+        if len(parts) == 1:
+            return parts[0].astype(dtype, copy=False)
+        return np.concatenate(parts, dtype=dtype)
+
+    def blocks():
+        first, parts, held = 0, [], 0
+        for c in chunks:
+            while len(c):
+                parts.append(c[:step - held])
+                held += len(parts[-1])
+                c = c[len(parts[-1]):]
+                if held == step:
+                    yield first, join(parts)
+                    first, parts, held = first + held, [], 0
+        if parts:
+            yield first, join(parts)
+
+    return sum(len(c) for c in chunks), blocks()
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +289,7 @@ def cmd_verify_theory(args) -> int:
 
 def cmd_audit_layernorm(args) -> int:
     fmt = parse_format(args.format)
-    rows = _load_rows(args.stream)
-    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
-    if bad.size:  # no overflow to audit, and no log2 bin for the row
-        raise StreamFormatError(f"{args.stream}: row {bad[0]}: entries must be finite")
+    n_rows, blocks = _row_blocks(args.stream)
     out_dir = Path(args.out_dir)
 
     if args.prenorm == "none":
@@ -267,35 +298,47 @@ def cmd_audit_layernorm(args) -> int:
         pspec = PrenormSpec(mode=args.prenorm, p=args.p,
                             max_value=fmt.max_finite, safety=args.safety)
     variants = {"none": None, args.prenorm: pspec}  # one entry for --prenorm none
+    mults = {"1": 1.0, "sqrt512": SQRT512}
+    recs = {(m, pre_name): QuantRecorder(fmt, rows=n_rows)
+            for m in mults for pre_name in variants}
+    peaks = {m: [] for m in mults}  # per-row peak |input|, one array per block
+    for start, block in blocks:
+        bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
+        if bad.size:  # no overflow to audit, and no log2 bin for the row
+            raise StreamFormatError(f"{args.stream}: row {start + bad[0]}: "
+                                    "entries must be finite")
+        for m, mult in mults.items():
+            with np.errstate(over="ignore"):  # a finite row can overflow here
+                x = block * mult
+            for pre_name, pre in variants.items():
+                rec = recs[m, pre_name]
+                rec.first_row = start
+                try:
+                    stabilized_layernorm_rows(x, pre, rec)
+                except ValueError as exc:  # theorem1: a row it cannot center
+                    raise StreamFormatError(f"{args.stream}: {exc}") from None
+            peaks[m].append(np.abs(x, out=x).max(axis=1))
+
     table, violated = [], False
-    for mult_name, mult in (("1", 1.0), ("sqrt512", SQRT512)):
-        for pre_name, pre in variants.items():
-            rec = QuantRecorder(fmt, rows=len(rows))
-            # rows are finite, so rows * 1.0 would be rows bit for bit
-            stabilized_layernorm_rows(rows if mult == 1.0 else rows * mult, pre, rec)
-            bad = int(np.count_nonzero(rec.row_overflow))
-            if pre is not None and bad:
-                violated = True  # the bound promised this could not happen
-            table.append({
-                "config": f"prenorm={pre_name},mult={mult_name}",
-                "invocations": len(rows),
-                "overflow_invocations": bad,
-                "overflow_fraction": bad / len(rows),
-                "quantize": dataclasses.asdict(rec.stats),
-            })
+    for (m, pre_name), rec in recs.items():
+        bad = int(np.count_nonzero(rec.row_overflow))
+        if variants[pre_name] is not None and bad:
+            violated = True  # the bound promised this could not happen
+        table.append({
+            "config": f"prenorm={pre_name},mult={m}",
+            "invocations": n_rows,
+            "overflow_invocations": bad,
+            "overflow_fraction": bad / n_rows,
+            "quantize": dataclasses.asdict(rec.stats),
+        })
 
     # Histogram of per-row peak input magnitude, integer log2 bins.
     hist_path = out_dir / "layernorm_hist.csv"
-    peaks = {}
-    for m, s in (("1", 1.0), ("sqrt512", SQRT512)):
-        scaled = rows * s
-        peaks[m] = np.abs(scaled, out=scaled).max(axis=1)
-    logs = {m: log2_bins(v) for m, v in peaks.items()}
+    logs = {m: log2_bins(np.concatenate(v)) for m, v in peaks.items()}
     lo = min(v.min() for v in logs.values())
     hi = max(v.max() for v in logs.values())
     csv_rows = [
-        [str(b)] + [str(int(np.count_nonzero(logs[m] == b)))
-                    for m in ("1", "sqrt512")]
+        [str(b)] + [str(int(np.count_nonzero(logs[m] == b))) for m in mults]
         for b in range(lo, hi + 1)
     ]
     _write_csv(hist_path, "log2_bin,count_mult1,count_multsqrt512", csv_rows)
@@ -330,33 +373,39 @@ def _sum_tolerance(fmt: FloatFormat) -> float:
 
 def cmd_audit_softmax(args) -> int:
     fmt = parse_format(args.format)
-    rows = _load_rows(args.stream)
+    n_rows, blocks = _row_blocks(args.stream)
     out_dir = Path(args.out_dir)
 
     rec = QuantRecorder(fmt)
-    out = softmax_lut(rows, rec)
-    ref = softmax_reference(rows)
-    q, _ = quantize_array(rows, fmt)
-    if q.shape[1] > 1:  # the two largest of each row, nan sorting last
-        top = np.partition(q, (-2, -1), axis=1)
-        runner_up = top[:, -2]
-    else:  # a width-1 row's single entry is its own unique max
-        top, runner_up = q, -np.inf
-    peak = top[:, -1]
-    unique = np.isfinite(peak) & (peak > runner_up)
-    agree = float(np.mean(np.argmax(out[unique], axis=1)
-                          == np.argmax(ref[unique], axis=1))) if unique.any() else 1.0
-    sum_dev = float(np.abs(out.sum(axis=1) - 1.0).max())
+    n_unique = n_agree = rescaled = 0
+    sum_devs = []
+    for _, rows in blocks:
+        out = softmax_lut(rows, rec)
+        agree = np.argmax(out, axis=1) == np.argmax(softmax_reference(rows), axis=1)
+        sum_devs.append(np.abs(out.sum(axis=1) - 1.0).max())
+        del out
+        q, _ = quantize_array(rows, fmt)
+        if q.shape[1] > 1:  # the two largest of each row, nan sorting last
+            q.partition((-2, -1), axis=1)
+            runner_up = q[:, -2]
+        else:  # a width-1 row's single entry is its own unique max
+            runner_up = -np.inf
+        peak = q[:, -1]
+        unique = np.isfinite(peak) & (peak > runner_up)
+        n_unique += int(np.count_nonzero(unique))
+        n_agree += int(np.count_nonzero(agree & unique))
+        rescaled += int(np.count_nonzero(peak > RESCALE_THRESHOLD))
+    agree = n_agree / n_unique if n_unique else 1.0
+    sum_dev = float(np.max(sum_devs))  # np.max, unlike max(), keeps a nan
     tol = _sum_tolerance(fmt)
-    rescaled = int(np.count_nonzero(peak > RESCALE_THRESHOLD))
     ok = agree == 1.0 and sum_dev <= tol
 
     report_path = out_dir / "softmax_audit.json"
     _write_json(report_path, {
         "format": fmt.name,
         "stream": args.stream,
-        "rows": int(rows.shape[0]),
-        "unique_max_rows": int(np.count_nonzero(unique)),
+        "rows": n_rows,
+        "unique_max_rows": n_unique,
         "argmax_agreement": agree,
         "worst_sum_abs_dev": sum_dev,
         "sum_tolerance": tol,
@@ -364,7 +413,7 @@ def cmd_audit_softmax(args) -> int:
         "quantize": dataclasses.asdict(rec.stats),
         "pass": ok,
     })
-    print(f"rows={rows.shape[0]} unique_max={int(np.count_nonzero(unique))} "
+    print(f"rows={n_rows} unique_max={n_unique} "
           f"argmax_agreement={agree:.6f} worst_sum_dev={sum_dev:.3e} "
           f"rescaled={rescaled}")
     print(f"report: {report_path}")

@@ -139,6 +139,14 @@ def _bits(v: float) -> np.uint64:
     return np.float64(v).view(np.uint64)
 
 
+# The quantize loop's block scratch: u, t and sign, two masks and a codes
+# block. Made once, at import, and reused by every call, so a call faults in
+# no fresh pages and leaves no long-lived buffer atop the heap.
+_SCRATCH = (*(np.empty(_BLOCK, dtype=np.uint64) for _ in range(3)),
+            *(np.empty(_BLOCK, dtype=np.bool_) for _ in range(2)),
+            np.empty(_BLOCK, dtype=np.int8))
+
+
 def _quantize_blocks(xs, fmt: FloatFormat, out=None, codes: bool = True
                      ) -> tuple[np.ndarray, np.ndarray | None, OverflowStats]:
     """``quantize_array`` into ``out``, plus the status counts of the codes.
@@ -146,6 +154,8 @@ def _quantize_blocks(xs, fmt: FloatFormat, out=None, codes: bool = True
     ``out``, a C-contiguous float64 array of the input's shape, may be
     ``xs`` itself; ``None`` allocates it. The codes array is built only
     when ``codes`` is true, and is returned as ``None`` otherwise.
+    The block scratch is module state reused by every call, so calls must
+    not run at the same time from several threads.
     """
     x = np.asarray(xs, dtype=np.float64)
     if out is None:
@@ -157,9 +167,8 @@ def _quantize_blocks(xs, fmt: FloatFormat, out=None, codes: bool = True
     r_all = out.view(np.uint64).reshape(-1)
     n = bits.size
     k = min(n, _BLOCK)
-    codes_all = np.empty(n if codes else k, dtype=np.int8)
-    u_buf, t_buf, sign_buf = (np.empty(k, dtype=np.uint64) for _ in range(3))
-    m_buf, m2_buf = np.empty(k, dtype=np.bool_), np.empty(k, dtype=np.bool_)
+    u_buf, t_buf, sign_buf, m_buf, m2_buf, code_buf = (b[:k] for b in _SCRATCH)
+    codes_all = np.empty(n, dtype=np.int8) if codes else code_buf
     s = 52 - fmt.mantissa_bits
     # Below min_normal, a + c lands in [c, 2c), whose float64 spacing is the
     # subnormal quantum, so the addition is the RNE step and the subtraction
@@ -261,15 +270,19 @@ class QuantRecorder:
     ``values``, which must then be a C-contiguous float64 array; pass it
     only for an array the caller owns, never for one it was handed. A
     recorder made for ``rows`` rows also adds, for each call that
-    overflowed, the OVERFLOW codes of each leading-axis index to
-    ``row_overflow``; only such a recorder builds the codes. With
-    ``fmt=None`` values pass through as float64 and nothing is counted.
+    overflowed, the OVERFLOW codes of each leading-axis index i to
+    ``row_overflow[first_row + i]``; only such a recorder builds the codes.
+    A caller that feeds a stream one block of rows at a time sets
+    ``first_row`` to the block's first stream row, so the counts stay
+    indexed by stream row. With ``fmt=None`` values pass through as
+    float64 and nothing is counted.
     """
 
     def __init__(self, fmt: FloatFormat | None, rows: int = 0):
         self.fmt = fmt
         self.stats = OverflowStats()
         self.row_overflow = np.zeros(rows, dtype=np.int64)
+        self.first_row = 0
 
     def q(self, values, out=None) -> np.ndarray:
         if self.fmt is None:
@@ -279,6 +292,7 @@ class QuantRecorder:
         self.stats = self.stats + stats
         if stats.overflow and self.row_overflow.size:
             # a plain int: numpy compares with an IntEnum operand far slower
-            over = codes.reshape(self.row_overflow.size, -1) == int(QuantizeStatus.OVERFLOW)
-            self.row_overflow += np.count_nonzero(over, axis=1)
+            over = codes.reshape(len(codes), -1) == int(QuantizeStatus.OVERFLOW)
+            self.row_overflow[self.first_row:self.first_row + len(over)] += (
+                np.count_nonzero(over, axis=1))
         return out

@@ -255,15 +255,16 @@ def stabilized_layernorm_rows(rows, pspec: PrenormSpec | None,
 
     Per row: subtract the mean, apply the pre-normalizer (both in float64,
     the pre-normalizer being the thing under test; theorem1 raises ValueError
-    naming the first row that is not finite), quantize, then run the
+    naming, as ``rec.first_row + i``, the first row i that is not finite
+    once centered), quantize, then run the
     variance/sqrt/divide chain with every elementary result re-quantized.
     The sum of squares reduces pairwise (a balanced tree, the shape a SIMD
     lane reduction takes), so rounding error grows with log n rather than n
     while every partial sum still has to fit the format.
 
     Every rounding goes through ``rec``, which keeps the counts: its
-    ``stats``, and with ``rows`` set to the row count the overflows of each
-    row in ``row_overflow``. Returns the outputs.
+    ``stats``, and for a recorder made with ``rows`` the overflows of row i
+    in ``row_overflow[rec.first_row + i]``. Returns the outputs.
     """
     x = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     if x.size == 0:
@@ -272,14 +273,16 @@ def stabilized_layernorm_rows(rows, pspec: PrenormSpec | None,
 
     # Every array rounded below is this function's own, so each is rounded
     # in place and no stage holds a second copy of its values.
-    yq = x - x.mean(axis=1, keepdims=True)
-    if pspec is not None and pspec.mode == "theorem1":
-        # rows centered here miss zero sum only by float64 cancellation
-        bad = np.flatnonzero(~np.isfinite(yq).all(axis=1))
-        if bad.size:
-            raise ValueError(f"row {bad[0]}: entries must be finite")
-    if pspec is not None:
-        yq = _scale_rows(yq, pspec)[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # huge finite rows
+        yq = x - x.mean(axis=1, keepdims=True)
+        if pspec is not None and pspec.mode == "theorem1":
+            # rows centered here miss zero sum only by float64 cancellation
+            bad = np.flatnonzero(~np.isfinite(yq).all(axis=1))
+            if bad.size:
+                raise ValueError(f"row {rec.first_row + int(bad[0])}: entries "
+                                 "overflow float64 once scaled")
+        if pspec is not None:
+            yq = _scale_rows(yq, pspec)[0]
     rec.q(yq, out=yq)
 
     acc = yq * yq

@@ -29,15 +29,9 @@ class ExpLUT:
     entries = 1024
 
     def __init__(self):
+        self.grid = np.linspace(self.domain_lo, self.domain_hi, self.entries)
+        self.step = (self.domain_hi - self.domain_lo) / (self.entries - 1)
         self.values = np.exp(self.grid)
-
-    @property
-    def grid(self) -> np.ndarray:
-        return np.linspace(self.domain_lo, self.domain_hi, self.entries)
-
-    @property
-    def step(self) -> float:
-        return (self.domain_hi - self.domain_lo) / (self.entries - 1)
 
     def __call__(self, x) -> np.ndarray:
         """Interpolated exp; below-domain inputs become exactly zero."""

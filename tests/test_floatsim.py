@@ -326,6 +326,25 @@ def test_recorder_row_overflow_counts_each_rows_overflow_codes(monkeypatch, bloc
     assert int(want.sum()) == rec.stats.overflow
 
 
+def test_a_recorder_fed_row_blocks_counts_by_stream_row():
+    x = _recorder_input(np.random.default_rng(8)).reshape(50, 100)
+    whole, blocked = QuantRecorder(FP16, rows=50), QuantRecorder(FP16, rows=50)
+    whole.q(x)
+    whole.q(x[:, 0])
+    for start, stop in ((0, 1), (1, 23), (23, 50)):
+        blocked.first_row = start
+        blocked.q(x[start:stop])
+        blocked.q(x[start:stop, 0])
+    assert blocked.row_overflow.tolist() == whole.row_overflow.tolist()
+    assert blocked.stats == whole.stats and whole.stats.overflow > 0
+
+
+def test_rounding_in_place_without_codes_allocates_no_block_scratch(traced_peak):
+    x = np.random.default_rng(9).normal(0.0, 500.0, floatsim._BLOCK)
+    peak = traced_peak(lambda: floatsim._quantize_blocks(x, FP16, out=x, codes=False))
+    assert peak < x.nbytes // 8  # no scratch block of the input's size
+
+
 # ---------------------------------------------------------------------------
 # Rounding in place, without codes
 
