@@ -254,9 +254,12 @@ def quantize(v: float, fmt: FloatFormat) -> tuple[float, QuantizeStatus]:
 def log2_bins(peaks) -> np.ndarray:
     """Integer log2 bin of each peak magnitude, the scale of a format's range.
 
-    Peaks are clipped to [1e-30, 1e308] first, so 0 lands in bin -100 and
-    inf in the top bin, 1023, with the largest finite float64s.
+    Peaks are converted to float64 and clipped to [1e-30, 1e308], so 0
+    lands in bin -100 and inf in the top bin, 1023, with the largest finite
+    float64s, whatever the peaks' own dtype (both bounds are past float16's
+    range, and 1e308 past float32's).
     """
+    peaks = np.asarray(peaks, dtype=np.float64)
     return np.floor(np.log2(np.clip(peaks, 1e-30, 1e308))).astype(int)
 
 

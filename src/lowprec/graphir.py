@@ -28,6 +28,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -388,14 +390,14 @@ def _apply(node: Node, args: list[np.ndarray], weights: dict,
         w = np.asarray(weights[a["weight"]], dtype=np.float64)
         out = args[0] @ w.T
         if a.get("bias"):
-            out = out + np.asarray(weights[a["bias"]], dtype=np.float64)
+            out += np.asarray(weights[a["bias"]], dtype=np.float64)
         return out
     if node.op == "conv1x1":
         w = np.asarray(weights[a["weight"]], dtype=np.float64)
         out = np.einsum("oc,bcus->bous", w, args[0])
         if a.get("bias"):
             b = np.asarray(weights[a["bias"]], dtype=np.float64)
-            out = out + b[None, :, None, None]
+            out += b[None, :, None, None]
         return out
     if node.op == "batched_matmul":
         return np.matmul(args[0], args[1])
@@ -428,6 +430,13 @@ def _apply(node: Node, args: list[np.ndarray], weights: dict,
     raise GraphError(f"cannot execute op {node.op!r}")  # pragma: no cover
 
 
+def _weight_refs(n: Node) -> list[tuple[str, str]]:
+    """(attr, tensor name) of each weight tensor a node reads."""
+    if n.op not in ("linear", "conv1x1"):
+        return []
+    return [(attr, n.attrs[attr]) for attr in ("weight", "bias") if n.attrs.get(attr)]
+
+
 def execute_traced(g: Graph, feeds: dict[str, np.ndarray],
                    weights: dict[str, np.ndarray] | None = None,
                    fmt: FloatFormat | None = None) -> ExecTrace:
@@ -439,20 +448,27 @@ def execute_traced(g: Graph, feeds: dict[str, np.ndarray],
     them). In format mode softmax runs the table/rescale path and layernorm
     the audited kernel along its axis, each rounding its own stages, so
     their outputs are not rounded again; in float64 both run the reference.
+    Each intermediate is dropped after its last consumer; a split's ports
+    are views, so they keep their parent's buffer until the last of them
+    is consumed. In format mode a weight is rounded at its first use and
+    its rounded copy dropped after its last.
     """
     weights = weights or {}
-    for n in g.nodes:
-        for attr in ("weight", "bias") if n.op in ("linear", "conv1x1") else ():
-            if n.attrs.get(attr) and n.attrs[attr] not in weights:
-                raise GraphError(f"{n.id}: {attr} tensor {n.attrs[attr]!r} "
+    last_weight_use = {}
+    for i, n in enumerate(g.nodes):
+        for attr, name in _weight_refs(n):
+            if name not in weights:
+                raise GraphError(f"{n.id}: {attr} tensor {name!r} "
                                  "is not in the weights")
-    if fmt is not None:
-        weights = {k: quantize_array(v, fmt)[0] for k, v in weights.items()}
+            last_weight_use[name] = i
+    last_use = {r: i for i, n in enumerate(g.nodes) for r in n.inputs}
+    keep = set(g.outputs)
+    rounded: dict[str, np.ndarray] = {}
     values: dict[str, np.ndarray] = {}
     node_stats: dict[str, OverflowStats] = {}
     movement = 0
 
-    for n in g.nodes:
+    for i, n in enumerate(g.nodes):
         rec = QuantRecorder(fmt)
         if n.op == "input":
             if n.id not in feeds:
@@ -473,7 +489,11 @@ def execute_traced(g: Graph, feeds: dict[str, np.ndarray],
             movement += arr.nbytes
         else:
             args = [values[r] for r in n.inputs]
-            out = _apply(n, args, weights, rec)
+            if fmt is not None:
+                for _, name in _weight_refs(n):
+                    if name not in rounded:
+                        rounded[name] = quantize_array(weights[name], fmt)[0]
+            out = _apply(n, args, weights if fmt is None else rounded, rec)
             if n.op in ARITHMETIC_OPS and n.op not in ("softmax", "layernorm"):
                 out = rec.q(out)
             values[n.id] = out
@@ -481,6 +501,12 @@ def execute_traced(g: Graph, feeds: dict[str, np.ndarray],
                 movement += out.nbytes
         if fmt is not None and (n.op == "input" or n.op in ARITHMETIC_OPS):
             node_stats[n.id] = rec.stats
+        for r in n.inputs:
+            if last_use[r] == i and r not in keep:
+                values.pop(r, None)  # a node may read one value twice
+        for _, name in _weight_refs(n):
+            if last_weight_use[name] == i:
+                rounded.pop(name, None)
     return ExecTrace(
         outputs={o: values[o] for o in g.outputs},
         node_stats=node_stats,
@@ -488,13 +514,59 @@ def execute_traced(g: Graph, feeds: dict[str, np.ndarray],
     )
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _max_deviation(names, o1: dict, o2: dict) -> float:
+    """Max |difference| over one instance's outputs, or GraphRewriteError.
+
+    Identical values agree, equal infinities included; a position where
+    the outputs differ by a non-finite amount (a NaN on either side, or
+    infinity against anything else) fails at once.
+    """
+    worst = 0.0
+    for name in names:
+        a, b = o1[name], o2[name]
+        if a.shape != b.shape:
+            raise GraphRewriteError(
+                f"output {name!r}: shapes {a.shape} vs {b.shape}"
+            )
+        with np.errstate(invalid="ignore"):  # inf - inf
+            dev = np.abs(a - b)
+        top = dev.max()
+        if not np.isfinite(top):  # equal infinities leave a nan that agrees
+            top = dev[a != b].max(initial=0.0)
+            if not np.isfinite(top):
+                raise GraphRewriteError(
+                    f"graphs differ: output {name!r} has a non-finite deviation"
+                )
+        worst = max(worst, float(top))
+    return worst
+
+
 def check_equivalence(g1: Graph, g2: Graph, weights: dict,
                       n_instances: int = 100, seed: int = 0) -> float:
     """Max |difference| between two graphs over random float64 instances.
 
     Feeds are unit-variance gaussians. Raises GraphRewriteError when the
-    graphs disagree beyond 1e-9; input and output names must match.
-    ``n_instances`` must be at least 1: a check over nothing proves nothing.
+    graphs disagree beyond 1e-9 or by a non-finite amount at any position
+    (values that are identical, equal infinities included, agree); input
+    and output names must match. ``n_instances`` must be at least 1: a
+    check over nothing proves nothing.
+
+    The instances run in parallel on every usable CPU, the calling thread
+    and one helper thread per further CPU each taking the next instance
+    (numpy releases the GIL in einsum and BLAS), so at most one instance
+    per thread is in flight. Feeds are drawn from one generator in instance
+    order, and the results are folded in instance order, so the returned
+    float and the error raised (the first instance's, in order) do not
+    depend on the number of threads. This is safe only because float64
+    execution shares no mutable state; format execution rounds through
+    ``floatsim``'s shared scratch and must stay sequential.
     """
     if n_instances < 1:
         raise ValueError(f"need at least 1 check instance, got {n_instances}")
@@ -502,19 +574,53 @@ def check_equivalence(g1: Graph, g2: Graph, weights: dict,
     in2 = {i: tuple(g2.node(i).attrs["shape"]) for i in g2.inputs}
     if set(in1) != set(in2) or set(g1.outputs) != set(g2.outputs):
         raise GraphRewriteError("graphs expose different interfaces")
+
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_instances):
-        feeds = {i: rng.normal(0.0, 1.0, in1[i]) for i in in1}
-        o1 = execute_traced(g1, feeds, weights).outputs
-        o2 = execute_traced(g2, feeds, weights).outputs
-        for name in g1.outputs:
-            a, b = o1[name], o2[name]
-            if a.shape != b.shape:
-                raise GraphRewriteError(
-                    f"output {name!r}: shapes {a.shape} vs {b.shape}"
-                )
-            worst = max(worst, float(np.abs(a - b).max()))
+    lock = threading.Lock()
+    drawn = folded = 0
+    worst, error = 0.0, None
+    waiting: dict = {}  # deviations or errors finished ahead of an earlier instance
+
+    def work():
+        nonlocal drawn, folded, worst, error
+        while True:
+            with lock:  # draws in instance order
+                k = drawn
+                if k >= n_instances:
+                    return
+                drawn += 1
+                feeds = {i: rng.normal(0.0, 1.0, in1[i]) for i in in1}
+            try:
+                # execute_traced is looked up at call time, so a wrapper on
+                # the module name (the benchmark tracer) sees every execution
+                result = _max_deviation(
+                    g1.outputs, execute_traced(g1, feeds, weights).outputs,
+                    execute_traced(g2, feeds, weights).outputs)
+            except Exception as exc:  # re-raised on the calling thread
+                result = exc
+            with lock:  # folds in instance order
+                waiting[k] = result
+                while error is None and folded in waiting:
+                    result = waiting.pop(folded)
+                    folded += 1
+                    if isinstance(result, Exception):
+                        error, drawn = result, n_instances  # no later one runs
+                    else:
+                        worst = max(worst, result)
+
+    helpers = [threading.Thread(target=work)
+               for _ in range(min(n_instances, _usable_cpus()) - 1)]
+    for t in helpers:
+        t.start()
+    try:
+        work()
+    finally:
+        with lock:
+            drawn = n_instances  # on an interrupt, helpers stop after one instance
+        for t in helpers:
+            t.join()
+    if error is not None:
+        raise error
     if worst > 1e-9:
         raise GraphRewriteError(
             f"graphs differ: max abs deviation {worst:.3e} exceeds 1.0e-09"

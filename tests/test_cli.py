@@ -257,6 +257,24 @@ def test_rewrite_graph_check_catches_a_bad_pass(tmp_path, monkeypatch):
     assert metrics["check"]["pass"] is False
 
 
+def test_rewrite_graph_check_fails_a_graph_whose_output_is_nan(tmp_path, capsys):
+    p = MHAParams(batch=1, heads=2, features=16, seq=4)
+    d = build_mha_bsf(p).to_json_dict()
+    for n in d["nodes"]:
+        if n["op"] == "scale":
+            n["attrs"]["factor"] = math.nan  # written as NaN, read back as nan
+    graph, weights = tmp_path / "g.json", tmp_path / "w.bin"
+    graph.write_text(json.dumps(d))
+    write_tensors(weights, mha_weights(p, seed=0))
+    out = tmp_path / "rg"
+    assert run("rewrite-graph", str(graph), "--check", "--weights", str(weights),
+               "--out-dir", str(out)) == 1
+    check = json.loads((out / "rewrite_metrics.json").read_text())["check"]
+    assert check["pass"] is False and check["max_abs_diff"] is None
+    assert "non-finite deviation" in check["error"]
+    assert "graphs differ" in capsys.readouterr().err
+
+
 def test_rewrite_graph_reload_and_rerun(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run("rewrite-graph", "mha", "--features", "64", "--seq", "8",
@@ -591,6 +609,20 @@ def test_audit_layernorm_accepts_tiny_spread_on_a_large_dc_offset(tmp_path, spre
     stabilized = [r for r in report["rows"] if "prenorm=theorem1" in r["config"]]
     assert len(stabilized) == 2
     assert all(r["overflow_invocations"] == 0 for r in stabilized)
+
+
+def test_audit_layernorm_bins_a_zero_row_of_a_float16_stream(tmp_path):
+    rows = np.random.default_rng(4).normal(0.0, 1.0, (8, 16)).astype(np.float16)
+    rows[3] = 0.0
+    path, out = tmp_path / "f16.stream", tmp_path / "out"
+    write_stream(path, [rows])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("audit-layernorm", str(path), "--prenorm", "none",
+                   "--out-dir", str(out)) == 0
+    lines = (out / "layernorm_hist.csv").read_text().splitlines()
+    assert lines[1].split(",") == ["-100", "1", "1"]  # the zero row, at either scale
+    assert int(lines[-1].split(",")[0]) <= 5
 
 
 @pytest.mark.parametrize("prenorm", ["theorem1", "none"])

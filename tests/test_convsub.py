@@ -246,6 +246,15 @@ def test_log2_bins_share_one_rule():
     assert log2_bins(peaks).tolist() == [-100, -100, -1, 0, 1, 117, 1023, 1023]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dtype, peaks, bins", [
+    (np.float16, [0.0, 6e-8, 1.0, 65504.0, math.inf], [-100, -24, 0, 15, 1023]),
+    (np.float32, [0.0, 1e-40, 3.0, 3.4e38, math.inf], [-100, -100, 1, 127, 1023]),
+])
+def test_log2_bins_clip_past_the_peaks_own_dtype(dtype, peaks, bins):
+    assert log2_bins(np.array(peaks, dtype=dtype)).tolist() == bins
+
+
 @pytest.mark.parametrize("fmt,peak,edges", [
     (None, 1.7766751014301652e+33, (110, 111)),  # exact, far past fp16's range
     (FP16, math.inf, (1023, 1024)),  # every output saturated: the top bin

@@ -1,8 +1,14 @@
 """Graph IR executor and rewrite passes against a straight-line oracle."""
 
+import math
+import sys
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from lowprec import graphir
 from lowprec.floatsim import FP16, QuantRecorder, quantize_array
 from lowprec.graphir import (
     Graph,
@@ -185,6 +191,148 @@ def test_equivalence_over_no_instances_is_refused(mha, n):
     g, w = mha
     with pytest.raises(ValueError, match="at least 1 check instance"):
         check_equivalence(g, g, w, n_instances=n)
+
+
+def _sequential_check(g1, g2, weights, n_instances, seed):
+    """The equivalence check as one plain loop, instance after instance."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_instances):
+        feeds = {i: rng.normal(0.0, 1.0, tuple(g1.node(i).attrs["shape"]))
+                 for i in g1.inputs}
+        o1 = execute_traced(g1, feeds, weights).outputs
+        o2 = execute_traced(g2, feeds, weights).outputs
+        for name in g1.outputs:
+            worst = max(worst, float(np.abs(o1[name] - o2[name]).max()))
+    if worst > 1e-9:
+        raise GraphRewriteError(
+            f"graphs differ: max abs deviation {worst:.3e} exceeds 1.0e-09")
+    return worst
+
+
+def _error(fn):
+    try:
+        fn()
+    except (GraphError, GraphRewriteError) as exc:
+        return type(exc), str(exc)
+    raise AssertionError("no error raised")
+
+
+@pytest.fixture(params=[1, 2, 8], ids=lambda c: f"{c}cpu")
+def cpus(request, monkeypatch):
+    """Thread count of the check; 8 oversubscribes a small machine's cores."""
+    monkeypatch.setattr(graphir, "_usable_cpus", lambda: request.param)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    yield request.param
+    sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10])
+@pytest.mark.parametrize("passes,chunks,axis", [
+    (["layout", "chunk", "einsum"], 4, "heads"),
+    (["layout", "chunk"], 2, "heads"),
+    (["layout", "chunk"], 3, "query"),
+    (["chunk", "einsum"], 4, "heads"),
+    (["einsum"], 1, "heads"),
+])
+def test_parallel_check_has_the_bits_of_a_sequential_loop(mha, cpus, n, passes,
+                                                          chunks, axis):
+    g, w = mha
+    rewritten = apply_passes(g, passes, n_chunks=chunks, chunk_axis=axis)
+    got = check_equivalence(g, rewritten, w, n_instances=n, seed=11)
+    assert got.hex() == _sequential_check(g, rewritten, w, n, 11).hex()
+
+
+def test_parallel_check_raises_what_a_sequential_loop_raises(mha, cpus):
+    g, w = mha
+    gc = apply_passes(g, ["layout", "chunk"], n_chunks=4)
+    bad = replace(gc, nodes=[replace(n, attrs={**n.attrs, "factor": 0.5})
+                             if n.op == "scale" else n for n in gc.nodes])
+    want = _error(lambda: _sequential_check(g, bad, w, 10, 3))
+    assert want[1].startswith("graphs differ")
+    assert _error(lambda: check_equivalence(g, bad, w, n_instances=10, seed=3)) == want
+    short = {k: v for k, v in w.items() if k != "wo"}
+    want = _error(lambda: _sequential_check(g, gc, short, 10, 3))
+    assert want == (GraphError, "out_lin: weight tensor 'wo' is not in the weights")
+    assert _error(lambda: check_equivalence(g, gc, short, n_instances=10, seed=3)) == want
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_check_holds_at_most_one_instance_per_thread(mha, monkeypatch, threads):
+    g, w = mha
+    gc = apply_passes(g, ["layout", "chunk"], n_chunks=4)
+    monkeypatch.setattr(graphir, "_usable_cpus", lambda: threads)
+    drawn, done, in_flight = [], [], []
+    real_rng, real_exec = np.random.default_rng, graphir.execute_traced
+
+    class CountingRng:
+        def __init__(self, seed):
+            self.rng = real_rng(seed)
+
+        def normal(self, *args):
+            drawn.append(1)
+            in_flight.append(len(drawn) - len(done))
+            return self.rng.normal(*args)
+
+    def slow_exec(graph, feeds, weights):
+        time.sleep(0.002)  # lets the other threads run ahead if they may
+        out = real_exec(graph, feeds, weights)
+        if graph is gc:  # an instance's second execution
+            done.append(1)
+        return out
+
+    monkeypatch.setattr(np.random, "default_rng", CountingRng)
+    monkeypatch.setattr(graphir, "execute_traced", slow_exec)
+    check_equivalence(g, gc, w, n_instances=12)
+    assert len(done) == 12 and max(in_flight) <= threads, in_flight
+
+
+def _two_scales(f1, f2):
+    nodes = [Node("x", "input", attrs={"shape": [3, 5]}),
+             Node("s1", "scale", ("x",), {"factor": f1}),
+             Node("s2", "scale", ("s1",), {"factor": f2}),
+             Node("y", "output", ("s2",))]
+    return Graph("scales", nodes, ["x"], ["y"])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_equal_infinities_agree():
+    huge = _two_scales(1e308, 1e308)  # every entry overflows to +-inf
+    assert check_equivalence(huge, huge, {}, n_instances=3).hex() == (0.0).hex()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("f1,f2,g1,g2", [
+    (1.0, 1.0, math.nan, 1.0),       # a NaN rewrite of a finite graph
+    (math.nan, 1.0, math.nan, 1.0),  # NaN never agrees, even with NaN
+    (1e308, 1e308, 1.0, 1.0),        # infinity against a finite value
+    (1e308, 1e308, 1e308, -1e308),   # infinities of opposite sign
+])
+def test_a_non_finite_deviation_fails_the_check(f1, f2, g1, g2):
+    with pytest.raises(GraphRewriteError, match="graphs differ: output 'y' has "
+                       "a non-finite deviation"):
+        check_equivalence(_two_scales(f1, f2), _two_scales(g1, g2), {}, n_instances=3)
+
+
+def test_a_rewrite_with_a_nan_scale_fails_the_check(mha):
+    g, w = mha
+    gc = apply_passes(g, ["layout", "chunk", "einsum"], n_chunks=4)
+    nan = replace(gc, nodes=[replace(n, attrs={**n.attrs, "factor": math.nan})
+                             if n.op == "scale" else n for n in gc.nodes])
+    with pytest.raises(GraphRewriteError, match="graphs differ"):
+        check_equivalence(g, nan, w, n_instances=5, seed=3)
+
+
+def test_execution_drops_each_intermediate_after_its_last_consumer(traced_peak):
+    p = MHAParams(heads=8, features=512, seq=64)
+    g = apply_passes(build_mha_bsf(p), ["layout", "chunk", "einsum"], n_chunks=8)
+    w = mha_weights(p, seed=0)
+    x = np.random.default_rng(1).normal(0.0, 1.0, (1, 64, 1, 512))
+    # 10.3x, and 43x in fp16, while every intermediate and rounded weight was kept
+    assert traced_peak(lambda: execute_traced(g, {"x": x}, w)) <= 5 * x.nbytes
+    largest = max(v.nbytes for v in w.values())  # one rounded weight at a time
+    assert traced_peak(lambda: execute_traced(g, {"x": x}, w, FP16)) <= largest + 6 * x.nbytes
 
 
 def test_shape_inference(mha):
