@@ -93,8 +93,9 @@ def _row_blocks(path: str) -> tuple[int, Iterator[tuple[int, np.ndarray]]]:
 
     A block holds about ``_BLOCK_BYTES`` of (rows, width) rows: a view of
     one large chunk, or several small chunks joined, since every call on a
-    block pays a fixed cost. Every block has the dtype the whole stream
-    concatenates to, so scaled rows round as they would in one pass.
+    block pays a fixed cost. Blocks are float64 whatever the stream's
+    dtype, so a float16 or float32 row is scaled as its float64 widening
+    would be, not overflowed or rounded in its own dtype first.
     """
     chunks = [np.atleast_2d(c) for c in read_stream(path)]
     widths = {c.shape[-1] for c in chunks}
@@ -103,13 +104,12 @@ def _row_blocks(path: str) -> tuple[int, Iterator[tuple[int, np.ndarray]]]:
     if not any(c.size for c in chunks):  # no rows, or rows of width 0
         raise StreamFormatError(f"{path}: the stream holds no entries")
     chunks = [c.reshape(-1, c.shape[-1]) for c in chunks]
-    dtype = np.result_type(*{c.dtype for c in chunks})
     step = max(1, _BLOCK_BYTES // (8 * widths.pop()))
 
     def join(parts):
         if len(parts) == 1:
-            return parts[0].astype(dtype, copy=False)
-        return np.concatenate(parts, dtype=dtype)
+            return parts[0].astype(np.float64, copy=False)
+        return np.concatenate(parts, dtype=np.float64)
 
     def blocks():
         first, parts, held = 0, [], 0

@@ -386,18 +386,23 @@ class ExecTrace:
 def _apply(node: Node, args: list[np.ndarray], weights: dict,
            rec: QuantRecorder):
     a = node.attrs
+
+    def tensor(attr):  # a weight as float64, rounded (uncounted) under a format
+        name = a[attr]
+        if name not in weights:
+            raise GraphError(f"{node.id}: {attr} tensor {name!r} is not in the weights")
+        w = np.asarray(weights[name], dtype=np.float64)
+        return w if rec.fmt is None else quantize_array(w, rec.fmt)[0]
+
     if node.op == "linear":
-        w = np.asarray(weights[a["weight"]], dtype=np.float64)
-        out = args[0] @ w.T
+        out = args[0] @ tensor("weight").T
         if a.get("bias"):
-            out += np.asarray(weights[a["bias"]], dtype=np.float64)
+            out += tensor("bias")
         return out
     if node.op == "conv1x1":
-        w = np.asarray(weights[a["weight"]], dtype=np.float64)
-        out = np.einsum("oc,bcus->bous", w, args[0])
+        out = np.einsum("oc,bcus->bous", tensor("weight"), args[0])
         if a.get("bias"):
-            b = np.asarray(weights[a["bias"]], dtype=np.float64)
-            out += b[None, :, None, None]
+            out += tensor("bias")[None, :, None, None]
         return out
     if node.op == "batched_matmul":
         return np.matmul(args[0], args[1])
@@ -430,13 +435,6 @@ def _apply(node: Node, args: list[np.ndarray], weights: dict,
     raise GraphError(f"cannot execute op {node.op!r}")  # pragma: no cover
 
 
-def _weight_refs(n: Node) -> list[tuple[str, str]]:
-    """(attr, tensor name) of each weight tensor a node reads."""
-    if n.op not in ("linear", "conv1x1"):
-        return []
-    return [(attr, n.attrs[attr]) for attr in ("weight", "bias") if n.attrs.get(attr)]
-
-
 def execute_traced(g: Graph, feeds: dict[str, np.ndarray],
                    weights: dict[str, np.ndarray] | None = None,
                    fmt: FloatFormat | None = None) -> ExecTrace:
@@ -450,20 +448,13 @@ def execute_traced(g: Graph, feeds: dict[str, np.ndarray],
     their outputs are not rounded again; in float64 both run the reference.
     Each intermediate is dropped after its last consumer; a split's ports
     are views, so they keep their parent's buffer until the last of them
-    is consumed. In format mode a weight is rounded at its first use and
-    its rounded copy dropped after its last.
+    is consumed. In format mode a weight is rounded, uncounted, where a
+    node reads it, so a tensor read by several nodes is rounded once per
+    read; the rounded copy lives only while that node runs.
     """
     weights = weights or {}
-    last_weight_use = {}
-    for i, n in enumerate(g.nodes):
-        for attr, name in _weight_refs(n):
-            if name not in weights:
-                raise GraphError(f"{n.id}: {attr} tensor {name!r} "
-                                 "is not in the weights")
-            last_weight_use[name] = i
     last_use = {r: i for i, n in enumerate(g.nodes) for r in n.inputs}
     keep = set(g.outputs)
-    rounded: dict[str, np.ndarray] = {}
     values: dict[str, np.ndarray] = {}
     node_stats: dict[str, OverflowStats] = {}
     movement = 0
@@ -488,12 +479,7 @@ def execute_traced(g: Graph, feeds: dict[str, np.ndarray],
                 values[f"{n.id}:{p}"] = part
             movement += arr.nbytes
         else:
-            args = [values[r] for r in n.inputs]
-            if fmt is not None:
-                for _, name in _weight_refs(n):
-                    if name not in rounded:
-                        rounded[name] = quantize_array(weights[name], fmt)[0]
-            out = _apply(n, args, weights if fmt is None else rounded, rec)
+            out = _apply(n, [values[r] for r in n.inputs], weights, rec)
             if n.op in ARITHMETIC_OPS and n.op not in ("softmax", "layernorm"):
                 out = rec.q(out)
             values[n.id] = out
@@ -504,9 +490,6 @@ def execute_traced(g: Graph, feeds: dict[str, np.ndarray],
         for r in n.inputs:
             if last_use[r] == i and r not in keep:
                 values.pop(r, None)  # a node may read one value twice
-        for _, name in _weight_refs(n):
-            if last_weight_use[name] == i:
-                rounded.pop(name, None)
     return ExecTrace(
         outputs={o: values[o] for o in g.outputs},
         node_stats=node_stats,
@@ -562,11 +545,13 @@ def check_equivalence(g1: Graph, g2: Graph, weights: dict,
     and one helper thread per further CPU each taking the next instance
     (numpy releases the GIL in einsum and BLAS), so at most one instance
     per thread is in flight. Feeds are drawn from one generator in instance
-    order, and the results are folded in instance order, so the returned
-    float and the error raised (the first instance's, in order) do not
-    depend on the number of threads. This is safe only because float64
-    execution shares no mutable state; format execution rounds through
-    ``floatsim``'s shared scratch and must stay sequential.
+    order, and each instance writes its deviation or error into its own
+    slot. An error stops further draws, but every earlier instance was
+    drawn before it, so reading the slots in order gives a returned float
+    and an error (the first instance's) that do not depend on the number
+    of threads. This is safe only because float64 execution shares no
+    mutable state; format execution rounds through ``floatsim``'s shared
+    scratch and must stay sequential.
     """
     if n_instances < 1:
         raise ValueError(f"need at least 1 check instance, got {n_instances}")
@@ -577,12 +562,11 @@ def check_equivalence(g1: Graph, g2: Graph, weights: dict,
 
     rng = np.random.default_rng(seed)
     lock = threading.Lock()
-    drawn = folded = 0
-    worst, error = 0.0, None
-    waiting: dict = {}  # deviations or errors finished ahead of an earlier instance
+    results: list = [None] * n_instances  # a deviation or an exception each
+    drawn = 0
 
     def work():
-        nonlocal drawn, folded, worst, error
+        nonlocal drawn
         while True:
             with lock:  # draws in instance order
                 k = drawn
@@ -593,20 +577,13 @@ def check_equivalence(g1: Graph, g2: Graph, weights: dict,
             try:
                 # execute_traced is looked up at call time, so a wrapper on
                 # the module name (the benchmark tracer) sees every execution
-                result = _max_deviation(
+                results[k] = _max_deviation(
                     g1.outputs, execute_traced(g1, feeds, weights).outputs,
                     execute_traced(g2, feeds, weights).outputs)
             except Exception as exc:  # re-raised on the calling thread
-                result = exc
-            with lock:  # folds in instance order
-                waiting[k] = result
-                while error is None and folded in waiting:
-                    result = waiting.pop(folded)
-                    folded += 1
-                    if isinstance(result, Exception):
-                        error, drawn = result, n_instances  # no later one runs
-                    else:
-                        worst = max(worst, result)
+                results[k] = exc
+                with lock:
+                    drawn = n_instances  # no later instance is drawn
 
     helpers = [threading.Thread(target=work)
                for _ in range(min(n_instances, _usable_cpus()) - 1)]
@@ -619,8 +596,10 @@ def check_equivalence(g1: Graph, g2: Graph, weights: dict,
             drawn = n_instances  # on an interrupt, helpers stop after one instance
         for t in helpers:
             t.join()
-    if error is not None:
-        raise error
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    worst = max(results)
     if worst > 1e-9:
         raise GraphRewriteError(
             f"graphs differ: max abs deviation {worst:.3e} exceeds 1.0e-09"

@@ -68,16 +68,18 @@ def _read_records(path, kind: str):
                         f"{path}: record {index}: header missing {key!r}"
                     )
             try:
-                dtype = np.dtype(meta["dtype"])
-                shape = tuple(int(d) for d in meta["shape"])
-                ok = dtype.kind in "biuf" and min(shape, default=0) >= 0  # real numbers
-            except (TypeError, ValueError, OverflowError):
+                dtype, shape = np.dtype(meta["dtype"]), meta["shape"]
+                ok = (dtype.kind in "biuf"  # real numbers
+                      and isinstance(shape, list)  # of sizes; a bool is not one
+                      and all(type(d) is int and d >= 0 for d in shape))
+            except (TypeError, ValueError):
                 ok = False
             if not ok:
                 raise StreamFormatError(
                     f"{path}: record {index}: bad dtype {meta['dtype']!r} "
                     f"or shape {meta['shape']!r}"
                 )
+            shape = tuple(shape)
             # checked before reading: a header may not claim more than the file holds
             nbytes = dtype.itemsize * math.prod(shape)
             left = size - fh.tell()

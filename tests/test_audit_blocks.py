@@ -122,3 +122,22 @@ def test_a_refused_row_is_named_by_file_and_stream_row(
     err = capsys.readouterr().err
     assert f"error: {path}: row 5: {why}" in err
     assert "Warning" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32])
+@pytest.mark.parametrize("fmt, pre", [("fp32", "none"), ("fp16", "theorem1"),
+                                      ("custom:7,8", "mad")])
+def test_a_narrow_stream_audits_as_its_float64_widening(tmp_path, dtype, fmt, pre):
+    """Times sqrt(512), an N(0, 5000) entry passes float16's 65504, and a
+    float32 product rounds twice, unless the blocks are float64."""
+    x = np.random.default_rng(4).normal(0.0, 5000.0, (8, 64))
+    x = (x - x.mean(axis=1, keepdims=True)).astype(dtype)
+    got = {}
+    for name, values in (("narrow", x), ("wide", x.astype(np.float64))):
+        path, out = tmp_path / f"{name}.stream", tmp_path / name
+        write_stream(path, [values])
+        rc = cli.main(["audit-layernorm", str(path), "--format", fmt, "--prenorm", pre,
+                       "--out-dir", str(out)])
+        got[name] = (rc, json.loads((out / "layernorm_audit.json").read_text())["rows"],
+                     (out / "layernorm_hist.csv").read_bytes())
+    assert got["narrow"] == got["wide"]

@@ -319,6 +319,21 @@ def test_text_file_given_as_a_stream_exits_2(tmp_path, capsys, command):
     assert "rows.csv: record 0: bad header line" in err and "Traceback" not in err
 
 
+# Each shape once read as int(d) of its entries, (1, 2), (2, 1), (1, 2) and
+# (3, 1), so a payload of that many entries audited with exit 0.
+@pytest.mark.parametrize("shape, entries", [("12", 2), ([2.7, 1], 2), ([True, 2], 2),
+                                            (["3", "1"], 3)])
+def test_stream_header_shape_that_is_not_a_list_of_ints_exits_2(tmp_path, capsys,
+                                                                 shape, entries):
+    path = tmp_path / "s.stream"
+    meta = json.dumps({"chunk": 0, "dtype": "<f8", "shape": shape})
+    path.write_bytes(meta.encode() + b"\n" + np.arange(float(entries)).tobytes())
+    assert run("audit-softmax", str(path), "--out-dir", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert f"s.stream: record 0: bad dtype '<f8' or shape {shape!r}" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_rewrite_graph_heads_0_exits_2(tmp_path, capsys):
     assert run("rewrite-graph", "mha", "--heads", "0", "--out-dir", str(tmp_path)) == 2
     err = capsys.readouterr().err
@@ -552,6 +567,24 @@ def test_rewrite_graph_weights_file_missing_a_tensor_exits_2(tmp_path, capsys):
     assert run("rewrite-graph", str(path), "--check", "--check-instances", "1",
                "--weights", str(wpath), "--out-dir", str(tmp_path)) == 2
     assert "q_lin: bias tensor 'bq'" in capsys.readouterr().err
+
+
+def test_rewrite_graph_missing_bias_of_a_second_reader_exits_2(tmp_path, capsys):
+    """Two linears read one weight; the second one's bias is not in the file."""
+    path, wpath = tmp_path / "g.json", tmp_path / "w.bin"
+    lin = {"weight": "w", "out_features": 4}
+    path.write_text(json.dumps({"name": "g", "inputs": ["x"], "outputs": ["y"], "nodes": [
+        {"id": "x", "op": "input", "inputs": [], "attrs": {"shape": [2, 4]}},
+        {"id": "l1", "op": "linear", "inputs": ["x"], "attrs": {**lin, "bias": "b"}},
+        {"id": "l2", "op": "linear", "inputs": ["l1"], "attrs": {**lin, "bias": "b2"}},
+        {"id": "y", "op": "output", "inputs": ["l2"], "attrs": {}},
+    ]}))
+    write_tensors(wpath, {"w": np.eye(4), "b": np.ones(4)})
+    assert run("rewrite-graph", str(path), "--passes", "", "--check", "--weights",
+               str(wpath), "--out-dir", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert "l2: bias tensor 'b2' is not in the weights" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "rewrite_metrics.json").exists()
 
 
 def test_rewrite_graph_mha_reads_weights_instead_of_generating_them(tmp_path, monkeypatch):

@@ -335,6 +335,41 @@ def test_execution_drops_each_intermediate_after_its_last_consumer(traced_peak):
     assert traced_peak(lambda: execute_traced(g, {"x": x}, w, FP16)) <= largest + 6 * x.nbytes
 
 
+def _two_linears(weight2, bias2):
+    """x -> linear(w, b) -> linear(weight2, bias2) -> y."""
+    return Graph("two", [
+        Node("x", "input", attrs={"shape": [2, 3, 4]}),
+        Node("l1", "linear", ("x",), {"weight": "w", "bias": "b", "out_features": 4}),
+        Node("l2", "linear", ("l1",), {"weight": weight2, "bias": bias2,
+                                       "out_features": 4}),
+        Node("y", "output", ("l2",)),
+    ], ["x"], ["y"])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("fmt", [None, FP16], ids=["float64", "fp16"])
+def test_a_tensor_read_by_two_nodes_runs_as_two_copies_of_it(fmt):
+    rng = np.random.default_rng(5)
+    w, b = rng.normal(0.0, 100.0, (4, 4)), rng.normal(0.0, 100.0, 4)
+    x = rng.normal(0.0, 100.0, (2, 3, 4))  # the second linear overflows fp16
+    shared = execute_traced(_two_linears("w", "b"), {"x": x}, {"w": w, "b": b}, fmt)
+    copies = execute_traced(_two_linears("w2", "b2"), {"x": x},
+                            {"w": w, "b": b, "w2": w.copy(), "b2": b.copy()}, fmt)
+    assert shared.outputs["y"].tobytes() == copies.outputs["y"].tobytes()
+    assert shared.node_stats == copies.node_stats
+    if fmt is not None:
+        assert shared.node_stats["l2"].overflow > 0
+
+
+@pytest.mark.parametrize("fmt", [None, FP16], ids=["float64", "fp16"])
+def test_a_missing_bias_on_a_later_node_is_named(fmt):
+    rng = np.random.default_rng(5)
+    w, b = rng.normal(size=(4, 4)), rng.normal(size=4)
+    with pytest.raises(GraphError, match="^l2: bias tensor 'b2' is not in the weights$"):
+        execute_traced(_two_linears("w", "b2"), {"x": rng.normal(size=(2, 3, 4))},
+                       {"w": w, "b": b}, fmt)
+
+
 def test_shape_inference(mha):
     g, _ = mha
     shapes = infer_shapes(g)

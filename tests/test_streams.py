@@ -139,7 +139,9 @@ def test_header_claiming_more_than_the_file_holds(tmp_path):
 
 
 @pytest.mark.parametrize("dtype, shape", [("|O", [2]), ("xyz", [2]),
-                                          ("<f8", [-2]), ("<f8", "ab")])
+                                          ("<f8", [-2]), ("<f8", "ab"),
+                                          ("<f8", "12"), ("<f8", [2.7, 1]),
+                                          ("<f8", [True, 2]), ("<f8", ["3", "1"])])
 def test_bad_dtype_or_shape_names_the_record(tmp_path, dtype, shape):
     path = tmp_path / "acts.bin"
     arr = np.zeros(2)
