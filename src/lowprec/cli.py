@@ -34,11 +34,13 @@ import numpy as np
 from . import prenorm
 from .convsub import (
     SUBSAMPLERS,
+    LazyWeights,
     frontend_share,
-    init_weights,
     mac_count,
     profile_dynamic_range,
 )
+# init_weights: the benchmark tracer (perfbench/spans.py) wraps it at this name.
+from .convsub import init_weights  # noqa: F401
 # quantize_array: the benchmark tracer (perfbench/spans.py) wraps it at this name.
 from .floatsim import (FloatFormat, QuantRecorder, log2_bins, parse_format,
                        quantize_array)
@@ -451,6 +453,24 @@ def cmd_profile_conv(args) -> int:
         chunks = []
     else:
         chunks = [np.atleast_2d(c) for c in read_stream(args.stream)]
+    # every chunk against every config before the first profile runs, so a
+    # refused stream leaves no reports behind
+    for j, chunk in enumerate(chunks):
+        where = f"{args.stream}: chunk {j}"
+        bad = np.flatnonzero(~np.isfinite(chunk))
+        if bad.size:
+            at = tuple(int(i) for i in np.unravel_index(bad[0], chunk.shape))
+            raise StreamFormatError(f"{where}: entry {at} is {chunk.flat[bad[0]]}: "
+                                    "entries must be finite")
+        for name in names:
+            cin = SUBSAMPLERS[name].layers[0].in_channels
+            if chunk.ndim > 3 or chunk.ndim == 3 and chunk.shape[0] != cin:
+                raise StreamFormatError(f"{where}: {name}: expected (H, W) or "
+                                        f"({cin}, H, W) input, got {chunk.shape}")
+            try:
+                mac_count(SUBSAMPLERS[name], chunk.shape[-2:])
+            except ValueError as exc:  # smaller than a kernel
+                raise StreamFormatError(f"{where}: {name}: {exc}") from None
     input_hw = tuple(chunks[0].shape[-2:]) if chunks else (80, 1000)
 
     for name in names:
@@ -458,7 +478,7 @@ def cmd_profile_conv(args) -> int:
         peaks_path = out_dir / f"conv_peaks_{name}.csv"
         if chunks:
             profile = profile_dynamic_range(chunks, config,
-                                            init_weights(config, args.seed), fmt)
+                                            LazyWeights(config, args.seed), fmt)
             _write_csv(peaks_path, "chunk,peak",
                        [[str(i), repr(p)] for i, p in
                         enumerate(profile.per_chunk_peak)])

@@ -16,12 +16,23 @@ and so one block: its GEMM is never split, because splitting the positions
 or channels of a GEMM changes how BLAS blocks the sum, and so its bits.
 The depthwise layer's columns thus never exist at once (512 x 25 x 1980
 float64, 203 MB, for one 80x1000 chunk).
+
+A dense layer's columns must exist at once, so nothing that can wait sits
+beside them: ``subsample_forward`` hands each layer the only reference to
+its input, ``conv2d_forward`` drops it once the last block is copied, and
+only then looks up the weight, which a ``LazyWeights`` draws on that first
+lookup. For conv2d6 layer 1 on one 80x1000 chunk the peak is the larger of
+the column copy (80 MB layer-0 output + 203 MB columns) and the GEMM (203
+MB columns + 52 MB weights + 8 MB product), not all four at once (343 MB).
+Later chunks reuse the drawn weights, so their column copy holds them too
+(about 335 MB). Grouped layers keep their input for all group blocks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -107,12 +118,17 @@ _COLS_BYTES = 1 << 18
 def conv2d_forward(x, weight, bias, layer: ConvLayerSpec) -> np.ndarray:
     """Valid grouped 2-d convolution of one sample.
 
-    x: (C_in, H, W); weight: (C_out, C_in/groups, kh, kw); bias: (C_out,).
+    x: (C_in, H, W); weight: (C_out, C_in/groups, kh, kw), or a function of
+    no arguments that returns it; bias: (C_out,).
 
     The im2col columns are built for one block of groups at a time, each
     block's product written into its slice of the output. Each group is
     still one BLAS call on the same operands, so the output bits do not
-    depend on the block size; a dense layer is a single block.
+    depend on the block size; a dense layer is a single block. The input
+    is dropped once the last block is copied, and a weight function is
+    called once the first block is. So when the caller passes the only
+    reference to ``x``, a dense layer frees its input before it fetches
+    its weight and runs the GEMM.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[0] != layer.in_channels:
@@ -121,16 +137,15 @@ def conv2d_forward(x, weight, bias, layer: ConvLayerSpec) -> np.ndarray:
     cig = layer.in_channels // g
     cog = layer.out_channels // g
     kh, kw = layer.kernel
-    if weight.shape != (layer.out_channels, cig, kh, kw):
-        raise ValueError(f"bad weight shape {weight.shape}")
     oh, ow = layer.out_hw(x.shape[1], x.shape[2])
     sh, sw = layer.stride
     # (C_in, kh, kw, oh, ow) view; im2col of groups g0:g1 is a copy of
     # channels g0*cig:g1*cig, against (g, cog, cig*kh*kw) filters
     win = sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::sh, ::sw]
     win = win.transpose(0, 3, 4, 1, 2)
+    del x  # from here only win's base holds the input
     k = cig * kh * kw
-    filt = np.asarray(weight, dtype=np.float64).reshape(g, cog, k)
+    filt = None
     out = np.empty((g, cog, oh * ow))
     step = max(1, _COLS_BYTES // (k * oh * ow * 8))
     with np.errstate(invalid="ignore"):  # saturated inputs propagate inf/nan
@@ -139,25 +154,60 @@ def conv2d_forward(x, weight, bias, layer: ConvLayerSpec) -> np.ndarray:
             cols = np.ascontiguousarray(win[g0 * cig:g1 * cig]).reshape(
                 g1 - g0, k, oh * ow
             )
+            if g1 == g:  # every block copied: free the input before the GEMM
+                win = None
+            if filt is None:
+                filt = np.asarray(weight() if callable(weight) else weight,
+                                  dtype=np.float64)
+                if filt.shape != (layer.out_channels, cig, kh, kw):
+                    raise ValueError(f"bad weight shape {filt.shape}")
+                filt = filt.reshape(g, cog, k)
             np.matmul(filt[g0:g1], cols, out=out[g0:g1])
     out = out.reshape(layer.out_channels, oh, ow)
     out += np.asarray(bias, dtype=np.float64)[:, None, None]
     return out
 
 
+class LazyWeights(dict):
+    """The tensors of ``init_weights(config, seed)``, each weight drawn on
+    its first lookup.
+
+    The zero biases are there from the start. Looking up a missing
+    ``layer{i}.weight`` draws the weights of every layer up to i that are
+    not drawn yet, in layer order, from the one ``default_rng(seed)``, so
+    every tensor is bit for bit the one ``init_weights`` returns. Drawn
+    tensors stay for later lookups. Like a ``defaultdict``, it iterates
+    over only what it holds so far.
+    """
+
+    def __init__(self, config: SubsamplingConfig, seed: int):
+        super().__init__((f"layer{i}.bias", np.zeros(layer.out_channels))
+                         for i, layer in enumerate(config.layers))
+        self._layers = config.layers
+        self._rng = np.random.default_rng(seed)
+        self._drawn = 0
+
+    def __missing__(self, key):
+        while self._drawn < len(self._layers):
+            layer = self._layers[self._drawn]
+            fan_in = layer.kernel[0] * layer.kernel[1] * layer.in_channels // layer.groups
+            shape = (layer.out_channels, layer.in_channels // layer.groups, *layer.kernel)
+            self[f"layer{self._drawn}.weight"] = self._rng.normal(
+                0.0, 1.0 / math.sqrt(fan_in), shape)
+            self._drawn += 1
+            if key in self:
+                return self[key]
+        raise KeyError(key)
+
+
 def init_weights(config: SubsamplingConfig, seed: int) -> dict[str, np.ndarray]:
     """Gaussian weights with std 1/sqrt(fan-in) and zero biases."""
-    rng = np.random.default_rng(seed)
-    out = {}
-    for i, layer in enumerate(config.layers):
-        fan_in = layer.kernel[0] * layer.kernel[1] * layer.in_channels // layer.groups
-        shape = (layer.out_channels, layer.in_channels // layer.groups, *layer.kernel)
-        out[f"layer{i}.weight"] = rng.normal(0.0, 1.0 / math.sqrt(fan_in), shape)
-        out[f"layer{i}.bias"] = np.zeros(layer.out_channels)
-    return out
+    lazy = LazyWeights(config, seed)
+    return {key: lazy[key] for i in range(len(config.layers))
+            for key in (f"layer{i}.weight", f"layer{i}.bias")}
 
 
-def subsample_forward(x, config: SubsamplingConfig, weights: dict,
+def subsample_forward(x, config: SubsamplingConfig, weights,
                       rec: QuantRecorder):
     """Run the subsampler on one (C, H, W) sample.
 
@@ -165,6 +215,15 @@ def subsample_forward(x, config: SubsamplingConfig, weights: dict,
     rounded into ``rec``, which keeps the counts; arithmetic inside a
     convolution stays in float64, so the simulation tracks activation range
     rather than accumulator rounding. Returns (output, per-layer peak |values|).
+
+    ``weights`` maps ``layer{i}.weight`` and ``layer{i}.bias`` to tensors.
+    Each layer gets the only reference to its input, which a dense layer
+    frees once its columns exist, and looks its weight up only then, so a
+    ``LazyWeights`` draws it then. Through conv2d6 on one 80x1000 chunk the
+    peak is thus 283 MB (layer-0 output and columns) where it was 343 MB
+    (those, weights and product). A ``LazyWeights`` reused for a later
+    chunk holds its drawn weights beside that chunk's column copy, about
+    335 MB.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 2:
@@ -172,7 +231,9 @@ def subsample_forward(x, config: SubsamplingConfig, weights: dict,
     x = rec.q(x)
     peaks = []
     for i, layer in enumerate(config.layers):
-        x = conv2d_forward(x, weights[f"layer{i}.weight"],
+        held = [x]
+        del x  # the call gets the only reference to the layer's input
+        x = conv2d_forward(held.pop(), partial(weights.__getitem__, f"layer{i}.weight"),
                            weights[f"layer{i}.bias"], layer)
         rec.q(x, out=x)  # a fresh array, never the caller's: round and ReLU in place
         np.maximum(x, 0.0, out=x)
@@ -282,6 +343,7 @@ def profile_dynamic_range(chunks, config: SubsamplingConfig, weights: dict,
         layer_peaks = peaks if layer_peaks is None else tuple(
             max(a, b) for a, b in zip(layer_peaks, peaks)
         )
+        del out, finite  # not live beside the next chunk's columns
     if not peak_per_chunk:
         raise ValueError("empty stream")
 

@@ -671,6 +671,53 @@ def test_audit_layernorm_stream_with_inf_exits_2(tmp_path, capsys, prenorm):
     assert "inf.stream: row 2: entries must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("chunk, conv, why", [
+    (np.ones((2, 40)), "conv2d6", "conv2d6: input 2x40 smaller than kernel 3x3"),
+    (np.ones((10, 40)), "dws2d6,conv2d6",  # 4x19 after layer 0: no 5x5 fits
+     "dws2d6: input 4x19 smaller than kernel 5x5"),
+    (np.ones((2, 3, 40)), "conv2d6",
+     "conv2d6: expected (H, W) or (1, H, W) input, got (2, 3, 40)"),
+    (np.ones((1, 1, 30, 40)), "dws2d6",
+     "dws2d6: expected (H, W) or (1, H, W) input, got (1, 1, 30, 40)"),
+])
+def test_profile_conv_chunk_a_config_cannot_take_exits_2(tmp_path, capsys, chunk, conv,
+                                                         why):
+    path = tmp_path / "frames.stream"
+    write_stream(path, [np.ones((30, 40)), chunk])
+    out = tmp_path / "prof"
+    assert run("profile-conv", str(path), "--conv", conv, "--out-dir", str(out)) == 2
+    assert f"error: {path}: chunk 1: {why}\n" == capsys.readouterr().err
+    assert not out.exists()  # refused before the first config ran
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("dtype", [np.float64, np.float16])
+def test_profile_conv_non_finite_entry_exits_2_naming_its_position(tmp_path, capsys,
+                                                                   value, dtype):
+    path = tmp_path / "frames.stream"
+    frames = np.random.default_rng(0).normal(size=(80, 40)).astype(dtype)
+    frames[17, 33] = value
+    write_stream(path, [np.ones((30, 40), dtype), frames])
+    out = tmp_path / "prof"
+    assert run("profile-conv", str(path), "--conv", "conv2d6", "--out-dir", str(out)) == 2
+    assert (f"error: {path}: chunk 1: entry (17, 33) is {value}: entries must be finite\n"
+            == capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_profile_conv_counts_finite_entries_that_overflow_the_format(tmp_path):
+    path = tmp_path / "frames.stream"
+    frames = np.random.default_rng(0).normal(size=(30, 40))
+    frames[5, 5] = 1e6  # finite, past fp16's 65504
+    write_stream(path, [frames])
+    out = tmp_path / "prof"
+    assert run("profile-conv", str(path), "--conv", "dws2d6", "--format", "fp16",
+               "--out-dir", str(out)) == 0
+    hist = json.loads((out / "conv_hist_dws2d6.json").read_text())
+    assert hist["quantize"]["overflow"] > 0
+    assert hist["per_layer_peak"][0] == math.inf
+
+
 @pytest.mark.parametrize("argv, key, value", [
     (("gen-stream", "{tmp}/a.stream"), "dist", "bogus"),
     (("gen-stream", "{tmp}/a.stream"), "rows", 3.7),

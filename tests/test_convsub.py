@@ -1,11 +1,14 @@
 """Subsampling front ends against a loop-and-counter oracle."""
 
+import functools
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
-from lowprec import convsub
+from lowprec import cli, convsub
 from lowprec.convsub import (
     CONV2D6,
     CONV2D6_X22,
@@ -13,6 +16,7 @@ from lowprec.convsub import (
     DWS2D6_X22,
     SUBSAMPLERS,
     ConvLayerSpec,
+    LazyWeights,
     SubsamplingConfig,
     conv2d_forward,
     frontend_share,
@@ -22,7 +26,8 @@ from lowprec.convsub import (
     profile_dynamic_range,
     subsample_forward,
 )
-from lowprec.floatsim import FP16, QuantRecorder, log2_bins
+from lowprec.floatsim import FP16, QuantRecorder, log2_bins, parse_format
+from lowprec.streams import write_stream
 from oracles import im2col_conv, naive_conv, naive_subsample
 
 
@@ -184,6 +189,10 @@ def test_weight_shapes_and_scaling():
     again = init_weights(DWS2D6, 7)
     for k in wts:
         np.testing.assert_array_equal(wts[k], again[k])
+    # every bit, in key order: the profile-conv reports depend on them
+    digest = hashlib.sha256(b"".join(k.encode() + t.tobytes() for k, t in wts.items()))
+    assert digest.hexdigest() == (
+        "44544d12a9cd3ef0773442ce958b376ac09addbddab51952af2151d33ad6ada3")
 
 
 def test_output_multiplier_is_exact_in_double():
@@ -215,6 +224,68 @@ def test_quantized_forward_holds_no_second_copy_of_a_layer_output(traced_peak):
     fp16 = traced_peak(lambda: subsample_forward(x, DWS2D6, wts, QuantRecorder(FP16)))
     exact = traced_peak(lambda: subsample_forward(x, DWS2D6, wts, QuantRecorder(None)))
     assert fp16 <= 1.05 * exact
+
+
+def test_profile_conv_frees_a_dense_layers_input_before_drawing_its_weights(
+        tmp_path, traced_peak):
+    # conv2d6 layer 1 needs its columns whole; beside them the command may
+    # hold the layer-0 output while it copies them, or the weights and the
+    # product during the GEMM, but never all four at once
+    h, w = 40, 400
+    path = tmp_path / "frames.stream"
+    write_stream(path, [np.random.default_rng(0).normal(size=(h, w))])
+    l0, l1 = CONV2D6.layers
+    oh0, ow0 = l0.out_hw(h, w)
+    oh1, ow1 = l1.out_hw(oh0, ow0)
+    k = l1.in_channels * l1.kernel[0] * l1.kernel[1]
+    layer0_out = 8 * l0.out_channels * oh0 * ow0
+    cols = 8 * k * oh1 * ow1
+    weights = 8 * l1.out_channels * k
+    product = 8 * l1.out_channels * oh1 * ow1
+    peak = traced_peak(lambda: cli.main(["profile-conv", str(path), "--conv", "conv2d6",
+                                         "--out-dir", str(tmp_path / "out")]))
+    allowed = 1.02 * max(layer0_out + cols, cols + weights + product) + (1 << 20)
+    assert layer0_out + cols + weights + product > allowed
+    assert peak <= allowed
+
+
+_FRAMES = np.random.default_rng(8).normal(0.0, 4.0, (31, 40))
+
+
+@functools.cache
+def _init_weights(name: str) -> dict:
+    return init_weights(SUBSAMPLERS[name], 3)
+
+
+@pytest.mark.parametrize("chunks", [[_FRAMES[:24]], [_FRAMES[:20], _FRAMES, _FRAMES[5:]]],
+                         ids=["one-chunk", "three-chunks"])
+@pytest.mark.parametrize("fmt", ["none", "fp16", "custom:3,4"])
+@pytest.mark.parametrize("name", sorted(SUBSAMPLERS))
+def test_lazy_weights_profile_bit_for_bit_as_init_weights(name, fmt, chunks):
+    config = SUBSAMPLERS[name]
+    fmt = None if fmt == "none" else parse_format(fmt)
+    eager = _init_weights(name)
+    lazy = LazyWeights(config, 3)
+    want = profile_dynamic_range(chunks, config, eager, fmt).to_json_dict()
+    got = profile_dynamic_range(chunks, config, lazy, fmt).to_json_dict()
+    assert json.dumps(got) == json.dumps(want)  # floats at full repr
+    assert sorted(lazy) == sorted(eager)
+    for key, tensor in eager.items():
+        assert lazy[key].dtype == tensor.dtype
+        assert lazy[key].tobytes() == tensor.tobytes(), key
+
+
+def test_lazy_weights_draw_in_layer_order_whichever_is_asked_first():
+    eager = init_weights(DWS2D6, 11)
+    lazy = LazyWeights(DWS2D6, 11)
+    assert sorted(lazy) == ["layer0.bias", "layer1.bias", "layer2.bias"]
+    last = lazy["layer2.weight"]  # draws layers 0 and 1 on the way
+    assert sorted(lazy) == sorted(eager)
+    assert last.tobytes() == eager["layer2.weight"].tobytes()
+    assert lazy["layer0.weight"].tobytes() == eager["layer0.weight"].tobytes()
+    assert lazy["layer2.weight"] is last
+    with pytest.raises(KeyError):
+        lazy["layer3.weight"]
 
 
 def test_two_dimensional_input_is_promoted():
