@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -55,7 +56,7 @@ from .graphir import (
     mha_weights,
     movement_profile,
 )
-from .prenorm import PrenormSpec, stabilized_layernorm_rows
+from .prenorm import PrenormSpec, stabilized_layernorm_rows, theorem1_ceiling
 from .softmax_lut import RESCALE_THRESHOLD, ExpLUT, softmax_lut, softmax_reference
 from .streams import (
     StreamFormatError,
@@ -148,8 +149,10 @@ def theory_report(n_max: int = 4, vectors: int = 20000,
     random-vector budget shared across the bound sweeps, ``samples`` the
     Monte-Carlo budget per distribution.
     """
-    if n_max < 2:
-        raise ValueError(f"--n-max must be at least 2, got {n_max}")
+    if not 2 <= n_max <= 8:  # 8: lemma1_oracle's exhaustive search
+        raise ValueError(f"--n-max must be between 2 and 8, got {n_max}")
+    if samples < 10_000:  # mad_monte_carlo's tail estimates
+        raise ValueError(f"--samples must be at least 10000, got {samples}")
     rng = np.random.default_rng(seed)
     rows: list[dict] = []
     p_grid = (1.5, 2.0, 3.0)
@@ -292,13 +295,17 @@ def cmd_verify_theory(args) -> int:
 def cmd_audit_layernorm(args) -> int:
     fmt = parse_format(args.format)
     n_rows, blocks = _row_blocks(args.stream)
+    start, block = next(blocks)  # every block has the stream's width
+    blocks = itertools.chain([(start, block)], blocks)
     out_dir = Path(args.out_dir)
 
     if args.prenorm == "none":
         pspec = None
+    elif args.prenorm == "mad":
+        pspec = PrenormSpec(mode="mad", p=args.p)
     else:
-        pspec = PrenormSpec(mode=args.prenorm, p=args.p,
-                            max_value=fmt.max_finite, safety=args.safety)
+        pspec = PrenormSpec(mode="theorem1", p=args.p,
+                            max_value=theorem1_ceiling(fmt, block.shape[1]))
     variants = {"none": None, args.prenorm: pspec}  # one entry for --prenorm none
     mults = {"1": 1.0, "sqrt512": SQRT512}
     recs = {(m, pre_name): QuantRecorder(fmt, rows=n_rows)
@@ -333,6 +340,8 @@ def cmd_audit_layernorm(args) -> int:
             "overflow_fraction": bad / n_rows,
             "quantize": dataclasses.asdict(rec.stats),
         })
+        if pre_name == "theorem1":
+            table[-1]["max_value"] = pspec.max_value
 
     # Histogram of per-row peak input magnitude, integer log2 bins.
     hist_path = out_dir / "layernorm_hist.csv"
@@ -686,8 +695,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, list[argparse.Act
     flag("--prenorm", choices=("none", "mad", "theorem1"), default="theorem1",
          help="pre-normalizer under audit")
     flag("--p", type=float, default=2.0, help="norm exponent")
-    flag("--safety", type=float, default=1.0,
-         help="fraction of the format's max value the bound targets")
 
     p, _ = command("audit-softmax", cmd_audit_softmax,
                    "argmax/mass audit over a stream", "out_dir", "format")

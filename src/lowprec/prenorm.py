@@ -2,12 +2,14 @@
 
 Two pre-normalizers are provided. The worst-case-optimal one divides a
 zero-mean vector by ``0.5 * (2/M)**(1/p)`` times its L1 norm, which makes the
-largest attainable sum of p-th powers exactly M (the format's max finite
-value). The practical one divides by the mean absolute value (MAD), which
-maps common activation distributions into a small band around [-2, 2]
-(uniform) or [-5, 5] (Gaussian). Brute-force oracles for the underlying
-extremal inequality live here too, so the closed forms never have to be
-trusted on faith.
+largest attainable sum of p-th powers exactly M. For a kernel that rounds
+into a format, :func:`theorem1_ceiling` derives M from the format and the
+row width, below the format's max finite value by enough that the
+rounded sum of squares provably fits. The practical one divides by the mean
+absolute value (MAD), which maps common activation distributions into a
+small band around [-2, 2] (uniform) or [-5, 5] (Gaussian). Brute-force
+oracles for the underlying extremal inequality live here too, so the
+closed forms never have to be trusted on faith.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lowprec.floatsim import QuantRecorder
+from lowprec.floatsim import FloatFormat, QuantRecorder
 # Bound here so the benchmark tracer (perfbench/spans.py) can wrap it.
 from lowprec.floatsim import quantize_array  # noqa: F401
 
@@ -35,15 +37,16 @@ class PrenormSpec:
     """Pre-normalizer choice.
 
     mode "theorem1" uses the worst-case-optimal L1 scaling for norm order
-    ``p`` and range limit ``max_value``; mode "mad" divides by the mean
-    absolute value. ``safety`` shrinks the effective limit (0.5 targets
-    M/2 so running partial sums have headroom).
+    ``p``, which bounds the sum of p-th powers by ``max_value``; a caller
+    that rounds the result into a format passes
+    ``theorem1_ceiling(fmt, n)``, the bound that keeps the rounded sum of
+    squares of a width-n row inside ``fmt``. Mode "mad" divides by the
+    mean absolute value and ignores ``max_value``.
     """
 
     mode: str
     p: float = 2.0
     max_value: float = 65504.0
-    safety: float = 1.0
 
     def __post_init__(self):
         if self.mode not in ("theorem1", "mad"):
@@ -52,8 +55,6 @@ class PrenormSpec:
             raise ValueError("norm order p must be >= 1")
         if not self.max_value > 0:
             raise ValueError("max_value must be positive")
-        if not (0 < self.safety <= 1):
-            raise ValueError("safety fraction must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -127,6 +128,61 @@ def theorem1_scale(p: float, M: float) -> float:
     return 0.5 * (2.0 / M) ** (1.0 / p)
 
 
+def theorem1_ceiling(fmt: FloatFormat, n: int) -> float:
+    """The theorem-1 ``max_value`` M for rows of width ``n`` rounded into ``fmt``.
+
+    M = max_finite * (1+u)**-(3+L) - n * eta * (min_normal + 1/2), with
+    u = 2**-(m+1) for m mantissa bits, L = ceil(log2 n) and
+    eta = min_normal * 2**-m the subnormal spacing. Raises ValueError when
+    that is not positive, a format too narrow for width-n rows.
+
+    Proof, for p = 2. Theorem 1 makes the pre-normalized float64 row z
+    satisfy sum z_i**2 <= M. :func:`stabilized_layernorm_rows` rounds
+    y_i = fl(z_i), then s_i = fl(y_i**2), then adds the s_i in a pairwise
+    tree of L levels, rounding every sum. Round-to-nearest gives
+    fl(a o b) = (a o b)(1 + d), |d| <= u, for a normal result, and an
+    absolute error of at most eta/2 for a subnormal one, as long as nothing
+    overflows. So:
+
+    - If z_i is normal, y_i**2 <= (1+u)**2 z_i**2. If it is subnormal, y_i
+      and z_i are both at most min_normal in size and at most eta/2 apart,
+      so y_i**2 - z_i**2 <= eta * min_normal. Either way
+      y_i**2 <= (1+u)**2 z_i**2 + eta * min_normal.
+    - s_i <= (1+u) y_i**2 + eta/2
+      <= (1+u)**3 z_i**2 + (1+u) eta * min_normal + eta/2.
+    - A sum of two non-negative floats is exact when it is subnormal, so
+      each level multiplies by at most (1+u); an odd leftover skips a level
+      and gains less. A node k levels up is at most (1+u)**k times the sum
+      of its leaves.
+
+    Every value up to the root is therefore at most
+    (1+u)**(3+L) * sum z_i**2 + (1+u)**L * n * ((1+u) eta * min_normal + eta/2),
+    which is at most max_finite for every sum z_i**2 <= M. By induction over
+    the steps nothing overflows, so the model held at each one. The steps
+    after the root divide it by n, add the epsilon and take the root; the
+    outputs y_i / sigma are at most sqrt(n) in exact arithmetic.
+
+    float64 carries z. The centering residual s of a row of L1 norm S, the
+    L1 sum, the scale, the divide and the divisions below raise
+    sum z_i**2 to at most M (1 + g), g < (s/S)**2 + (2n + L + 12) * 2**-53.
+    While g <= u, each value above is still at most max_finite before its
+    own rounding, whose (1+u) is not yet spent, so the bound stands. Within
+    ZeroMeanVector's slack (s/S <= 1e-6) that holds for m <= 30 and
+    n <= 2**20, fp16 and fp32 included. For p != 2 the kernel still sums
+    squares, which this bound does not cover.
+    """
+    m = fmt.mantissa_bits
+    u = math.ldexp(1.0, -(m + 1))
+    levels = (n - 1).bit_length()  # ceil(log2 n), the tree's depth
+    ceiling = fmt.max_finite
+    for _ in range(3 + levels):  # not (1 + u) ** k: libm pow may vary by host
+        ceiling /= 1.0 + u
+    ceiling -= n * math.ldexp(fmt.min_normal, -m) * (fmt.min_normal + 0.5)
+    if not ceiling > 0:
+        raise ValueError(f"{fmt.name} has no theorem-1 ceiling for rows of width {n}")
+    return ceiling
+
+
 def prenormalize(x, spec: PrenormSpec) -> tuple[np.ndarray, bool | np.ndarray]:
     """Scale ``x`` so the subsequent L_p-norm computation cannot overflow.
 
@@ -158,7 +214,7 @@ def _scale_rows(rows: np.ndarray, spec: PrenormSpec) -> tuple[np.ndarray, np.nda
     s1 = a.sum(axis=1)
     degenerate = a.max(axis=1) < _DEGENERATE_PEAK
     if spec.mode == "theorem1":
-        denom = theorem1_scale(spec.p, spec.safety * spec.max_value) * s1
+        denom = theorem1_scale(spec.p, spec.max_value) * s1
     else:
         denom = s1 / rows.shape[1]
     denom[degenerate] = 1.0  # x / 1 returns the row unchanged

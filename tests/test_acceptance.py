@@ -5,6 +5,7 @@ fine-grained cases. Budgets are wall-clock seconds on a desktop-class
 machine.
 """
 
+import json
 import math
 import time
 
@@ -295,3 +296,28 @@ def test_criterion_9_cli_determinism(acceptance, tmp_path):
         identical &= payloads[0] == payloads[1]
     acceptance(identical, f"criterion 9: {len(commands)} commands rerun "
                           f"byte-identical: {identical}")
+
+
+def test_criterion_10_theorem1_survives_rounding_on_extremal_streams(acceptance,
+                                                                      tmp_path):
+    widths, formats = (2, 3, 8, 64, 512), ("fp16", "fp32", "custom:7,8", "custom:3,4")
+    exits, stabilized, naive_fp16 = set(), 0, []
+    for width in widths:
+        stream = tmp_path / f"ext{width}.stream"
+        assert cli.main(["gen-stream", str(stream), "--dist", "extremal",
+                         "--rows", "64", "--width", str(width)]) == 0
+        for fmt in formats:
+            out = tmp_path / f"{width}-{fmt}"
+            exits.add(cli.main(["audit-layernorm", str(stream), "--format", fmt,
+                                "--out-dir", str(out)]))
+            report = json.loads((out / "layernorm_audit.json").read_text())
+            rows = {r["config"]: r["overflow_invocations"] for r in report["rows"]}
+            stabilized += rows["prenorm=theorem1,mult=1"]
+            stabilized += rows["prenorm=theorem1,mult=sqrt512"]
+            if fmt == "fp16":
+                naive_fp16.append(rows["prenorm=none,mult=1"])
+    ok = exits == {0} and stabilized == 0 and naive_fp16 == [64] * len(widths)
+    acceptance(ok, f"criterion 10: extremal streams at widths {list(widths)} x "
+                   f"{len(formats)} formats, exit codes {sorted(exits)} (need [0]), "
+                   f"{stabilized} stabilized overflowed rows (need 0), naive fp16 "
+                   f"overflowed rows {naive_fp16} of 64 each (need all)")

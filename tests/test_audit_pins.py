@@ -25,7 +25,7 @@ FIXTURE = Path(__file__).parent / "data" / "audit_reports.json"
 
 FORMATS = ("fp16", "fp32", "custom:7,8", "custom:3,4")
 PRENORMS = {"none": ["none"], "mad": ["mad"], "theorem1": ["theorem1"],
-            "theorem1-p3": ["theorem1", "--p", "3", "--safety", "0.5"]}
+            "theorem1-p3": ["theorem1", "--p", "3"]}
 REPORTS = ("layernorm_audit.json", "layernorm_hist.csv", "softmax_audit.json")
 
 

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from lowprec import cli
+from lowprec.floatsim import FP16
 from lowprec.graphir import GraphRewriteError, Graph, build_mha_bsf, MHAParams
 from lowprec.graphir import apply_passes, mha_weights
+from lowprec.prenorm import theorem1_ceiling
 from lowprec.streams import read_stream, write_stream, write_tensors
 
 
@@ -87,6 +89,8 @@ def test_audit_layernorm_stabilizer_kills_the_overflow(adversarial, tmp_path):
     assert rows["prenorm=theorem1,mult=sqrt512"]["overflow_fraction"] == 0.0
     for r in report["rows"]:
         assert r["overflow_fraction"] == r["overflow_invocations"] / r["invocations"]
+        assert r.get("max_value") == (theorem1_ceiling(FP16, 64)
+                                      if "theorem1" in r["config"] else None)
     hist = (out / "layernorm_hist.csv").read_text().splitlines()
     assert hist[0] == "log2_bin,count_mult1,count_multsqrt512"
     counts = np.array([[int(v) for v in line.split(",")[1:]]
@@ -387,6 +391,31 @@ def test_verify_theory_invalid_counts_exit_2(tmp_path, capsys, argv, flag):
     err = capsys.readouterr().err
     assert flag in err and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--n-max", "9"), "--n-max must be between 2 and 8, got 9"),
+    (("--samples", "5000"), "--samples must be at least 10000, got 5000"),
+])
+def test_verify_theory_over_budget_flags_exit_2_before_any_check(
+        tmp_path, capsys, monkeypatch, argv, message):
+    calls = []
+    for name in ("extremal_vector", "lemma1_oracle", "mad_monte_carlo"):
+        monkeypatch.setattr(f"lowprec.prenorm.{name}", lambda *a, **k: calls.append(a))
+    assert run("verify-theory", *argv, "--vectors", "200",
+               "--out-dir", str(tmp_path)) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert calls == [] and list(tmp_path.iterdir()) == []
+
+
+def test_audit_layernorm_format_too_narrow_for_theorem1_exits_2(adversarial, tmp_path,
+                                                                capsys):
+    out = tmp_path / "out"
+    assert run("audit-layernorm", str(adversarial), "--format", "custom:1,2",
+               "--out-dir", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "custom_m1e2 has no theorem-1 ceiling for rows of width 64" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,7 +7,7 @@ from pathlib import Path
 from lowprec import cli
 
 SRC = Path(cli.__file__).resolve().parent
-MAX_OPTIONS = 40
+MAX_OPTIONS = 39
 
 
 def test_the_subcommands_declare_at_most_40_option_flags():

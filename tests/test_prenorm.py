@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from lowprec.floatsim import FP16, QuantRecorder
+from lowprec.floatsim import FP16, QuantRecorder, parse_format
 from lowprec.prenorm import (
     BoundStats,
     PrenormSpec,
@@ -20,6 +20,7 @@ from lowprec.prenorm import (
     merge_to_spikes,
     prenormalize,
     stabilized_layernorm_rows,
+    theorem1_ceiling,
     theorem1_scale,
 )
 
@@ -189,12 +190,6 @@ def test_no_zero_mean_vector_can_exceed_the_limit(x):
         assert (np.abs(y) ** 2).sum() <= 65504.0 * (1.0 + 1e-9)
 
 
-def test_safety_fraction_shrinks_the_limit():
-    spec = PrenormSpec("theorem1", p=2.0, max_value=65504.0, safety=0.5)
-    y, _ = prenormalize(extremal_vector(3.0, 4), spec)
-    assert math.isclose((np.abs(y) ** 2).sum(), 65504.0 / 2.0, rel_tol=1e-9)
-
-
 def test_theorem1_mode_requires_zero_mean_input():
     with pytest.raises(ValueError):
         prenormalize(np.array([1.0, 2.0]), PrenormSpec("theorem1"))
@@ -237,7 +232,7 @@ def _block_rows():
 @pytest.mark.parametrize("mode", ["theorem1", "mad"])
 def test_a_row_block_matches_the_per_row_calls_bit_for_bit(mode):
     x = _block_rows()
-    spec = PrenormSpec(mode, p=3.0, safety=0.5)
+    spec = PrenormSpec(mode, p=3.0, max_value=32752.0)
     y, flags = prenormalize(x, spec)
     per_row = [prenormalize(row, spec) for row in x]
     assert y.shape == x.shape and flags.dtype == bool
@@ -246,7 +241,7 @@ def test_a_row_block_matches_the_per_row_calls_bit_for_bit(mode):
     assert flags.tolist() == [f for _, f in per_row]
     assert flags.tolist() == [i in (7, 9, 10) for i in range(len(x))]
     # ... and both match the one-vector formula, sums taken per 1-d row.
-    c = theorem1_scale(3.0, 0.5 * 65504.0)
+    c = theorem1_scale(3.0, 32752.0)
     for i in range(len(x)):
         if not flags[i]:
             s1 = float(np.abs(x[i]).sum())
@@ -280,9 +275,7 @@ def test_spec_validation():
         PrenormSpec("median")
     with pytest.raises(ValueError):
         PrenormSpec("theorem1", p=0.5)
-    with pytest.raises(ValueError):
-        PrenormSpec("theorem1", safety=0.0)
-    for kw in ({"p": math.nan}, {"max_value": math.nan}, {"safety": math.nan}):
+    for kw in ({"p": math.nan}, {"max_value": math.nan}):
         with pytest.raises(ValueError):
             PrenormSpec("theorem1", **kw)
     PrenormSpec("theorem1", p=math.inf)  # the L-infinity limit stays accepted
@@ -323,6 +316,57 @@ def test_per_row_counts_sum_to_total_overflow():
     rec = QuantRecorder(FP16, rows=16)
     stabilized_layernorm_rows(rows, None, rec)
     assert int(rec.row_overflow.sum()) == rec.stats.overflow
+
+
+CEILING_FORMATS = [parse_format(s) for s in ("fp16", "fp32", "custom:7,8", "custom:3,4")]
+
+
+def _theorem1_overflow(row, fmt, max_value) -> int:
+    """Overflowed roundings of one row through the theorem-1 kernel at ``max_value``."""
+    rec = QuantRecorder(fmt)
+    stabilized_layernorm_rows(row[None], PrenormSpec("theorem1", max_value=max_value), rec)
+    return rec.stats.overflow
+
+
+def test_the_ceiling_frozen_values_and_a_format_too_narrow_for_it():
+    assert theorem1_ceiling(FP16, 512) == 65121.402868977595
+    assert theorem1_ceiling(FP16, 2) == 65376.21852126328
+    assert theorem1_ceiling(parse_format("custom:3,4"), 512) == 115.43256594403546
+    with pytest.raises(ValueError, match="custom_m1e2 has no theorem-1 ceiling"):
+        theorem1_ceiling(parse_format("custom:1,2"), 2)
+
+
+@pytest.mark.parametrize("spec", ["fp16", "custom:7,8"])
+@pytest.mark.parametrize("n", [2, 8, 512])
+def test_a_two_spike_row_overflows_at_max_finite_but_not_at_the_ceiling(spec, n):
+    # fp16: spikes of sqrt(32752) round to 181, whose square rounds to
+    # 32768, and two of those sum past 65504.
+    fmt = parse_format(spec)
+    row = np.zeros(n)
+    row[0], row[-1] = -1.0, 1.0
+    assert _theorem1_overflow(row, fmt, fmt.max_finite) > 0
+    assert _theorem1_overflow(row, fmt, theorem1_ceiling(fmt, n)) == 0
+
+
+@given(fmt=st.sampled_from(CEILING_FORMATS), n=st.integers(2, 512),
+       spikes=st.sampled_from([1, 2]), noise=st.floats(0.0, 1e-2),
+       height=st.floats(1.0, 1e4), log10_scale=st.floats(-30.0, 30.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_no_near_extremal_row_overflows_at_the_ceiling(fmt, n, spikes, noise, height,
+                                                       log10_scale, seed):
+    # Two opposite unit spikes over small noise, or one spike `height`
+    # sigmas tall on a gaussian: the rows that come closest to the bound.
+    rng = np.random.default_rng(seed)
+    j, k = rng.choice(n, size=2, replace=False)
+    if spikes == 2:
+        row = noise * rng.standard_normal(n)
+        row[j] -= 1.0
+        row[k] += 1.0
+    else:
+        row = rng.standard_normal(n)
+        row[j] += height
+    row *= 10.0 ** log10_scale
+    assert _theorem1_overflow(row, fmt, theorem1_ceiling(fmt, n)) == 0
 
 
 def test_theorem1_kernel_peaks_below_four_and_a_quarter_inputs(traced_peak):
