@@ -11,11 +11,28 @@ magnitudes downstream, which is why the range profiler lives here.
 (about ``_COLS_BYTES`` of columns per block) and multiplies each block into
 a preallocated output. numpy's stacked ``matmul`` already makes one BLAS
 call per group, so splitting the stack along the group axis makes the same
-calls on the same operands and changes no bit. A dense layer is one group
-and so one block: its GEMM is never split, because splitting the positions
-or channels of a GEMM changes how BLAS blocks the sum, and so its bits.
-The depthwise layer's columns thus never exist at once (512 x 25 x 1980
-float64, 203 MB, for one 80x1000 chunk).
+calls on the same operands and changes no bit. The depthwise layer's
+columns thus never exist at once (512 x 25 x 1980 float64, 203 MB, for one
+80x1000 chunk).
+
+A dense layer is one group and so one block, and one GEMM. A large one is
+computed as column panels of the output positions, each one BLAS call
+written straight into its slice of ``out``, and the panels are spread over
+every usable CPU. A panel gives the bits of the same columns of one
+whole-product call only if it is large. Measured with OpenBLAS 0.3.31
+(SkylakeX kernels, one thread) at k = 64: with 512 output channels, a last
+panel shorter than 192 columns whose width is not a multiple of 8 changed
+its last few columns (tails 1, 76, 164, 188 and 189 among them); with 16,
+panels changed bits at most widths from 977 on, where the whole product
+passes 10**6 multiply-adds and leaves BLAS's small-matrix kernel. So
+only a GEMM with at least ``_PANEL`` output channels and reduction length
+is split, in panels of ``_PANEL`` = 512 columns with a remainder under 256
+folded into the last panel: conv2d6 layer 1 (k = 12800) and the dws2d6 1x1
+layer (k = 512), whose 1980 positions per 80x1000 chunk split as
+512/512/512/444. The layout follows from the shapes alone, so no bit
+depends on the CPU count. Layer 0 (k = 9) stays one call: its GEMM writes
+one output per 9 multiply-adds, so memory bounds it, and its panels ran
+1.35x slower on one thread and only about 10 % faster on two.
 
 A dense layer's columns must exist at once, so nothing that can wait sits
 beside them: ``subsample_forward`` hands each layer the only reference to
@@ -31,6 +48,7 @@ Later chunks reuse the drawn weights, so their column copy holds them too
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -40,6 +58,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from lowprec.floatsim import FloatFormat, OverflowStats, QuantRecorder, log2_bins
 # Bound here so the benchmark tracer (perfbench/spans.py) can wrap it.
 from lowprec.floatsim import quantize_array  # noqa: F401
+from lowprec.parallel import on_every_cpu
 
 
 @dataclass(frozen=True)
@@ -114,6 +133,39 @@ SUBSAMPLERS = {c.name: c for c in (CONV2D6, DWS2D6, CONV2D6_X22, DWS2D6_X22)}
 # faster than blocks of 1 to 8 MiB.
 _COLS_BYTES = 1 << 18
 
+# Output positions per column panel of a dense GEMM that conv2d_forward
+# splits; a remainder under half a panel joins the last panel.
+_PANEL = 512
+
+
+def _panels(n: int) -> list[tuple[int, int]]:
+    """Column ranges of ``n`` positions: panels of ``_PANEL`` columns, the
+    last 256 to 767 wide (or all ``n`` when fewer than 768)."""
+    cuts = list(range(0, n, _PANEL))
+    if len(cuts) > 1 and n - cuts[-1] < _PANEL // 2:
+        cuts.pop()
+    return list(zip(cuts, cuts[1:] + [n]))
+
+
+def _panel_matmul(a, b, out) -> None:
+    """``np.matmul(a, b, out=out)`` for 2-d operands, one column panel of
+    ``b`` and ``out`` per BLAS call, each thread of ``on_every_cpu`` taking
+    the next panel."""
+    ranges = _panels(b.shape[1])
+    panels = iter(ranges)
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                panel = next(panels, None)
+            if panel is None:
+                return
+            c0, c1 = panel
+            np.matmul(a, b[:, c0:c1], out=out[:, c0:c1])
+
+    on_every_cpu(work, len(ranges))
+
 
 def conv2d_forward(x, weight, bias, layer: ConvLayerSpec) -> np.ndarray:
     """Valid grouped 2-d convolution of one sample.
@@ -124,7 +176,10 @@ def conv2d_forward(x, weight, bias, layer: ConvLayerSpec) -> np.ndarray:
     The im2col columns are built for one block of groups at a time, each
     block's product written into its slice of the output. Each group is
     still one BLAS call on the same operands, so the output bits do not
-    depend on the block size; a dense layer is a single block. The input
+    depend on the block size; a dense layer is a single block. A dense
+    layer with at least ``_PANEL`` output channels and reduction length
+    runs its GEMM in column panels on every usable CPU (``_panel_matmul``);
+    the module docstring says why its bits are those of one call. The input
     is dropped once the last block is copied, and a weight function is
     called once the first block is. So when the caller passes the only
     reference to ``x``, a dense layer frees its input before it fetches
@@ -162,7 +217,10 @@ def conv2d_forward(x, weight, bias, layer: ConvLayerSpec) -> np.ndarray:
                 if filt.shape != (layer.out_channels, cig, kh, kw):
                     raise ValueError(f"bad weight shape {filt.shape}")
                 filt = filt.reshape(g, cog, k)
-            np.matmul(filt[g0:g1], cols, out=out[g0:g1])
+            if g == 1 and min(cog, k) >= _PANEL:
+                _panel_matmul(filt[0], cols[0], out[0])
+            else:
+                np.matmul(filt[g0:g1], cols, out=out[g0:g1])
     out = out.reshape(layer.out_channels, oh, ow)
     out += np.asarray(bias, dtype=np.float64)[:, None, None]
     return out

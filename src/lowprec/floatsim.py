@@ -37,6 +37,7 @@ Block boundaries change no bit: every step is element-wise.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -139,12 +140,20 @@ def _bits(v: float) -> np.uint64:
     return np.float64(v).view(np.uint64)
 
 
-# The quantize loop's block scratch: u, t and sign, two masks and a codes
-# block. Made once, at import, and reused by every call, so a call faults in
-# no fresh pages and leaves no long-lived buffer atop the heap.
-_SCRATCH = (*(np.empty(_BLOCK, dtype=np.uint64) for _ in range(3)),
-            *(np.empty(_BLOCK, dtype=np.bool_) for _ in range(2)),
-            np.empty(_BLOCK, dtype=np.int8))
+class _Scratch(threading.local):
+    """The quantize loop's block scratch, one per thread: u, t and sign, two
+    masks and a codes block. Made on a thread's first call (the importing
+    thread's at import) and reused by its later calls, so a call faults in
+    no fresh pages and leaves no long-lived buffer atop the heap, and calls
+    on different threads do not share it."""
+
+    def __init__(self):
+        self.blocks = (*(np.empty(_BLOCK, dtype=np.uint64) for _ in range(3)),
+                       *(np.empty(_BLOCK, dtype=np.bool_) for _ in range(2)),
+                       np.empty(_BLOCK, dtype=np.int8))
+
+
+_SCRATCH = _Scratch()
 
 
 def _quantize_blocks(xs, fmt: FloatFormat, out=None, codes: bool = True
@@ -154,8 +163,6 @@ def _quantize_blocks(xs, fmt: FloatFormat, out=None, codes: bool = True
     ``out``, a C-contiguous float64 array of the input's shape, may be
     ``xs`` itself; ``None`` allocates it. The codes array is built only
     when ``codes`` is true, and is returned as ``None`` otherwise.
-    The block scratch is module state reused by every call, so calls must
-    not run at the same time from several threads.
     """
     x = np.asarray(xs, dtype=np.float64)
     if out is None:
@@ -167,7 +174,7 @@ def _quantize_blocks(xs, fmt: FloatFormat, out=None, codes: bool = True
     r_all = out.view(np.uint64).reshape(-1)
     n = bits.size
     k = min(n, _BLOCK)
-    u_buf, t_buf, sign_buf, m_buf, m2_buf, code_buf = (b[:k] for b in _SCRATCH)
+    u_buf, t_buf, sign_buf, m_buf, m2_buf, code_buf = (b[:k] for b in _SCRATCH.blocks)
     codes_all = np.empty(n, dtype=np.int8) if codes else code_buf
     s = 52 - fmt.mantissa_bits
     # Below min_normal, a + c lands in [c, 2c), whose float64 spacing is the

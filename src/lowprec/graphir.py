@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import os
 import threading
 from dataclasses import dataclass, field, replace
 
@@ -37,6 +36,7 @@ import numpy as np
 from lowprec.floatsim import FloatFormat, OverflowStats, QuantRecorder
 # Bound here so the benchmark tracer (perfbench/spans.py) can wrap it.
 from lowprec.floatsim import quantize_array
+from lowprec.parallel import on_every_cpu
 from lowprec.prenorm import layernorm as _layernorm_ref
 from lowprec.prenorm import stabilized_layernorm_rows
 from lowprec.softmax_lut import softmax_lut, softmax_reference
@@ -497,13 +497,6 @@ def execute_traced(g: Graph, feeds: dict[str, np.ndarray],
     )
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
-
-
 def _max_deviation(names, o1: dict, o2: dict) -> float:
     """Max |difference| over one instance's outputs, or GraphRewriteError.
 
@@ -541,17 +534,14 @@ def check_equivalence(g1: Graph, g2: Graph, weights: dict,
     and output names must match. ``n_instances`` must be at least 1: a
     check over nothing proves nothing.
 
-    The instances run in parallel on every usable CPU, the calling thread
-    and one helper thread per further CPU each taking the next instance
-    (numpy releases the GIL in einsum and BLAS), so at most one instance
-    per thread is in flight. Feeds are drawn from one generator in instance
-    order, and each instance writes its deviation or error into its own
-    slot. An error stops further draws, but every earlier instance was
-    drawn before it, so reading the slots in order gives a returned float
-    and an error (the first instance's) that do not depend on the number
-    of threads. This is safe only because float64 execution shares no
-    mutable state; format execution rounds through ``floatsim``'s shared
-    scratch and must stay sequential.
+    The instances run in parallel on every usable CPU
+    (``parallel.on_every_cpu``), each thread taking the next instance, so
+    at most one instance per thread is in flight. Feeds are drawn from one
+    generator in instance order, and each instance writes its deviation or
+    error into its own slot. An error stops further draws, but every
+    earlier instance was drawn before it, so reading the slots in order
+    gives a returned float and an error (the first instance's) that do not
+    depend on the number of threads.
     """
     if n_instances < 1:
         raise ValueError(f"need at least 1 check instance, got {n_instances}")
@@ -564,6 +554,11 @@ def check_equivalence(g1: Graph, g2: Graph, weights: dict,
     lock = threading.Lock()
     results: list = [None] * n_instances  # a deviation or an exception each
     drawn = 0
+
+    def stop():  # no later instance is drawn
+        nonlocal drawn
+        with lock:
+            drawn = n_instances
 
     def work():
         nonlocal drawn
@@ -582,20 +577,10 @@ def check_equivalence(g1: Graph, g2: Graph, weights: dict,
                     execute_traced(g2, feeds, weights).outputs)
             except Exception as exc:  # re-raised on the calling thread
                 results[k] = exc
-                with lock:
-                    drawn = n_instances  # no later instance is drawn
+                stop()
 
-    helpers = [threading.Thread(target=work)
-               for _ in range(min(n_instances, _usable_cpus()) - 1)]
-    for t in helpers:
-        t.start()
-    try:
-        work()
-    finally:
-        with lock:
-            drawn = n_instances  # on an interrupt, helpers stop after one instance
-        for t in helpers:
-            t.join()
+    # on an interrupt, stop() lets each helper finish only its instance
+    on_every_cpu(work, n_instances, stop)
     for result in results:
         if isinstance(result, Exception):
             raise result

@@ -103,6 +103,104 @@ def test_group_blocks_match_the_one_shot_im2col_bit_for_bit(monkeypatch, layer, 
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def test_panels_are_fixed_and_leave_no_short_tail():
+    assert convsub._panels(1980) == [(0, 512), (512, 1024), (1024, 1536), (1536, 1980)]
+    for n in range(1, 3000):
+        cuts = [c for panel in convsub._panels(n) for c in panel]
+        assert cuts[0] == 0 and cuts[-1] == n and cuts[1:-1:2] == cuts[2:-1:2]
+        widths = np.diff(cuts[::2] + [n])
+        assert set(widths[:-1]) <= {512} and (widths[-1] >= 256 or len(widths) == 1)
+
+
+def test_panel_product_has_the_bits_of_one_matmul_at_every_width(one_blas_thread):
+    # a 256-column panel is still 64 x 256 x 64 > 10**6 multiply-adds
+    m, k, widths = 64, 64, range(1, 2601)
+    rng = np.random.default_rng(21)
+    a = rng.normal(size=(m, k))
+    b = rng.normal(size=(k, widths[-1]))
+    bufs = np.empty((3, m * widths[-1]))  # reused: no fresh pages per width
+    for n in widths:
+        bn, got, want = (buf[:rows * n].reshape(rows, n)
+                         for buf, rows in zip(bufs, (k, m, m)))
+        bn[...] = b[:, :n]
+        convsub._panel_matmul(a, bn, got)
+        np.matmul(a, bn, out=want)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
+
+
+def _spy_panel_matmul(monkeypatch) -> list:
+    """Record the operand shapes of every split GEMM."""
+    calls, real = [], convsub._panel_matmul
+    monkeypatch.setattr(convsub, "_panel_matmul",
+                        lambda a, b, out: calls.append((a.shape, b.shape)) or real(a, b, out))
+    return calls
+
+
+def test_only_the_long_dense_gemms_are_split(monkeypatch):
+    calls = _spy_panel_matmul(monkeypatch)
+    x = np.random.default_rng(0).normal(size=(30, 40))
+    for name in sorted(SUBSAMPLERS):
+        subsample_forward(x, SUBSAMPLERS[name], init_weights(SUBSAMPLERS[name], 0),
+                          QuantRecorder(None))
+    # conv2d6 layer 1 and the dws2d6 1x1 layer, each with and without x22
+    assert [a for a, _ in calls] == [(512, 12800)] * 2 + [(512, 512)] * 2
+
+
+@pytest.mark.parametrize("config, i", [(CONV2D6, 1), (DWS2D6, 2)], ids=["conv2d6", "dws2d6"])
+def test_split_frontend_gemms_have_the_bits_of_one_matmul(monkeypatch, one_blas_thread,
+                                                          config, i):
+    # the layer's input for one 80x1000 chunk, with saturated entries
+    h, w = 80, 1000
+    for layer in config.layers[:i]:
+        h, w = layer.out_hw(h, w)
+    layer = config.layers[i]
+    rng = np.random.default_rng(i)
+    x = rng.random((layer.in_channels, h, w))
+    x[0, 2, 3], x[-1, 7, 8], x[9, 5, 5] = np.inf, -np.inf, np.nan
+    k = layer.in_channels * layer.kernel[0] * layer.kernel[1]
+    wt = rng.normal(0.0, 1.0 / math.sqrt(k), (layer.out_channels, layer.in_channels,
+                                              *layer.kernel))
+    b = rng.normal(size=layer.out_channels)
+    calls = _spy_panel_matmul(monkeypatch)
+    got = conv2d_forward(x, wt, b, layer)
+    assert calls == [((512, k), (k, 1980))]
+    want = im2col_conv(x, wt, b, layer)
+    assert np.isnan(want).any() and np.isinf(want).any()
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _profile_conv_reports(path, out_dir, *args) -> dict:
+    assert cli.main(["profile-conv", str(path), "--out-dir", str(out_dir), *args]) == 0
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3], indirect=True)
+def test_profile_conv_reports_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch,
+                                                             one_blas_thread, cpus):
+    # 56x1000 gives conv2d6 layer 1 and the dws2d6 1x1 layer 8 x 165
+    # positions, three panels; the reference runs each GEMM as one call
+    path = tmp_path / "frames.stream"
+    write_stream(path, [np.random.default_rng(6).normal(0.0, 3.0, (56, 1000))])
+    args = ("--conv", "conv2d6,dws2d6", "--format", "fp16")
+    with monkeypatch.context() as m:
+        m.setattr(convsub, "_panel_matmul", lambda a, b, out: np.matmul(a, b, out=out))
+        want = _profile_conv_reports(path, tmp_path / "one_call", *args)
+    calls = _spy_panel_matmul(monkeypatch)
+    assert _profile_conv_reports(path, tmp_path / "panels", *args) == want
+    assert [b for _, b in calls] == [(12800, 1320), (512, 1320)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cpus", [2], indirect=True)
+def test_panel_threads_keep_the_callers_numpy_error_state(tmp_path, cpus):
+    # fp16 rounds the input to +-inf, so the GEMMs make inf - inf; the
+    # forward ignores that, on the helper thread as on the calling one
+    path = tmp_path / "loud.stream"
+    write_stream(path, [np.random.default_rng(3).normal(0.0, 1e5, (40, 1000))])
+    _profile_conv_reports(path, tmp_path / "out", "--format", "fp16",
+                          "--conv", "conv2d6,dws2d6")
+
+
 def _same(a: float, b: float) -> bool:
     """Equal floats with equal signs, or both NaN."""
     if math.isnan(a) or math.isnan(b):

@@ -5,6 +5,8 @@ from-scratch bit-pattern decoder serve as two independent oracles for it.
 """
 
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -343,6 +345,35 @@ def test_rounding_in_place_without_codes_allocates_no_block_scratch(traced_peak)
     x = np.random.default_rng(9).normal(0.0, 500.0, floatsim._BLOCK)
     peak = traced_peak(lambda: floatsim._quantize_blocks(x, FP16, out=x, codes=False))
     assert peak < x.nbytes // 8  # no scratch block of the input's size
+
+
+def test_concurrent_calls_round_as_sequential_ones():
+    # each thread rounds through a block scratch of its own; four threads
+    # oversubscribe a small machine's cores
+    rng = np.random.default_rng(12)
+    xs = [rng.normal(0.0, 5e4, (64, 512)) for _ in range(4)]
+    want = [quantize_array(x, FP16) for x in xs]
+    wrong = [0] * len(xs)
+
+    def calls(i):
+        for _ in range(100):
+            values, codes = quantize_array(xs[i], FP16)
+            wrong[i] += not (np.array_equal(values.view(np.uint64),
+                                            want[i][0].view(np.uint64))
+                             and np.array_equal(codes, want[i][1]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        threads = [threading.Thread(target=calls, args=(i,)) for i in range(len(xs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == [0] * len(xs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,13 @@
 """Graph IR executor and rewrite passes against a straight-line oracle."""
 
 import math
-import sys
 import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lowprec import graphir
+from lowprec import graphir, parallel
 from lowprec.floatsim import FP16, QuantRecorder, quantize_array
 from lowprec.graphir import (
     Graph,
@@ -218,16 +217,6 @@ def _error(fn):
     raise AssertionError("no error raised")
 
 
-@pytest.fixture(params=[1, 2, 8], ids=lambda c: f"{c}cpu")
-def cpus(request, monkeypatch):
-    """Thread count of the check; 8 oversubscribes a small machine's cores."""
-    monkeypatch.setattr(graphir, "_usable_cpus", lambda: request.param)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads as often as possible
-    yield request.param
-    sys.setswitchinterval(interval)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 10])
 @pytest.mark.parametrize("passes,chunks,axis", [
     (["layout", "chunk", "einsum"], 4, "heads"),
@@ -262,7 +251,7 @@ def test_parallel_check_raises_what_a_sequential_loop_raises(mha, cpus):
 def test_check_holds_at_most_one_instance_per_thread(mha, monkeypatch, threads):
     g, w = mha
     gc = apply_passes(g, ["layout", "chunk"], n_chunks=4)
-    monkeypatch.setattr(graphir, "_usable_cpus", lambda: threads)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: threads)
     drawn, done, in_flight = [], [], []
     real_rng, real_exec = np.random.default_rng, graphir.execute_traced
 
