@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import json
 import math
 import sys
@@ -91,8 +90,9 @@ def _write_csv(path: Path, header: str, rows) -> None:
 _BLOCK_BYTES = 1 << 19
 
 
-def _row_blocks(path: str) -> tuple[int, Iterator[tuple[int, np.ndarray]]]:
-    """The stream's row count, and its rows as (first row, block) pairs.
+def _row_blocks(path: str) -> tuple[int, int, Iterator[tuple[int, np.ndarray]]]:
+    """The stream's row count and width, and its rows as (first row, block)
+    pairs.
 
     A block holds about ``_BLOCK_BYTES`` of (rows, width) rows: a view of
     one large chunk, or several small chunks joined, since every call on a
@@ -107,7 +107,8 @@ def _row_blocks(path: str) -> tuple[int, Iterator[tuple[int, np.ndarray]]]:
     if not any(c.size for c in chunks):  # no rows, or rows of width 0
         raise StreamFormatError(f"{path}: the stream holds no entries")
     chunks = [c.reshape(-1, c.shape[-1]) for c in chunks]
-    step = max(1, _BLOCK_BYTES // (8 * widths.pop()))
+    width = widths.pop()
+    step = max(1, _BLOCK_BYTES // (8 * width))
 
     def join(parts):
         if len(parts) == 1:
@@ -127,7 +128,7 @@ def _row_blocks(path: str) -> tuple[int, Iterator[tuple[int, np.ndarray]]]:
         if parts:
             yield first, join(parts)
 
-    return sum(len(c) for c in chunks), blocks()
+    return sum(len(c) for c in chunks), width, blocks()
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +295,7 @@ def cmd_verify_theory(args) -> int:
 
 def cmd_audit_layernorm(args) -> int:
     fmt = parse_format(args.format)
-    n_rows, blocks = _row_blocks(args.stream)
-    start, block = next(blocks)  # every block has the stream's width
-    blocks = itertools.chain([(start, block)], blocks)
+    n_rows, width, blocks = _row_blocks(args.stream)
     out_dir = Path(args.out_dir)
 
     if args.prenorm == "none":
@@ -305,7 +304,7 @@ def cmd_audit_layernorm(args) -> int:
         pspec = PrenormSpec(mode="mad", p=args.p)
     else:
         pspec = PrenormSpec(mode="theorem1", p=args.p,
-                            max_value=theorem1_ceiling(fmt, block.shape[1]))
+                            max_value=theorem1_ceiling(fmt, width))
     variants = {"none": None, args.prenorm: pspec}  # one entry for --prenorm none
     mults = {"1": 1.0, "sqrt512": SQRT512}
     recs = {(m, pre_name): QuantRecorder(fmt, rows=n_rows)
@@ -384,7 +383,7 @@ def _sum_tolerance(fmt: FloatFormat) -> float:
 
 def cmd_audit_softmax(args) -> int:
     fmt = parse_format(args.format)
-    n_rows, blocks = _row_blocks(args.stream)
+    n_rows, _, blocks = _row_blocks(args.stream)
     out_dir = Path(args.out_dir)
 
     rec = QuantRecorder(fmt)

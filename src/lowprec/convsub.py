@@ -39,16 +39,16 @@ beside them: ``subsample_forward`` hands each layer the only reference to
 its input, ``conv2d_forward`` drops it once the last block is copied, and
 only then looks up the weight, which a ``LazyWeights`` draws on that first
 lookup. For conv2d6 layer 1 on one 80x1000 chunk the peak is the larger of
-the column copy (80 MB layer-0 output + 203 MB columns) and the GEMM (203
-MB columns + 52 MB weights + 8 MB product), not all four at once (343 MB).
-Later chunks reuse the drawn weights, so their column copy holds them too
-(about 335 MB). Grouped layers keep their input for all group blocks.
+the column copy (80 MB layer-0 output + 203 MB columns = 283 MB) and the
+GEMM (203 MB columns + 52 MB weights + 8 MB product), not all four at once
+(343 MB). Later chunks reuse the drawn weights, so their column copy holds
+them too (about 335 MB). Grouped layers keep their input for all group
+blocks.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -58,7 +58,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from lowprec.floatsim import FloatFormat, OverflowStats, QuantRecorder, log2_bins
 # Bound here so the benchmark tracer (perfbench/spans.py) can wrap it.
 from lowprec.floatsim import quantize_array  # noqa: F401
-from lowprec.parallel import on_every_cpu
+from lowprec.parallel import map_in_order
 
 
 @dataclass(frozen=True)
@@ -149,22 +149,14 @@ def _panels(n: int) -> list[tuple[int, int]]:
 
 def _panel_matmul(a, b, out) -> None:
     """``np.matmul(a, b, out=out)`` for 2-d operands, one column panel of
-    ``b`` and ``out`` per BLAS call, each thread of ``on_every_cpu`` taking
-    the next panel."""
+    ``b`` and ``out`` per BLAS call, the panels spread over every usable
+    CPU."""
+    def panel(cols):
+        c0, c1 = cols
+        np.matmul(a, b[:, c0:c1], out=out[:, c0:c1])
+
     ranges = _panels(b.shape[1])
-    panels = iter(ranges)
-    lock = threading.Lock()
-
-    def work():
-        while True:
-            with lock:
-                panel = next(panels, None)
-            if panel is None:
-                return
-            c0, c1 = panel
-            np.matmul(a, b[:, c0:c1], out=out[:, c0:c1])
-
-    on_every_cpu(work, len(ranges))
+    map_in_order(panel, ranges, len(ranges))
 
 
 def conv2d_forward(x, weight, bias, layer: ConvLayerSpec) -> np.ndarray:
@@ -181,9 +173,7 @@ def conv2d_forward(x, weight, bias, layer: ConvLayerSpec) -> np.ndarray:
     runs its GEMM in column panels on every usable CPU (``_panel_matmul``);
     the module docstring says why its bits are those of one call. The input
     is dropped once the last block is copied, and a weight function is
-    called once the first block is. So when the caller passes the only
-    reference to ``x``, a dense layer frees its input before it fetches
-    its weight and runs the GEMM.
+    called once the first block is (the module docstring says why).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[0] != layer.in_channels:
@@ -275,13 +265,8 @@ def subsample_forward(x, config: SubsamplingConfig, weights,
     rather than accumulator rounding. Returns (output, per-layer peak |values|).
 
     ``weights`` maps ``layer{i}.weight`` and ``layer{i}.bias`` to tensors.
-    Each layer gets the only reference to its input, which a dense layer
-    frees once its columns exist, and looks its weight up only then, so a
-    ``LazyWeights`` draws it then. Through conv2d6 on one 80x1000 chunk the
-    peak is thus 283 MB (layer-0 output and columns) where it was 343 MB
-    (those, weights and product). A ``LazyWeights`` reused for a later
-    chunk holds its drawn weights beside that chunk's column copy, about
-    335 MB.
+    Each layer gets the only reference to its input and looks its weight
+    up only once its columns exist (the module docstring says why).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 2:

@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -36,7 +35,7 @@ import numpy as np
 from lowprec.floatsim import FloatFormat, OverflowStats, QuantRecorder
 # Bound here so the benchmark tracer (perfbench/spans.py) can wrap it.
 from lowprec.floatsim import quantize_array
-from lowprec.parallel import on_every_cpu
+from lowprec.parallel import map_in_order
 from lowprec.prenorm import layernorm as _layernorm_ref
 from lowprec.prenorm import stabilized_layernorm_rows
 from lowprec.softmax_lut import softmax_lut, softmax_reference
@@ -534,14 +533,9 @@ def check_equivalence(g1: Graph, g2: Graph, weights: dict,
     and output names must match. ``n_instances`` must be at least 1: a
     check over nothing proves nothing.
 
-    The instances run in parallel on every usable CPU
-    (``parallel.on_every_cpu``), each thread taking the next instance, so
-    at most one instance per thread is in flight. Feeds are drawn from one
-    generator in instance order, and each instance writes its deviation or
-    error into its own slot. An error stops further draws, but every
-    earlier instance was drawn before it, so reading the slots in order
-    gives a returned float and an error (the first instance's) that do not
-    depend on the number of threads.
+    The instances run on every usable CPU (``parallel.map_in_order``),
+    with feeds drawn in instance order, so the returned float and the error
+    raised (the first failing instance's) do not depend on the CPU count.
     """
     if n_instances < 1:
         raise ValueError(f"need at least 1 check instance, got {n_instances}")
@@ -551,40 +545,15 @@ def check_equivalence(g1: Graph, g2: Graph, weights: dict,
         raise GraphRewriteError("graphs expose different interfaces")
 
     rng = np.random.default_rng(seed)
-    lock = threading.Lock()
-    results: list = [None] * n_instances  # a deviation or an exception each
-    drawn = 0
+    feeds = ({i: rng.normal(0.0, 1.0, in1[i]) for i in in1} for _ in range(n_instances))
 
-    def stop():  # no later instance is drawn
-        nonlocal drawn
-        with lock:
-            drawn = n_instances
+    def deviation(f):
+        # execute_traced is looked up at call time, so a wrapper on the
+        # module name (the benchmark tracer) sees every execution
+        return _max_deviation(g1.outputs, execute_traced(g1, f, weights).outputs,
+                              execute_traced(g2, f, weights).outputs)
 
-    def work():
-        nonlocal drawn
-        while True:
-            with lock:  # draws in instance order
-                k = drawn
-                if k >= n_instances:
-                    return
-                drawn += 1
-                feeds = {i: rng.normal(0.0, 1.0, in1[i]) for i in in1}
-            try:
-                # execute_traced is looked up at call time, so a wrapper on
-                # the module name (the benchmark tracer) sees every execution
-                results[k] = _max_deviation(
-                    g1.outputs, execute_traced(g1, feeds, weights).outputs,
-                    execute_traced(g2, feeds, weights).outputs)
-            except Exception as exc:  # re-raised on the calling thread
-                results[k] = exc
-                stop()
-
-    # on an interrupt, stop() lets each helper finish only its instance
-    on_every_cpu(work, n_instances, stop)
-    for result in results:
-        if isinstance(result, Exception):
-            raise result
-    worst = max(results)
+    worst = max(map_in_order(deviation, feeds, n_instances))
     if worst > 1e-9:
         raise GraphRewriteError(
             f"graphs differ: max abs deviation {worst:.3e} exceeds 1.0e-09"

@@ -1,10 +1,10 @@
 """One job's tasks on every CPU the process may use.
 
-``on_every_cpu`` runs a ``work`` function on the calling thread and on one
-helper thread per further usable CPU. ``work`` takes tasks from a queue its
-caller keeps until none is left, so the caller fixes what each task
-computes, and no result bit depends on the CPU count. numpy releases the
-GIL in BLAS calls and in einsum, so the threads run at the same time.
+``map_in_order(fn, tasks, n_tasks)`` gives ``[fn(t) for t in tasks]``, with
+the tasks run on the calling thread and on one helper thread per further
+usable CPU. The caller fixes what each task computes, so no result bit
+depends on the CPU count. numpy releases the GIL in BLAS calls and in
+einsum, so the threads run at the same time.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from __future__ import annotations
 import contextvars
 import os
 import threading
+
+_END = object()
 
 
 def usable_cpus() -> int:
@@ -21,35 +23,59 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def on_every_cpu(work, n_tasks: int, stop=None) -> None:
-    """Run ``work()`` on the calling thread and on helper threads: one
-    thread per usable CPU, at most ``n_tasks`` in all.
+def map_in_order(fn, tasks, n_tasks: int) -> list:
+    """``[fn(t) for t in tasks]`` on one thread per usable CPU, at most
+    ``n_tasks`` threads in all.
 
-    Each helper runs in a copy of the caller's context, so it keeps the
-    caller's numpy error state: since numpy 2, ``np.errstate`` is a context
-    variable, which a new thread does not inherit. Once the caller's
-    ``work`` returns or raises, ``stop()`` runs if given, so that after an
-    interrupt the helpers take no further task, and every helper is
-    joined. The first exception a helper raised is then raised here.
+    Each thread draws the next task under one lock, so an iterator is
+    advanced in task order and by one thread at a time, and each thread
+    holds one task at a time. A task that raises (or fails to be drawn)
+    stops further draws, as does an interrupt on the calling thread. Once
+    every thread has finished the task it holds, the exception of the
+    earliest task that raised is raised here; so results and errors do not
+    depend on the thread count. Helpers run in a copy of the caller's
+    context, so they keep the caller's numpy error state: since numpy 2,
+    ``np.errstate`` is a context variable, which a new thread does not
+    inherit.
     """
-    errors = []
+    tasks = iter(tasks)
+    lock = threading.Lock()
+    results: list = []  # one slot per task drawn, in task order
+    errors: dict = {}   # task index -> what drawing or running it raised
+    stop = False
 
-    def helper(context):
-        try:
-            context.run(work)
-        except BaseException as exc:  # re-raised on the calling thread
-            errors.append(exc)
+    def work():
+        nonlocal stop
+        while True:
+            with lock:
+                if stop:
+                    return
+                k = len(results)
+                try:
+                    task = next(tasks, _END)
+                except BaseException as exc:  # re-raised below, as task k's
+                    errors[k], stop = exc, True
+                    return
+                if task is _END:
+                    stop = True
+                    return
+                results.append(None)
+            try:
+                results[k] = fn(task)
+            except BaseException as exc:  # re-raised below, after the joins
+                errors[k], stop = exc, True
+                return
 
-    helpers = [threading.Thread(target=helper, args=(contextvars.copy_context(),))
+    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(work,))
                for _ in range(min(n_tasks, usable_cpus()) - 1)]
     for t in helpers:
         t.start()
     try:
         work()
-    finally:
-        if stop is not None:
-            stop()
+    finally:  # an interrupt lets each helper finish only the task it holds
+        stop = True
         for t in helpers:
             t.join()
     if errors:
-        raise errors[0]
+        raise errors[min(errors)]
+    return results

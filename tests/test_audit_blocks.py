@@ -68,7 +68,7 @@ def test_reports_do_not_depend_on_chunking_or_block_size(tmp_path, monkeypatch):
         rc, files = want["audit-softmax", fmt]
         assert rc == 1 and math.isnan(json.loads(files["softmax_audit.json"])
                                       ["worst_sum_abs_dev"])
-    assert len(list(cli._row_blocks(str(path))[1])) == 2
+    assert len(list(cli._row_blocks(str(path))[2])) == 2
     for block_rows in (cli._BLOCK_BYTES // (8 * 77), 64):
         monkeypatch.setattr(cli, "_BLOCK_BYTES", block_rows * 8 * 77)
         for name, chunks in _chunkings(x).items():
@@ -81,9 +81,9 @@ def test_blocks_are_views_of_large_chunks_and_join_small_ones(tmp_path, monkeypa
     x = np.arange(4 * 47.0).reshape(47, 4)
     path = tmp_path / "s.stream"
     write_stream(path, [x[:25], x[25:28], x[28:30], x[30:47].astype(np.float32)])
-    n, blocks = cli._row_blocks(str(path))
+    n, width, blocks = cli._row_blocks(str(path))
     blocks = list(blocks)
-    assert n == 47
+    assert (n, width) == (47, 4)
     assert [(start, len(b)) for start, b in blocks] == [(0, 10), (10, 10), (20, 10),
                                                          (30, 10), (40, 7)]
     assert all(b.dtype == np.float64 for _, b in blocks)
