@@ -12,10 +12,8 @@ Exit codes: 0 when every check passes, 1 when an invariant is violated,
 printed). Outputs are deterministic for fixed arguments and seeds: files
 are written atomically, JSON keys are sorted, floats go through repr.
 
-A JSON config file (``--config``) may preset any option of its subcommand
-that takes a value, keyed by destination name (``format``, ``prenorm``,
-``chunk_rows``, ``out_dir``, ...). Each value passes the same checks as on the
-command line, and explicit flags win over the file.
+Every value is set on the command line; each flag is declared once, with its
+default, in :func:`build_parser`.
 """
 
 from __future__ import annotations
@@ -142,8 +140,7 @@ def _check(name: str, observed: float, bound: float, ok: bool, **extra) -> dict:
     return row
 
 
-def theory_report(n_max: int = 4, vectors: int = 20000,
-                  samples: int = 1_000_000, seed: int = 0) -> list[dict]:
+def theory_report(n_max: int, vectors: int, samples: int, seed: int) -> list[dict]:
     """Run every analytic invariant and return one report row per check.
 
     ``n_max`` caps the exhaustive-oracle dimension, ``vectors`` is the
@@ -457,10 +454,7 @@ def cmd_profile_conv(args) -> int:
     fmt = None if args.format == "none" else parse_format(args.format)
     out_dir = Path(args.out_dir)
 
-    if Path(args.stream).stat().st_size == 0:
-        chunks = []
-    else:
-        chunks = [np.atleast_2d(c) for c in read_stream(args.stream)]
+    chunks = [np.atleast_2d(c) for c in read_stream(args.stream)]
     # every chunk against every config before the first profile runs, so a
     # refused stream leaves no reports behind
     for j, chunk in enumerate(chunks):
@@ -479,31 +473,21 @@ def cmd_profile_conv(args) -> int:
                 mac_count(SUBSAMPLERS[name], chunk.shape[-2:])
             except ValueError as exc:  # smaller than a kernel
                 raise StreamFormatError(f"{where}: {name}: {exc}") from None
-    input_hw = tuple(chunks[0].shape[-2:]) if chunks else (80, 1000)
-
-    for name in names:
-        config = SUBSAMPLERS[name]
-        peaks_path = out_dir / f"conv_peaks_{name}.csv"
-        if chunks:
-            profile = profile_dynamic_range(chunks, config,
-                                            LazyWeights(config, args.seed), fmt)
-            _write_csv(peaks_path, "chunk,peak",
-                       [[str(i), repr(p)] for i, p in
-                        enumerate(profile.per_chunk_peak)])
-            _write_json(out_dir / f"conv_hist_{name}.json",
-                        profile.to_json_dict())
-            print(f"{name}: {len(profile.per_chunk_peak)} chunks, "
-                  f"peak {max(profile.per_chunk_peak):.6g} -> {peaks_path}")
-        else:
-            _write_csv(peaks_path, "chunk,peak", [])
-            print(f"{name}: empty stream, no profile -> {peaks_path}")
+    input_hw = tuple(chunks[0].shape[-2:])
 
     mac_rows = []
     for name in names:
         config = SUBSAMPLERS[name]
+        peaks_path = out_dir / f"conv_peaks_{name}.csv"
+        profile = profile_dynamic_range(chunks, config,
+                                        LazyWeights(config, args.seed), fmt)
+        _write_csv(peaks_path, "chunk,peak",
+                   [[str(i), repr(p)] for i, p in enumerate(profile.per_chunk_peak)])
+        _write_json(out_dir / f"conv_hist_{name}.json", profile.to_json_dict())
+        print(f"{name}: {len(profile.per_chunk_peak)} chunks, "
+              f"peak {max(profile.per_chunk_peak):.6g} -> {peaks_path}")
         share = frontend_share(config, input_hw)
-        mc = mac_count(config, input_hw)
-        share["per_layer_macs"] = list(mc.per_layer)
+        share["per_layer_macs"] = list(mac_count(config, input_hw).per_layer)
         mac_rows.append(share)
     _write_json(out_dir / "mac_table.json",
                 {"assumptions": _MAC_ASSUMPTIONS, "rows": mac_rows})
@@ -626,128 +610,93 @@ def _finite_nonnegative(text: str) -> float:
     raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
 
 
-def _preset(path: str, options: list[argparse.Action]) -> None:
-    """Make the values in the JSON config ``path`` the defaults of ``options``.
-
-    Each value passes its flag's own type and choices, as on the command line.
-    ``null`` keeps the default; keys no option owns and switches (``--check``)
-    are ignored.
-    """
-    try:
-        cfg = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    for action in options:
-        raw = cfg.get(action.dest)
-        if raw is None or action.nargs == 0:
-            continue
-        try:
-            value = (action.type or str)(str(raw))
-            if action.choices and value not in action.choices:
-                raise ValueError
-        except (ValueError, argparse.ArgumentTypeError):
-            raise ValueError(f"{path}: key {action.dest!r}: {raw!r} is not a valid "
-                             f"{action.option_strings[0]} value") from None
-        action.default = value
-
-
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, list[argparse.Action]]]:
-    """The parser, and for each subcommand the options a config may preset."""
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lowprec", description=(
         "Numerical-stabilization toolkit for low-precision inference: audits, "
         "theory checks and graph rewrites."))
     sub = parser.add_subparsers(dest="command", required=True)
-    options: dict[str, list[argparse.Action]] = {}
 
     def command(name, func, help, *shared):
-        """A subcommand with ``--config`` and the ``shared`` flags it reads."""
+        """A subcommand with the ``shared`` flags it reads."""
         p = sub.add_parser(name, help=help,
                            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         p.set_defaults(func=func)
-        p.add_argument("--config", help="JSON file presetting this command's options")
-        opts = options[name] = []
-
-        def flag(*names, **kw):
-            opts.append(p.add_argument(*names, **kw))
-
         if "out_dir" in shared:
-            flag("--out-dir", default=".", help="report directory")
+            p.add_argument("--out-dir", default=".", help="report directory")
         if "seed" in shared:
-            flag("--seed", type=int, default=0, help="RNG seed")
+            p.add_argument("--seed", type=int, default=0, help="RNG seed")
         if "format" in shared:
-            flag("--format", default="fp16",
-                 help="fp16, fp32 or custom:<mantissa>,<exponent>")
-        return p, flag
+            p.add_argument("--format", default="fp16",
+                           help="fp16, fp32 or custom:<mantissa>,<exponent>")
+        return p
 
-    _, flag = command("verify-theory", cmd_verify_theory, "run the analytic checks",
-                      "out_dir", "seed")
-    flag("--n-max", type=int, default=4, help="largest oracle dimension")
-    flag("--vectors", type=_positive_int, default=20000, help="random-vector budget")
-    flag("--samples", type=int, default=1_000_000,
-         help="Monte-Carlo samples per distribution")
+    p = command("verify-theory", cmd_verify_theory, "run the analytic checks",
+                "out_dir", "seed")
+    p.add_argument("--n-max", type=int, default=4, help="largest oracle dimension")
+    p.add_argument("--vectors", type=_positive_int, default=20000,
+                   help="random-vector budget")
+    p.add_argument("--samples", type=int, default=1_000_000,
+                   help="Monte-Carlo samples per distribution")
 
-    p, flag = command("audit-layernorm", cmd_audit_layernorm,
-                      "overflow audit over a stream", "out_dir", "format")
+    p = command("audit-layernorm", cmd_audit_layernorm,
+                "overflow audit over a stream", "out_dir", "format")
     p.add_argument("stream", help="chunked stream file")
-    flag("--prenorm", choices=("none", "mad", "theorem1"), default="theorem1",
-         help="pre-normalizer under audit")
-    flag("--p", type=float, default=2.0, help="norm exponent")
+    p.add_argument("--prenorm", choices=("none", "mad", "theorem1"), default="theorem1",
+                   help="pre-normalizer under audit")
+    p.add_argument("--p", type=float, default=2.0, help="norm exponent")
 
-    p, _ = command("audit-softmax", cmd_audit_softmax,
-                   "argmax/mass audit over a stream", "out_dir", "format")
+    p = command("audit-softmax", cmd_audit_softmax,
+                "argmax/mass audit over a stream", "out_dir", "format")
     p.add_argument("stream", help="chunked stream file")
 
-    p, flag = command("profile-conv", cmd_profile_conv,
-                      "dynamic range + MAC table (--format none: exact float64)",
-                      "out_dir", "seed", "format")
-    p.set_defaults(format="none")  # ranges are the point; don't clip them
-    p.add_argument("stream", help="chunked stream file (may be empty)")
-    flag("--conv", default="conv2d6,dws2d6",
-         help=f"comma-separated config names ({', '.join(SUBSAMPLERS)})")
+    p = command("profile-conv", cmd_profile_conv, "dynamic range + MAC table",
+                "out_dir", "seed")
+    p.add_argument("stream", help="chunked stream file")
+    # ranges are the point; don't clip them
+    p.add_argument("--format", default="none",
+                   help="none (exact float64), fp16, fp32 or "
+                        "custom:<mantissa>,<exponent>")
+    p.add_argument("--conv", default="conv2d6,dws2d6",
+                   help=f"comma-separated config names ({', '.join(SUBSAMPLERS)})")
 
-    p, flag = command("rewrite-graph", cmd_rewrite_graph, "run graph rewrite passes",
-                      "out_dir", "seed")
+    p = command("rewrite-graph", cmd_rewrite_graph, "run graph rewrite passes",
+                "out_dir", "seed")
     p.add_argument("graph", help='"mha" or a graph JSON path')
-    flag("--passes", default="layout,chunk,einsum",
-         help="comma list of layout,chunk,einsum (empty string for none)")
-    flag("--chunks", type=int, default=0,
-         help="chunk count; 0 is one per head for mha, 1 for a graph file")
-    flag("--chunk-axis", choices=("heads", "query"), default="heads",
-         help="chunking axis")
-    flag("--check", action="store_true", help="verify outputs against the input graph")
-    flag("--check-instances", type=_positive_int, default=20,
-         help="random instances for --check")
-    flag("--weights", help="named-tensor file with graph weights")
-    flag("--batch", type=int, default=1, help="builtin mha batch")
-    flag("--heads", type=int, default=8, help="builtin mha heads")
-    flag("--features", type=int, default=512, help="builtin mha features")
-    flag("--seq", type=int, default=64, help="builtin mha sequence length")
+    p.add_argument("--passes", default="layout,chunk,einsum",
+                   help="comma list of layout,chunk,einsum (empty string for none)")
+    p.add_argument("--chunks", type=int, default=0,
+                   help="chunk count; 0 is one per head for mha, 1 for a graph file")
+    p.add_argument("--chunk-axis", choices=("heads", "query"), default="heads",
+                   help="chunking axis")
+    p.add_argument("--check", action="store_true",
+                   help="verify outputs against the input graph")
+    p.add_argument("--check-instances", type=_positive_int, default=20,
+                   help="random instances for --check")
+    p.add_argument("--weights", help="named-tensor file with graph weights")
+    p.add_argument("--batch", type=int, default=1, help="builtin mha batch")
+    p.add_argument("--heads", type=int, default=8, help="builtin mha heads")
+    p.add_argument("--features", type=int, default=512, help="builtin mha features")
+    p.add_argument("--seq", type=int, default=64, help="builtin mha sequence length")
 
-    p, flag = command("gen-stream", cmd_gen_stream, "generate a synthetic stream",
-                      "seed")
+    p = command("gen-stream", cmd_gen_stream, "generate a synthetic stream", "seed")
     p.add_argument("out", help="output stream path")
-    flag("--dist", choices=("gaussian", "uniform", "extremal"), default="gaussian",
-         help="row distribution")
-    flag("--rows", type=_positive_int, default=256, help="total rows")
-    flag("--width", type=_positive_int, default=512, help="row width")
-    flag("--scale", type=_finite_nonnegative, default=500.0,
-         help="sigma / half-range / total spike mass")
-    flag("--chunk-rows", type=_positive_int, default=32, help="rows per chunk")
-    return parser, options
+    p.add_argument("--dist", choices=("gaussian", "uniform", "extremal"),
+                   default="gaussian", help="row distribution")
+    p.add_argument("--rows", type=_positive_int, default=256, help="total rows")
+    p.add_argument("--width", type=_positive_int, default=512, help="row width")
+    p.add_argument("--scale", type=_finite_nonnegative, default=500.0,
+                   help="sigma / half-range / total spike mass")
+    p.add_argument("--chunk-rows", type=_positive_int, default=32,
+                   help="rows per chunk")
+    return parser
 
 
 def main(argv=None) -> int:
-    parser, options = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        if args.config:
-            _preset(args.config, options[args.command])
-            args = parser.parse_args(argv)  # explicit flags still win
         return args.func(args)
     except (StreamFormatError, GraphError, GraphRewriteError, OSError,
             ValueError) as exc:

@@ -524,7 +524,7 @@ def _max_deviation(names, o1: dict, o2: dict) -> float:
 
 
 def check_equivalence(g1: Graph, g2: Graph, weights: dict,
-                      n_instances: int = 100, seed: int = 0) -> float:
+                      n_instances: int, seed: int = 0) -> float:
     """Max |difference| between two graphs over random float64 instances.
 
     Feeds are unit-variance gaussians. Raises GraphRewriteError when the

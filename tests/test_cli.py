@@ -200,14 +200,13 @@ def test_profile_conv_emits_peaks_hist_and_mac_table(tmp_path):
     assert sum(hist["histogram"]["counts"]) == hist["chunks"] == 3
 
 
-def test_profile_conv_empty_stream_still_emits_mac_table(tmp_path):
+def test_profile_conv_empty_stream_exits_2(tmp_path, capsys):
     path = tmp_path / "empty.stream"
     path.write_bytes(b"")
     out = tmp_path / "prof"
-    assert run("profile-conv", str(path), "--out-dir", str(out)) == 0
-    assert (out / "conv_peaks_conv2d6.csv").read_text() == "chunk,peak\n"
-    table = json.loads((out / "mac_table.json").read_text())
-    assert table["rows"][0]["input_hw"] == [80, 1000]
+    assert run("profile-conv", str(path), "--out-dir", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {path}: empty stream\n"
+    assert not out.exists()
 
 
 def test_profile_conv_unknown_config(tmp_path, capsys):
@@ -288,18 +287,6 @@ def test_rewrite_graph_reload_and_rerun(tmp_path):
     a = (out1 / "graph_out.json").read_bytes()
     b = (out2 / "graph_out.json").read_bytes()
     assert a == b  # second layout run is a no-op
-
-
-def test_config_file_sets_defaults_and_flags_override(tmp_path):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"rows": 6, "width": 10, "seed": 9}))
-    a = tmp_path / "a.stream"
-    assert run("gen-stream", str(a), "--config", str(cfg)) == 0
-    assert np.concatenate(read_stream(a)).shape == (6, 10)
-    b = tmp_path / "b.stream"
-    assert run("gen-stream", str(b), "--config", str(cfg),
-               "--width", "4") == 0
-    assert np.concatenate(read_stream(b)).shape == (6, 4)
 
 
 def test_usage_and_io_errors_exit_2(tmp_path, capsys):
@@ -645,14 +632,6 @@ def test_stream_header_larger_than_the_file_exits_2(tmp_path, capsys):
     assert "huge.stream: record 0: truncated" in capsys.readouterr().err
 
 
-def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"rows": [1]}))
-    assert run("gen-stream", str(tmp_path / "a.stream"), "--config", str(cfg)) == 2
-    err = capsys.readouterr().err
-    assert "run.json" in err and "'rows'" in err
-
-
 def test_help_exits_zero(capsys):
     assert run("--help") == 0
     assert "verify-theory" in capsys.readouterr().out
@@ -747,35 +726,15 @@ def test_profile_conv_counts_finite_entries_that_overflow_the_format(tmp_path):
     assert hist["per_layer_peak"][0] == math.inf
 
 
-@pytest.mark.parametrize("argv, key, value", [
-    (("gen-stream", "{tmp}/a.stream"), "dist", "bogus"),
-    (("gen-stream", "{tmp}/a.stream"), "rows", 3.7),
-    (("rewrite-graph", "mha", "--out-dir", "{tmp}"), "chunk_axis", "keys"),
+@pytest.mark.parametrize("argv, flag, value", [
+    (("gen-stream", "{tmp}/a.stream"), "--dist", "bogus"),
+    (("gen-stream", "{tmp}/a.stream"), "--rows", "3.7"),
+    (("rewrite-graph", "mha", "--out-dir", "{tmp}"), "--chunk-axis", "keys"),
 ])
-def test_config_values_pass_the_flags_own_checks(tmp_path, capsys, argv, key, value):
+def test_flag_values_outside_their_type_or_choices_exit_2(tmp_path, argv, flag, value):
     argv = [a.format(tmp=tmp_path) for a in argv]
-    flag = "--" + key.replace("_", "-")
-    assert run(*argv, flag, str(value)) == 2  # rejected on the command line ...
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({key: value}))
-    capsys.readouterr()
-    assert run(*argv, "--config", str(cfg)) == 2  # ... and from the file
-    err = capsys.readouterr().err
-    assert "run.json" in err and repr(key) in err and "Traceback" not in err
-    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
-
-
-def test_config_null_keeps_the_default_and_foreign_keys_are_ignored(tmp_path):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"rows": None, "width": 12, "heads": 3,
-                               "out_dir": "elsewhere", "out": "ignored.stream"}))
-    a = tmp_path / "a.stream"
-    assert run("gen-stream", str(a), "--config", str(cfg)) == 0
-    assert np.concatenate(read_stream(a)).shape == (256, 12)
-    assert run("gen-stream", str(a), "--config", str(cfg), "--rows", "5",
-               "--width", "7") == 0
-    assert np.concatenate(read_stream(a)).shape == (5, 7)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.stream", "run.json"]
+    assert run(*argv, flag, value) == 2
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [
@@ -815,13 +774,16 @@ def test_every_declared_option_is_read_by_its_command(tmp_path):
                           "--check", "--check-instances", "1", *out),
         "gen-stream": (str(tmp_path / "g.stream"), "--rows", "2", "--width", "4"),
     }
-    parser, options = cli.build_parser()
-    assert sorted(options) == sorted(tiny)
+    parser = cli.build_parser()
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(subs.choices) == sorted(tiny)
     for command, argv in tiny.items():
         args = parser.parse_args([command, *argv], namespace=ReadLog())
         args.__dict__["_reads"] = set()  # parsing reads every dest
         assert args.func(args) == 0, command
-        unread = {a.dest for a in options[command]} - args.__dict__["_reads"]
+        options = {a.dest for a in subs.choices[command]._actions
+                   if a.option_strings and not isinstance(a, argparse._HelpAction)}
+        unread = options - args.__dict__["_reads"]
         assert not unread, f"{command} declares options it never reads: {unread}"
 
 
