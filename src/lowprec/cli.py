@@ -37,7 +37,8 @@ from .convsub import (
     mac_count,
     profile_dynamic_range,
 )
-# init_weights: the benchmark tracer (perfbench/spans.py) wraps it at this name.
+# init_weights: no command calls it (profile-conv draws LazyWeights); it stays
+# only because the benchmark tracer (perfbench/spans.py) wraps this name.
 from .convsub import init_weights  # noqa: F401
 # quantize_array: the benchmark tracer (perfbench/spans.py) wraps it at this name.
 from .floatsim import (FloatFormat, QuantRecorder, log2_bins, parse_format,

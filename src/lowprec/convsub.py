@@ -34,16 +34,32 @@ depends on the CPU count. Layer 0 (k = 9) stays one call: its GEMM writes
 one output per 9 multiply-adds, so memory bounds it, and its panels ran
 1.35x slower on one thread and only about 10 % faster on two.
 
-A dense layer's columns must exist at once, so nothing that can wait sits
-beside them: ``subsample_forward`` hands each layer the only reference to
-its input, ``conv2d_forward`` drops it once the last block is copied, and
-only then looks up the weight, which a ``LazyWeights`` draws on that first
-lookup. For conv2d6 layer 1 on one 80x1000 chunk the peak is the larger of
-the column copy (80 MB layer-0 output + 203 MB columns = 283 MB) and the
-GEMM (203 MB columns + 52 MB weights + 8 MB product), not all four at once
-(343 MB). Later chunks reuse the drawn weights, so their column copy holds
-them too (about 335 MB). Grouped layers keep their input for all group
-blocks.
+``subsample_forward`` hands each layer the only reference to its input,
+and ``conv2d_forward`` looks the weight up late (a ``LazyWeights`` draws it
+on that first lookup), so a layer's largest buffers are not all live at
+once. A layer whose GEMM is not split drops its input once its last group
+block is copied, and only then looks up the weight. A split GEMM copies its
+columns in one of two orders, whichever peaks lower by these formulas:
+
+- whole columns: copy every column, drop the input, then look up the
+  weight. Peak: columns + max(input, weights + product).
+- owned panels: each panel's task copies its own columns from the window
+  view into an array it owns. The first task to finish its copy looks up
+  the weight, once and under a lock (``LazyWeights`` is not thread-safe),
+  and the input is dropped after the last panel is copied. Peak: input +
+  weights + product + min(usable CPUs, panels) x widest panel.
+
+For conv2d6 layer 1 on one 80x1000 chunk (input 80 MB, columns 203 MB,
+weights 52 MB, product 8 MB, four panels of up to 52 MB) the whole columns
+peak at 283 MB, and owned panels at 193 MB on one CPU and 245 MB on two;
+from three CPUs on, the whole columns are lower. At 40x1000 (two panels)
+the whole columns are lower on any CPU count (140 MB against 147 MB on one
+CPU). Later chunks reuse the drawn weights, which the owned-panel formula
+already counts; a whole-column copy then holds them too (about 335 MB at
+80x1000). Either way each panel is one BLAS call on the same values in the
+same ``_panels`` layout, and the tests check both orders for the bits of
+one call at every width up to 2600. Grouped layers keep their input for
+all group blocks.
 """
 
 from __future__ import annotations
@@ -55,10 +71,10 @@ from functools import partial
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from lowprec import parallel
 from lowprec.floatsim import FloatFormat, OverflowStats, QuantRecorder, log2_bins
 # Bound here so the benchmark tracer (perfbench/spans.py) can wrap it.
 from lowprec.floatsim import quantize_array  # noqa: F401
-from lowprec.parallel import map_in_order
 
 
 @dataclass(frozen=True)
@@ -147,16 +163,48 @@ def _panels(n: int) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:] + [n]))
 
 
-def _panel_matmul(a, b, out) -> None:
-    """``np.matmul(a, b, out=out)`` for 2-d operands, one column panel of
-    ``b`` and ``out`` per BLAS call, the panels spread over every usable
-    CPU."""
-    def panel(cols):
-        c0, c1 = cols
-        np.matmul(a, b[:, c0:c1], out=out[:, c0:c1])
+def _columns(win, c0: int, c1: int) -> np.ndarray:
+    """Columns ``c0:c1`` of the im2col matrix of a (C, kh, kw, oh, ow)
+    window view (output positions in row-major order), copied into a new
+    (C*kh*kw, c1 - c0) array one output row's segment at a time."""
+    c, kh, kw, _, ow = win.shape
+    cols = np.empty((c, kh, kw, c1 - c0))
+    for r in range(c0 // ow, -(-c1 // ow)):
+        s0, s1 = max(c0, r * ow), min(c1, (r + 1) * ow)
+        cols[..., s0 - c0:s1 - c0] = win[..., r, s0 - r * ow:s1 - r * ow]
+    return cols.reshape(c * kh * kw, c1 - c0)
 
-    ranges = _panels(b.shape[1])
-    map_in_order(panel, ranges, len(ranges))
+
+def _panel_gemm(win, filters, out, owned: bool) -> None:
+    """``out = filters() @ cols``, ``cols`` being the im2col matrix of the
+    (C, kh, kw, oh, ow) window view ``win``: one BLAS call per column panel
+    of ``_panels``, the panels spread over every usable CPU.
+
+    The caller passes the only reference to ``win``, and ``filters`` is
+    called once. The whole-column order copies every column, drops the
+    input and calls ``filters`` on this thread, as an unsplit layer does;
+    the panels multiply slices of that one copy. In the owned order
+    (``owned``) each panel's task copies its own columns into an array it
+    owns, the first task to finish its copy calls ``filters`` under a lock,
+    and the input lives until the last panel is copied.
+    """
+    n = out.shape[1]
+    ranges = _panels(n)
+    filters = parallel.once(filters)
+    if owned:
+        held = [[win] for _ in ranges]  # a task drops its panel's reference once copied
+        del win
+    else:
+        cols = _columns(win, 0, n)
+        del win
+        filters()
+
+    def panel(i):
+        c0, c1 = ranges[i]
+        b = _columns(held[i].pop(), c0, c1) if owned else cols[:, c0:c1]
+        np.matmul(filters(), b, out=out[:, c0:c1])
+
+    parallel.map_in_order(panel, range(len(ranges)), len(ranges))
 
 
 def conv2d_forward(x, weight, bias, layer: ConvLayerSpec) -> np.ndarray:
@@ -170,10 +218,12 @@ def conv2d_forward(x, weight, bias, layer: ConvLayerSpec) -> np.ndarray:
     still one BLAS call on the same operands, so the output bits do not
     depend on the block size; a dense layer is a single block. A dense
     layer with at least ``_PANEL`` output channels and reduction length
-    runs its GEMM in column panels on every usable CPU (``_panel_matmul``);
-    the module docstring says why its bits are those of one call. The input
-    is dropped once the last block is copied, and a weight function is
-    called once the first block is (the module docstring says why).
+    runs its GEMM in column panels on every usable CPU (``_panel_gemm``),
+    copying its columns whole or panel by panel, whichever peaks lower; the
+    module docstring says why its bits are those of one call. The input is
+    dropped once the last block or panel is copied, and a weight function
+    is called once, after the first block or panel is (the module docstring
+    says why).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[0] != layer.in_channels:
@@ -188,28 +238,39 @@ def conv2d_forward(x, weight, bias, layer: ConvLayerSpec) -> np.ndarray:
     # channels g0*cig:g1*cig, against (g, cog, cig*kh*kw) filters
     win = sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::sh, ::sw]
     win = win.transpose(0, 3, 4, 1, 2)
+    in_bytes = x.nbytes
     del x  # from here only win's base holds the input
     k = cig * kh * kw
-    filt = None
-    out = np.empty((g, cog, oh * ow))
-    step = max(1, _COLS_BYTES // (k * oh * ow * 8))
+    n = oh * ow
+
+    def filters():
+        filt = np.asarray(weight() if callable(weight) else weight, dtype=np.float64)
+        if filt.shape != (layer.out_channels, cig, kh, kw):
+            raise ValueError(f"bad weight shape {filt.shape}")
+        return filt.reshape(g, cog, k)
+
+    out = np.empty((g, cog, n))
     with np.errstate(invalid="ignore"):  # saturated inputs propagate inf/nan
-        for g0 in range(0, g, step):
-            g1 = min(g0 + step, g)
-            cols = np.ascontiguousarray(win[g0 * cig:g1 * cig]).reshape(
-                g1 - g0, k, oh * ow
-            )
-            if g1 == g:  # every block copied: free the input before the GEMM
-                win = None
-            if filt is None:
-                filt = np.asarray(weight() if callable(weight) else weight,
-                                  dtype=np.float64)
-                if filt.shape != (layer.out_channels, cig, kh, kw):
-                    raise ValueError(f"bad weight shape {filt.shape}")
-                filt = filt.reshape(g, cog, k)
-            if g == 1 and min(cog, k) >= _PANEL:
-                _panel_matmul(filt[0], cols[0], out[0])
-            else:
+        if g == 1 and min(cog, k) >= _PANEL:
+            ranges = _panels(n)
+            fixed = 8 * cog * (k + n)  # the weights and the product
+            widest = 8 * k * max(c1 - c0 for c0, c1 in ranges)
+            # the owned order's peak bytes against the whole-column order's
+            owned = (in_bytes + fixed + min(parallel.usable_cpus(), len(ranges)) * widest
+                     < 8 * k * n + max(in_bytes, fixed))
+            held = [win]
+            del win  # _panel_gemm gets the only reference to the input
+            _panel_gemm(held.pop(), lambda: filters()[0], out[0], owned)
+        else:
+            filt = None
+            step = max(1, _COLS_BYTES // (k * n * 8))
+            for g0 in range(0, g, step):
+                g1 = min(g0 + step, g)
+                cols = np.ascontiguousarray(win[g0 * cig:g1 * cig]).reshape(g1 - g0, k, n)
+                if g1 == g:  # every block copied: free the input before the GEMM
+                    win = None
+                if filt is None:
+                    filt = filters()
                 np.matmul(filt[g0:g1], cols, out=out[g0:g1])
     out = out.reshape(layer.out_channels, oh, ow)
     out += np.asarray(bias, dtype=np.float64)[:, None, None]

@@ -4,7 +4,8 @@
 the tasks run on the calling thread and on one helper thread per further
 usable CPU. The caller fixes what each task computes, so no result bit
 depends on the CPU count. numpy releases the GIL in BLAS calls and in
-einsum, so the threads run at the same time.
+einsum, so the threads run at the same time. ``once(fn)`` lets the tasks
+share one value that the first task to need it computes.
 """
 
 from __future__ import annotations
@@ -21,6 +22,26 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
         return os.cpu_count() or 1
+
+
+def once(fn):
+    """A function of no arguments that returns ``fn()``, calling ``fn`` on
+    its first call only.
+
+    Calls take one lock, so ``fn`` runs on one thread at a time, and a call
+    made while it runs waits for its result. If ``fn`` raises, nothing is
+    kept and the next call runs it again.
+    """
+    lock = threading.Lock()
+    kept: list = []
+
+    def call():
+        with lock:
+            if not kept:
+                kept.append(fn())
+            return kept[0]
+
+    return call
 
 
 def map_in_order(fn, tasks, n_tasks: int) -> list:

@@ -4,11 +4,12 @@ import functools
 import hashlib
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
-from lowprec import cli, convsub
+from lowprec import cli, convsub, parallel
 from lowprec.convsub import (
     CONV2D6,
     CONV2D6_X22,
@@ -112,7 +113,9 @@ def test_panels_are_fixed_and_leave_no_short_tail():
         assert set(widths[:-1]) <= {512} and (widths[-1] >= 256 or len(widths) == 1)
 
 
-def test_panel_product_has_the_bits_of_one_matmul_at_every_width(one_blas_thread):
+def _every_width_panel_products(owned: bool) -> None:
+    """``_panel_gemm`` of a 64 x 64 product at every width 1..2600 against
+    one whole-product ``matmul``; the window view is the operand itself."""
     # a 256-column panel is still 64 x 256 x 64 > 10**6 multiply-adds
     m, k, widths = 64, 64, range(1, 2601)
     rng = np.random.default_rng(21)
@@ -123,33 +126,64 @@ def test_panel_product_has_the_bits_of_one_matmul_at_every_width(one_blas_thread
         bn, got, want = (buf[:rows * n].reshape(rows, n)
                          for buf, rows in zip(bufs, (k, m, m)))
         bn[...] = b[:, :n]
-        convsub._panel_matmul(a, bn, got)
+        convsub._panel_gemm(bn.reshape(k, 1, 1, 1, n), lambda: a, got, owned)
         np.matmul(a, bn, out=want)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
 
 
-def _spy_panel_matmul(monkeypatch) -> list:
-    """Record the operand shapes of every split GEMM."""
-    calls, real = [], convsub._panel_matmul
-    monkeypatch.setattr(convsub, "_panel_matmul",
-                        lambda a, b, out: calls.append((a.shape, b.shape)) or real(a, b, out))
+def test_panel_product_has_the_bits_of_one_matmul_at_every_width(one_blas_thread):
+    # the whole-column order: each panel multiplies a slice of one copy
+    _every_width_panel_products(owned=False)
+
+
+def test_owned_panel_products_have_the_bits_of_one_matmul_at_every_width(one_blas_thread):
+    # the owned order: each panel multiplies a freshly allocated contiguous
+    # copy, whose leading dimension is the panel's width
+    _every_width_panel_products(owned=True)
+
+
+def _spy_panel_gemm(monkeypatch) -> list:
+    """Record the operand shapes and the column order of every split GEMM."""
+    calls, real = [], convsub._panel_gemm
+
+    def spy(win, filters, out, owned):
+        k = win.shape[0] * win.shape[1] * win.shape[2]
+        calls.append(((out.shape[0], k), (k, out.shape[1]), owned))
+        real(win, filters, out, owned)
+
+    monkeypatch.setattr(convsub, "_panel_gemm", spy)
     return calls
 
 
+def _spy_columns(monkeypatch) -> list:
+    """Record the column range of every im2col copy, once it is made."""
+    copies, real = [], convsub._columns
+
+    def spy(win, c0, c1):
+        cols = real(win, c0, c1)
+        copies.append((c0, c1))
+        return cols
+
+    monkeypatch.setattr(convsub, "_columns", spy)
+    return copies
+
+
 def test_only_the_long_dense_gemms_are_split(monkeypatch):
-    calls = _spy_panel_matmul(monkeypatch)
+    calls = _spy_panel_gemm(monkeypatch)
     x = np.random.default_rng(0).normal(size=(30, 40))
     for name in sorted(SUBSAMPLERS):
         subsample_forward(x, SUBSAMPLERS[name], init_weights(SUBSAMPLERS[name], 0),
                           QuantRecorder(None))
     # conv2d6 layer 1 and the dws2d6 1x1 layer, each with and without x22
-    assert [a for a, _ in calls] == [(512, 12800)] * 2 + [(512, 512)] * 2
+    assert [a for a, _, _ in calls] == [(512, 12800)] * 2 + [(512, 512)] * 2
 
 
 @pytest.mark.parametrize("config, i", [(CONV2D6, 1), (DWS2D6, 2)], ids=["conv2d6", "dws2d6"])
 def test_split_frontend_gemms_have_the_bits_of_one_matmul(monkeypatch, one_blas_thread,
                                                           config, i):
-    # the layer's input for one 80x1000 chunk, with saturated entries
+    # the layer's input for one 80x1000 chunk, with saturated entries; on
+    # two CPUs conv2d6 copies its columns panel by panel, dws2d6 at once
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     h, w = 80, 1000
     for layer in config.layers[:i]:
         h, w = layer.out_hw(h, w)
@@ -161,12 +195,38 @@ def test_split_frontend_gemms_have_the_bits_of_one_matmul(monkeypatch, one_blas_
     wt = rng.normal(0.0, 1.0 / math.sqrt(k), (layer.out_channels, layer.in_channels,
                                               *layer.kernel))
     b = rng.normal(size=layer.out_channels)
-    calls = _spy_panel_matmul(monkeypatch)
+    calls = _spy_panel_gemm(monkeypatch)
     got = conv2d_forward(x, wt, b, layer)
-    assert calls == [((512, k), (k, 1980))]
+    assert calls == [((512, k), (k, 1980), config is CONV2D6)]
     want = im2col_conv(x, wt, b, layer)
     assert np.isnan(want).any() and np.isinf(want).any()
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8], indirect=True)
+def test_a_weight_function_runs_once_after_the_first_panel_is_copied(monkeypatch, cpus):
+    # 2048 positions in four panels: one or two panel copies at once peak
+    # below the whole copy, four do not
+    layer = ConvLayerSpec(64, 512, (5, 5), (1, 1))
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(64, 36, 68))
+    wt = rng.normal(size=(512, 64, 5, 5))
+    b = rng.normal(size=512)
+    calls = _spy_panel_gemm(monkeypatch)
+    copies = _spy_columns(monkeypatch)
+    seen = []
+
+    def weight():
+        seen.append(len(copies))
+        time.sleep(0.01)  # a second caller would come in meanwhile
+        return wt
+
+    got = conv2d_forward(x, weight, b, layer)
+    owned = cpus < 8
+    assert calls == [((512, 1600), (1600, 2048), owned)]
+    assert sorted(copies) == (convsub._panels(2048) if owned else [(0, 2048)])
+    assert len(seen) == 1 and seen[0] >= 1
+    np.testing.assert_array_equal(got, conv2d_forward(x, wt, b, layer))
 
 
 def _profile_conv_reports(path, out_dir, *args) -> dict:
@@ -178,16 +238,19 @@ def _profile_conv_reports(path, out_dir, *args) -> dict:
 def test_profile_conv_reports_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch,
                                                              one_blas_thread, cpus):
     # 56x1000 gives conv2d6 layer 1 and the dws2d6 1x1 layer 8 x 165
-    # positions, three panels; the reference runs each GEMM as one call
+    # positions, three panels (conv2d6 copies them in their tasks on one
+    # CPU); the reference runs each GEMM as one call
     path = tmp_path / "frames.stream"
     write_stream(path, [np.random.default_rng(6).normal(0.0, 3.0, (56, 1000))])
     args = ("--conv", "conv2d6,dws2d6", "--format", "fp16")
     with monkeypatch.context() as m:
-        m.setattr(convsub, "_panel_matmul", lambda a, b, out: np.matmul(a, b, out=out))
+        m.setattr(convsub, "_panel_gemm", lambda win, filters, out, owned: np.matmul(
+            filters(), convsub._columns(win, 0, out.shape[1]), out=out))
         want = _profile_conv_reports(path, tmp_path / "one_call", *args)
-    calls = _spy_panel_matmul(monkeypatch)
+    calls = _spy_panel_gemm(monkeypatch)
     assert _profile_conv_reports(path, tmp_path / "panels", *args) == want
-    assert [b for _, b in calls] == [(12800, 1320), (512, 1320)]
+    assert [b for _, b, _ in calls] == [(12800, 1320), (512, 1320)]
+    assert [owned for _, _, owned in calls] == [cpus == 1, False]
 
 
 @pytest.mark.filterwarnings("error")
@@ -345,6 +408,51 @@ def test_profile_conv_frees_a_dense_layers_input_before_drawing_its_weights(
     allowed = 1.02 * max(layer0_out + cols, cols + weights + product) + (1 << 20)
     assert layer0_out + cols + weights + product > allowed
     assert peak <= allowed
+
+
+def _conv2d6_layer1_bytes(h: int, w: int) -> tuple[int, ...]:
+    """Bytes of conv2d6 layer 1 on one h x w chunk: its input, its whole
+    columns, its weights, its product and one 512-column panel."""
+    l0, l1 = CONV2D6.layers
+    oh0, ow0 = l0.out_hw(h, w)
+    oh1, ow1 = l1.out_hw(oh0, ow0)
+    k = l1.in_channels * l1.kernel[0] * l1.kernel[1]
+    return (8 * l0.out_channels * oh0 * ow0, 8 * k * oh1 * ow1, 8 * l1.out_channels * k,
+            8 * l1.out_channels * oh1 * ow1, 8 * k * 512)
+
+
+def _traced_profile_conv(tmp_path, traced_peak, h: int, w: int) -> int:
+    path = tmp_path / "frames.stream"
+    write_stream(path, [np.random.default_rng(0).normal(size=(h, w))])
+    return traced_peak(lambda: cli.main(["profile-conv", str(path), "--conv", "conv2d6",
+                                         "--out-dir", str(tmp_path / "out")]))
+
+
+@pytest.mark.parametrize("cpus", [1, 2], indirect=True)
+def test_profile_conv_copies_a_long_chunks_panels_in_their_tasks(tmp_path, monkeypatch,
+                                                                  traced_peak, cpus):
+    # at 80x1000 conv2d6 layer 1 has 1980 positions in four panels; with one
+    # or two panel copies at a time the layer holds less than its input
+    # beside its whole columns
+    layer_in, cols, weights, product, panel = _conv2d6_layer1_bytes(80, 1000)
+    copies = _spy_columns(monkeypatch)
+    peak = _traced_profile_conv(tmp_path, traced_peak, 80, 1000)
+    allowed = layer_in + weights + product + min(cpus, 4) * panel + (1 << 20)
+    assert allowed < layer_in + cols
+    assert sorted(copies) == convsub._panels(1980)
+    assert peak <= allowed
+
+
+@pytest.mark.parametrize("cpus", [1, 2], indirect=True)
+def test_profile_conv_copies_a_short_chunks_columns_at_once(tmp_path, monkeypatch,
+                                                            traced_peak, cpus):
+    # at 40x1000 conv2d6 layer 1 has 825 positions in two panels; its whole
+    # columns peak lower than its input, weights and product beside a panel
+    layer_in, cols, weights, product, _ = _conv2d6_layer1_bytes(40, 1000)
+    copies = _spy_columns(monkeypatch)
+    peak = _traced_profile_conv(tmp_path, traced_peak, 40, 1000)
+    assert copies == [(0, 825)]
+    assert peak <= 1.02 * max(layer_in + cols, cols + weights + product) + (1 << 20)
 
 
 _FRAMES = np.random.default_rng(8).normal(0.0, 4.0, (31, 40))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from lowprec import parallel
-from lowprec.parallel import map_in_order
+from lowprec.parallel import map_in_order, once
 
 SRC = Path(parallel.__file__).resolve().parent
 
@@ -119,6 +119,23 @@ def test_helpers_keep_the_callers_numpy_error_state(cpus):
         modes = map_in_order(divide_mode, range(16), 16)
     assert modes == ["raise"] * 16
     assert (len(threads) > 1) == (cpus > 1)
+
+
+def test_once_runs_its_function_on_one_thread_and_keeps_only_a_result(cpus):
+    calls = []
+
+    def make():
+        calls.append(threading.get_ident())
+        time.sleep(0.005)  # other tasks call in meanwhile and must wait
+        if len(calls) == 1:
+            raise ValueError("the first call fails")
+        return object()
+
+    shared = once(make)
+    with pytest.raises(ValueError):
+        shared()
+    got = map_in_order(lambda _: shared(), range(40), 40)
+    assert len(calls) == 2 and all(r is got[0] for r in got)
 
 
 def test_only_the_runner_starts_threads_or_takes_locks():
