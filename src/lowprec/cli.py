@@ -40,9 +40,9 @@ from .convsub import (
 # init_weights: no command calls it (profile-conv draws LazyWeights); it stays
 # only because the benchmark tracer (perfbench/spans.py) wraps this name.
 from .convsub import init_weights  # noqa: F401
-# quantize_array: the benchmark tracer (perfbench/spans.py) wraps it at this name.
-from .floatsim import (FloatFormat, QuantRecorder, log2_bins, parse_format,
-                       quantize_array)
+from .floatsim import FloatFormat, QuantRecorder, log2_bins, parse_format
+# Bound here so the benchmark tracer (perfbench/spans.py) can wrap it.
+from .floatsim import quantize_array  # noqa: F401
 from .graphir import (
     Graph,
     GraphError,
@@ -51,11 +51,12 @@ from .graphir import (
     apply_passes,
     build_mha_bsf,
     check_equivalence,
+    infer_shapes,
     mha_weights,
     movement_profile,
 )
 from .prenorm import PrenormSpec, stabilized_layernorm_rows, theorem1_ceiling
-from .softmax_lut import RESCALE_THRESHOLD, ExpLUT, softmax_lut, softmax_reference
+from .softmax_lut import ExpLUT, hot_rows, softmax_lut, softmax_reference
 from .streams import (
     StreamFormatError,
     atomic_write,
@@ -97,7 +98,9 @@ def _row_blocks(path: str) -> tuple[int, int, Iterator[tuple[int, np.ndarray]]]:
     one large chunk, or several small chunks joined, since every call on a
     block pays a fixed cost. Blocks are float64 whatever the stream's
     dtype, so a float16 or float32 row is scaled as its float64 widening
-    would be, not overflowed or rounded in its own dtype first.
+    would be, not overflowed or rounded in its own dtype first. A row with
+    an inf or nan entry raises StreamFormatError naming it, when its block
+    is reached.
     """
     chunks = [np.atleast_2d(c) for c in read_stream(path)]
     widths = {c.shape[-1] for c in chunks}
@@ -109,10 +112,14 @@ def _row_blocks(path: str) -> tuple[int, int, Iterator[tuple[int, np.ndarray]]]:
     width = widths.pop()
     step = max(1, _BLOCK_BYTES // (8 * width))
 
-    def join(parts):
-        if len(parts) == 1:
-            return parts[0].astype(np.float64, copy=False)
-        return np.concatenate(parts, dtype=np.float64)
+    def block(first, parts):
+        rows = (parts[0].astype(np.float64, copy=False) if len(parts) == 1
+                else np.concatenate(parts, dtype=np.float64))
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+        if bad.size:  # nothing to audit, and no log2 bin for the row
+            raise StreamFormatError(f"{path}: row {first + bad[0]}: "
+                                    "entries must be finite")
+        return first, rows
 
     def blocks():
         first, parts, held = 0, [], 0
@@ -122,10 +129,10 @@ def _row_blocks(path: str) -> tuple[int, int, Iterator[tuple[int, np.ndarray]]]:
                 held += len(parts[-1])
                 c = c[len(parts[-1]):]
                 if held == step:
-                    yield first, join(parts)
+                    yield block(first, parts)
                     first, parts, held = first + held, [], 0
         if parts:
-            yield first, join(parts)
+            yield block(first, parts)
 
     return sum(len(c) for c in chunks), width, blocks()
 
@@ -161,7 +168,7 @@ def theory_report(n_max: int, vectors: int, samples: int, seed: int) -> list[dic
     worst = 0.0
     for p in p_grid:
         for S in s_grid:
-            v = prenorm.extremal_vector(S, 8).values
+            v = prenorm.extremal_vector(S, 8)
             got = np.sum(np.abs(v) ** p)
             want = prenorm.lemma1_bound(S, p)
             worst = max(worst, abs(got - want) / want)
@@ -202,7 +209,7 @@ def theory_report(n_max: int, vectors: int, samples: int, seed: int) -> list[dic
     for p in p_grid:
         for M in m_grid:
             spec = PrenormSpec(mode="theorem1", p=p, max_value=M)
-            y, _ = prenorm.prenormalize(prenorm.extremal_vector(4.0, 8).values, spec)
+            y, _ = prenorm.prenormalize(prenorm.extremal_vector(4.0, 8), spec)
             got = np.sum(np.abs(y) ** p)
             worst = max(worst, abs(got - M) / M)
     rows.append(_check("prenormalized_worst_case_reaches_ceiling", worst,
@@ -309,10 +316,6 @@ def cmd_audit_layernorm(args) -> int:
             for m in mults for pre_name in variants}
     peaks = {m: [] for m in mults}  # per-row peak |input|, one array per block
     for start, block in blocks:
-        bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
-        if bad.size:  # no overflow to audit, and no log2 bin for the row
-            raise StreamFormatError(f"{args.stream}: row {start + bad[0]}: "
-                                    "entries must be finite")
         for m, mult in mults.items():
             with np.errstate(over="ignore"):  # a finite row can overflow here
                 x = block * mult
@@ -371,12 +374,8 @@ def cmd_audit_layernorm(args) -> int:
 
 
 def _sum_tolerance(fmt: FloatFormat) -> float:
-    if fmt.name == "fp16":
-        return 1e-3
-    if fmt.name == "fp32":
-        return 1e-6
     u = 2.0 ** -(fmt.mantissa_bits + 1)
-    return 2.0 * u + u * u
+    return {"fp16": 1e-3, "fp32": 1e-6}.get(fmt.name, 2.0 * u + u * u)
 
 
 def cmd_audit_softmax(args) -> int:
@@ -388,12 +387,12 @@ def cmd_audit_softmax(args) -> int:
     n_unique = n_agree = rescaled = 0
     sum_devs = []
     for _, rows in blocks:
-        out = softmax_lut(rows, rec)
+        q = rec.q(rows)  # the block in the format, rounded and counted once
+        out = softmax_lut(q, rec)
         agree = np.argmax(out, axis=1) == np.argmax(softmax_reference(rows), axis=1)
         sum_devs.append(np.abs(out.sum(axis=1) - 1.0).max())
         del out
-        q, _ = quantize_array(rows, fmt)
-        if q.shape[1] > 1:  # the two largest of each row, nan sorting last
+        if q.shape[1] > 1:  # the two largest of each row
             q.partition((-2, -1), axis=1)
             runner_up = q[:, -2]
         else:  # a width-1 row's single entry is its own unique max
@@ -402,7 +401,7 @@ def cmd_audit_softmax(args) -> int:
         unique = np.isfinite(peak) & (peak > runner_up)
         n_unique += int(np.count_nonzero(unique))
         n_agree += int(np.count_nonzero(agree & unique))
-        rescaled += int(np.count_nonzero(peak > RESCALE_THRESHOLD))
+        rescaled += int(np.count_nonzero(hot_rows(peak)))
     agree = n_agree / n_unique if n_unique else 1.0
     sum_dev = float(np.max(sum_devs))  # np.max, unlike max(), keeps a nan
     tol = _sum_tolerance(fmt)
@@ -507,6 +506,24 @@ def cmd_profile_conv(args) -> int:
 # rewrite-graph
 
 
+def _check_weights(path: str, weights: dict, g: Graph) -> None:
+    """Refuse a weights file without a tensor that a linear or conv1x1 node
+    of ``g`` reads, or with one in a shape the node cannot read."""
+    shapes = infer_shapes(g)
+    for n in (n for n in g.nodes if n.op in ("linear", "conv1x1")):
+        s, out = shapes[n.inputs[0]], int(n.attrs["out_features"])
+        want = {"weight": (out, s[-1] if n.op == "linear" else s[1]), "bias": (out,)}
+        for attr in ("weight", "bias") if n.attrs.get("bias") else ("weight",):
+            name = n.attrs[attr]
+            if name not in weights:
+                raise StreamFormatError(f"{path}: {n.id}: {attr} tensor {name!r} "
+                                        "is not in the weights")
+            if weights[name].shape != want[attr]:
+                raise StreamFormatError(f"{path}: {n.id}: {attr} tensor {name!r} has "
+                                        f"shape {weights[name].shape}, the node reads "
+                                        f"{want[attr]}")
+
+
 def cmd_rewrite_graph(args) -> int:
     out_dir = Path(args.out_dir)
     weights = read_tensors(args.weights) if args.weights else {}
@@ -520,6 +537,8 @@ def cmd_rewrite_graph(args) -> int:
     else:
         g = Graph.load(args.graph)
         n_chunks = args.chunks if args.chunks else 1
+    if args.check and args.weights:
+        _check_weights(args.weights, weights, g)
 
     passes = [p.strip() for p in args.passes.split(",") if p.strip()]
     rewritten = apply_passes(g, passes, n_chunks=n_chunks,

@@ -42,7 +42,9 @@ block is copied, and only then looks up the weight. A split GEMM copies its
 columns in one of two orders, whichever peaks lower by these formulas:
 
 - whole columns: copy every column, drop the input, then look up the
-  weight. Peak: columns + max(input, weights + product).
+  weight. Peak: columns + max(input, weights + product), or columns +
+  weights + max(input, product) for a weight passed as an array, which
+  ``subsample_forward`` does once ``LazyWeights`` holds it.
 - owned panels: each panel's task copies its own columns from the window
   view into an array it owns. The first task to finish its copy looks up
   the weight, once and under a lock (``LazyWeights`` is not thread-safe),
@@ -54,11 +56,11 @@ weights 52 MB, product 8 MB, four panels of up to 52 MB) the whole columns
 peak at 283 MB, and owned panels at 193 MB on one CPU and 245 MB on two;
 from three CPUs on, the whole columns are lower. At 40x1000 (two panels)
 the whole columns are lower on any CPU count (140 MB against 147 MB on one
-CPU). Later chunks reuse the drawn weights, which the owned-panel formula
-already counts; a whole-column copy then holds them too (about 335 MB at
-80x1000). Either way each panel is one BLAS call on the same values in the
-same ``_panels`` layout, and the tests check both orders for the bits of
-one call at every width up to 2600. Grouped layers keep their input for
+CPU). A later chunk finds the weights drawn, so at 80x1000 its whole
+columns would peak at 335 MB, above owned panels up to three CPUs (297 MB
+on three). Either way each panel is one BLAS call on the same values in
+the same ``_panels`` layout, and the tests check both orders for the bits
+of one call at every width up to 2600. Grouped layers keep their input for
 all group blocks.
 """
 
@@ -253,11 +255,13 @@ def conv2d_forward(x, weight, bias, layer: ConvLayerSpec) -> np.ndarray:
     with np.errstate(invalid="ignore"):  # saturated inputs propagate inf/nan
         if g == 1 and min(cog, k) >= _PANEL:
             ranges = _panels(n)
-            fixed = 8 * cog * (k + n)  # the weights and the product
+            w_bytes, p_bytes = 8 * cog * k, 8 * cog * n  # the weights, the product
+            drawn = 0 if callable(weight) else w_bytes  # held weights stay live
             widest = 8 * k * max(c1 - c0 for c0, c1 in ranges)
             # the owned order's peak bytes against the whole-column order's
-            owned = (in_bytes + fixed + min(parallel.usable_cpus(), len(ranges)) * widest
-                     < 8 * k * n + max(in_bytes, fixed))
+            owned = (in_bytes + w_bytes + p_bytes
+                     + min(parallel.usable_cpus(), len(ranges)) * widest
+                     < 8 * k * n + drawn + max(in_bytes, w_bytes + p_bytes - drawn))
             held = [win]
             del win  # _panel_gemm gets the only reference to the input
             _panel_gemm(held.pop(), lambda: filters()[0], out[0], owned)
@@ -318,16 +322,16 @@ def init_weights(config: SubsamplingConfig, seed: int) -> dict[str, np.ndarray]:
 
 def subsample_forward(x, config: SubsamplingConfig, weights,
                       rec: QuantRecorder):
-    """Run the subsampler on one (C, H, W) sample.
+    """Run the subsampler on one (C, H, W) sample, rounding into ``rec``.
 
-    The input and each layer output (and the final multiplied result) are
-    rounded into ``rec``, which keeps the counts; arithmetic inside a
-    convolution stays in float64, so the simulation tracks activation range
-    rather than accumulator rounding. Returns (output, per-layer peak |values|).
+    The input, each layer output and the multiplied result are rounded;
+    arithmetic inside a convolution stays in float64, so the simulation
+    tracks activation range rather than accumulator rounding. Returns
+    (output, per-layer peak |values|).
 
     ``weights`` maps ``layer{i}.weight`` and ``layer{i}.bias`` to tensors.
-    Each layer gets the only reference to its input and looks its weight
-    up only once its columns exist (the module docstring says why).
+    Each layer gets the only reference to its input and looks a weight not
+    yet held up only once its columns exist (the module docstring says why).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 2:
@@ -335,10 +339,12 @@ def subsample_forward(x, config: SubsamplingConfig, weights,
     x = rec.q(x)
     peaks = []
     for i, layer in enumerate(config.layers):
+        name = f"layer{i}.weight"
+        # a weight already held (drawn for an earlier chunk) is passed as is
+        weight = weights[name] if name in weights else partial(weights.__getitem__, name)
         held = [x]
         del x  # the call gets the only reference to the layer's input
-        x = conv2d_forward(held.pop(), partial(weights.__getitem__, f"layer{i}.weight"),
-                           weights[f"layer{i}.bias"], layer)
+        x = conv2d_forward(held.pop(), weight, weights[f"layer{i}.bias"], layer)
         rec.q(x, out=x)  # a fresh array, never the caller's: round and ReLU in place
         np.maximum(x, 0.0, out=x)
         # after the ReLU (and the positive multiplier) x is >= 0 or nan,
@@ -419,12 +425,7 @@ class RangeProfile:
                 "log2_edges": list(self.histogram_log2_edges),
                 "counts": list(self.histogram_counts),
             },
-            "quantize": {
-                "total": self.overflow.total,
-                "rounded": self.overflow.rounded,
-                "underflow": self.overflow.underflow,
-                "overflow": self.overflow.overflow,
-            },
+            "quantize": {k: v for k, v in vars(self.overflow).items() if k != "exact"},
         }
 
 

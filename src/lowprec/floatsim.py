@@ -37,6 +37,7 @@ Block boundaries change no bit: every step is element-wise.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -120,10 +121,7 @@ class OverflowStats:
     overflow: int = 0
 
     def __add__(self, other: "OverflowStats") -> "OverflowStats":
-        return OverflowStats(
-            self.total + other.total, self.exact + other.exact,
-            self.rounded + other.rounded, self.underflow + other.underflow,
-            self.overflow + other.overflow)
+        return OverflowStats(*map(operator.add, vars(self).values(), vars(other).values()))
 
 
 _SIGN = np.uint64(1 << 63)
@@ -271,21 +269,23 @@ def log2_bins(peaks) -> np.ndarray:
 
 
 class QuantRecorder:
-    """Quantize-and-account: the one way the pipelines round intermediates.
+    """Quantize-and-account, the one way the pipelines round values.
+
+    The rule: a stage rounds the values it computes into its caller's
+    recorder and never rounds a value it was handed, which is already in
+    ``fmt``; only entry points (graph input nodes, a subsampler's input, an
+    audit's stream blocks) round external input, once. So each value is
+    rounded and counted once, and a run's counts accumulate in one place.
 
     ``q(values)`` rounds ``values`` onto ``fmt`` into a new array and
-    merges their status counts into ``stats``; a pipeline rounds into the
-    recorder its caller passes, so the counts of a whole run accumulate in
-    one place. ``q(values, out=values)`` rounds in place and returns
-    ``values``, which must then be a C-contiguous float64 array; pass it
-    only for an array the caller owns, never for one it was handed. A
+    merges their status counts into ``stats``; ``q(values, out=values)``
+    rounds in place a C-contiguous float64 array the caller owns. A
     recorder made for ``rows`` rows also adds, for each call that
     overflowed, the OVERFLOW codes of each leading-axis index i to
     ``row_overflow[first_row + i]``; only such a recorder builds the codes.
     A caller that feeds a stream one block of rows at a time sets
-    ``first_row`` to the block's first stream row, so the counts stay
-    indexed by stream row. With ``fmt=None`` values pass through as
-    float64 and nothing is counted.
+    ``first_row`` to the block's first stream row. With ``fmt=None`` values
+    pass through as float64 and nothing is counted.
     """
 
     def __init__(self, fmt: FloatFormat | None, rows: int = 0):

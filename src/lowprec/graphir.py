@@ -34,7 +34,7 @@ import numpy as np
 
 from lowprec.floatsim import FloatFormat, OverflowStats, QuantRecorder
 # Bound here so the benchmark tracer (perfbench/spans.py) can wrap it.
-from lowprec.floatsim import quantize_array
+from lowprec.floatsim import quantize_array  # noqa: F401
 from lowprec.parallel import map_in_order
 from lowprec.prenorm import layernorm as _layernorm_ref
 from lowprec.prenorm import stabilized_layernorm_rows
@@ -386,12 +386,11 @@ def _apply(node: Node, args: list[np.ndarray], weights: dict,
            rec: QuantRecorder):
     a = node.attrs
 
-    def tensor(attr):  # a weight as float64, rounded (uncounted) under a format
+    def tensor(attr):  # a weight as float64, in the format but not counted
         name = a[attr]
         if name not in weights:
             raise GraphError(f"{node.id}: {attr} tensor {name!r} is not in the weights")
-        w = np.asarray(weights[name], dtype=np.float64)
-        return w if rec.fmt is None else quantize_array(w, rec.fmt)[0]
+        return QuantRecorder(rec.fmt).q(weights[name])
 
     if node.op == "linear":
         out = args[0] @ tensor("weight").T
@@ -437,14 +436,13 @@ def _apply(node: Node, args: list[np.ndarray], weights: dict,
 def execute_traced(g: Graph, feeds: dict[str, np.ndarray],
                    weights: dict[str, np.ndarray] | None = None,
                    fmt: FloatFormat | None = None) -> ExecTrace:
-    """Run the graph; quantize arithmetic results when a format is given.
+    """Run the graph, in the arithmetic of ``fmt`` when one is given.
 
-    Each node rounds into its own recorder, whose counts are its
-    ``node_stats``. Movement ops shuffle already-quantized values, so they
-    never re-quantize (re-counting saturated entries would double-book
-    them). In format mode softmax runs the table/rescale path and layernorm
-    the audited kernel along its axis, each rounding its own stages, so
-    their outputs are not rounded again; in float64 both run the reference.
+    Each node rounds what it computes into its own recorder (the rule is
+    ``QuantRecorder``'s), whose counts are its ``node_stats``; input nodes
+    round their feeds, and movement ops round nothing. In format mode
+    softmax runs the table/rescale path and layernorm the audited kernel
+    along its axis; in float64 both run the reference.
     Each intermediate is dropped after its last consumer; a split's ports
     are views, so they keep their parent's buffer until the last of them
     is consumed. In format mode a weight is rounded, uncounted, where a

@@ -24,7 +24,7 @@ from lowprec.floatsim import FloatFormat, QuantRecorder
 from lowprec.floatsim import quantize_array  # noqa: F401
 
 # Peak |x| below which a vector is degenerate, where prenormalize's
-# denominator could underflow; also the floor of ZeroMeanVector's tolerance.
+# denominator could underflow; also the floor of the zero-sum tolerance.
 _DEGENERATE_PEAK = 1e-300
 
 
@@ -57,41 +57,6 @@ class PrenormSpec:
             raise ValueError("max_value must be positive")
 
 
-@dataclass(frozen=True)
-class ZeroMeanVector:
-    """A vector whose entries sum to zero (within float64 slack)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("expected a non-empty 1-d vector")
-        _require_zero_mean(v[None, :], np.abs(v).sum(keepdims=True))
-        object.__setattr__(self, "values", v)
-
-
-def _require_zero_mean(rows: np.ndarray, l1: np.ndarray) -> None:
-    """Raise ValueError at the first of ``rows`` that is not a zero-mean vector.
-
-    ``l1`` holds each row's L1 norm. A one-row block gets the bare message,
-    a taller one names the row.
-    """
-    nonfinite = ~np.isfinite(rows).all(axis=1)
-    stop = int(np.argmax(nonfinite)) if nonfinite.any() else len(rows)
-    # Slack relative to the L1 norm S: centering leaves a residual s that grows
-    # with the mean removed; s raises max sum |v|**p by p(p-1)/2*(s/S)**2 at most.
-    off = (np.abs(rows[:stop].sum(axis=1))
-           > 1e-6 * np.maximum(l1[:stop], _DEGENERATE_PEAK))
-    if off.any():
-        i, why = int(np.argmax(off)), "entries do not sum to zero"
-    elif stop < len(rows):
-        i, why = stop, "entries must be finite"
-    else:
-        return
-    raise ValueError(why if len(rows) == 1 else f"row {i}: {why}")
-
-
 def layernorm(x, axis: int = -1, eps: float = LAYERNORM_EPS) -> np.ndarray:
     """(x - mean) / sqrt(var + eps) along ``axis``, population variance."""
     x = np.asarray(x, dtype=np.float64)
@@ -109,16 +74,15 @@ def lemma1_bound(S: float, p: float) -> float:
     return 2.0 ** (1.0 - p) * S ** p
 
 
-def extremal_vector(S: float, n: int) -> ZeroMeanVector:
+def extremal_vector(S: float, n: int) -> np.ndarray:
     """The two-spike maximizer (-S/2, 0, ..., 0, S/2)."""
     if n < 2:
         raise ValueError("need n >= 2")
     if S < 0:
         raise ValueError("need S >= 0")
     v = np.zeros(n)
-    v[0] = -S / 2.0
-    v[-1] = S / 2.0
-    return ZeroMeanVector(v)
+    v[[0, -1]] = -S / 2.0, S / 2.0
+    return v
 
 
 def theorem1_scale(p: float, M: float) -> float:
@@ -167,7 +131,7 @@ def theorem1_ceiling(fmt: FloatFormat, n: int) -> float:
     sum z_i**2 to at most M (1 + g), g < (s/S)**2 + (2n + L + 12) * 2**-53.
     While g <= u, each value above is still at most max_finite before its
     own rounding, whose (1+u) is not yet spent, so the bound stands. Within
-    ZeroMeanVector's slack (s/S <= 1e-6) that holds for m <= 30 and
+    the zero-sum slack (s/S <= 1e-6) that holds for m <= 30 and
     n <= 2**20, fp16 and fp32 included. For p != 2 the kernel still sums
     squares, which this bound does not cover.
     """
@@ -195,13 +159,24 @@ def prenormalize(x, spec: PrenormSpec) -> tuple[np.ndarray, bool | np.ndarray]:
     epsilon already covers that case). In theorem1 mode the first row that
     is not finite or does not sum to zero raises ValueError.
     """
-    checked = isinstance(x, ZeroMeanVector)
-    v = x.values if checked else np.asarray(x, dtype=np.float64)
+    v = np.asarray(x, dtype=np.float64)
     if v.ndim not in (1, 2) or v.size == 0:
         raise ValueError("prenormalize needs a non-empty vector or (rows, n) block")
     rows = v[None, :] if v.ndim == 1 else np.ascontiguousarray(v)
-    if spec.mode == "theorem1" and not checked:  # optimality needs zero mean
-        _require_zero_mean(rows, np.abs(rows).sum(axis=1))
+    if spec.mode == "theorem1":  # optimality needs zero mean
+        # A one-row block gets the bare message, a taller one names the row.
+        # Slack relative to the L1 norm S: centering leaves a residual s that
+        # grows with the mean removed; s raises max sum |v|**p by
+        # p(p-1)/2*(s/S)**2 at most.
+        nonfinite = ~np.isfinite(rows).all(axis=1)
+        stop = int(np.argmax(nonfinite)) if nonfinite.any() else len(rows)
+        l1 = np.abs(rows[:stop]).sum(axis=1)
+        off = np.flatnonzero(np.abs(rows[:stop].sum(axis=1))
+                             > 1e-6 * np.maximum(l1, _DEGENERATE_PEAK))
+        if off.size or stop < len(rows):
+            i, why = ((off[0], "entries do not sum to zero") if off.size
+                      else (stop, "entries must be finite"))
+            raise ValueError(why if len(rows) == 1 else f"row {i}: {why}")
     y, degenerate = _scale_rows(rows, spec)
     if v.ndim == 1:
         return y[0], bool(degenerate[0])
@@ -318,9 +293,8 @@ def stabilized_layernorm_rows(rows, pspec: PrenormSpec | None,
     lane reduction takes), so rounding error grows with log n rather than n
     while every partial sum still has to fit the format.
 
-    Every rounding goes through ``rec``, which keeps the counts: its
-    ``stats``, and for a recorder made with ``rows`` the overflows of row i
-    in ``row_overflow[rec.first_row + i]``. Returns the outputs.
+    Rounds into ``rec``, whose ``row_overflow`` counts row i at
+    ``rec.first_row + i``. Returns the outputs.
     """
     x = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     if x.size == 0:

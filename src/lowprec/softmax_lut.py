@@ -71,13 +71,18 @@ def softmax_reference(x) -> np.ndarray:
     return e
 
 
+def hot_rows(peak) -> np.ndarray:
+    """Which rows ``softmax_lut`` rescales, given each row's max ``peak``."""
+    return np.asarray(peak) > RESCALE_THRESHOLD
+
+
 def softmax_lut(x, rec: QuantRecorder | None = None) -> np.ndarray:
     """Softmax over the last axis via rescale + table exp, rounded into ``rec``.
 
-    Rows whose max exceeds ``RESCALE_THRESHOLD`` are first mapped by
-    x -> RESCALE_THRESHOLD * x / max(x); other rows pass through untouched.
-    Every named stage is rounded to ``rec.fmt`` and counted in ``rec``:
-    the input, the rescale ratio and product (on rescaled rows only), the
+    ``x`` is already in ``rec.fmt``. Rows whose max exceeds
+    ``RESCALE_THRESHOLD`` are first mapped by x -> RESCALE_THRESHOLD * x /
+    max(x); other rows pass through untouched. Each stage is rounded into
+    ``rec``: the rescale ratio and product (on rescaled rows only), the
     max-subtracted values, the table outputs, the row total, and the final
     quotient. The total is accumulated in a wide register and rounded once;
     chaining narrow partial sums instead would put the row-sum error at
@@ -89,11 +94,9 @@ def softmax_lut(x, rec: QuantRecorder | None = None) -> np.ndarray:
     """
     if rec is None:
         rec = QuantRecorder(None)
-    # Rounding the input makes a fresh array; without a format it is copied,
-    # so every later stage works and rounds in place on arrays owned here.
-    x = rec.q(x) if rec.fmt is not None else np.array(x, dtype=np.float64)
+    x = np.array(x, dtype=np.float64)  # every later stage works in place on it
     mx = np.max(x, axis=-1, keepdims=True)
-    hot = mx[..., 0] > RESCALE_THRESHOLD
+    hot = hot_rows(mx[..., 0])
     if np.any(hot):
         ratio = _hot_ratio(x[hot], mx[hot])
         rec.q(ratio, out=ratio)

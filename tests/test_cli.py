@@ -585,6 +585,28 @@ def test_rewrite_graph_weights_file_missing_a_tensor_exits_2(tmp_path, capsys):
     assert "q_lin: bias tensor 'bq'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, tensor, why", [
+    ("wq", np.eye(3), "q_lin: weight tensor 'wq' has shape (3, 3), the node reads (16, 16)"),
+    ("bo", np.ones(3), "out_lin: bias tensor 'bo' has shape (3,), the node reads (16,)"),
+    ("wk", None, "k_lin: weight tensor 'wk' is not in the weights"),
+])
+def test_rewrite_graph_check_names_the_weights_file_tensor_and_node(tmp_path, capsys,
+                                                                     name, tensor, why):
+    path = small_graph_file(tmp_path)
+    weights = mha_weights(MHAParams(batch=1, heads=2, features=16, seq=4), 0)
+    if tensor is None:
+        del weights[name]
+    else:
+        weights[name] = tensor
+    wpath = tmp_path / "w.bin"
+    write_tensors(wpath, weights)
+    out = tmp_path / "out"
+    assert run("rewrite-graph", str(path), "--check", "--weights", str(wpath),
+               "--out-dir", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {wpath}: {why}\n"
+    assert not out.exists()  # refused before the rewrite ran
+
+
 def test_rewrite_graph_missing_bias_of_a_second_reader_exits_2(tmp_path, capsys):
     """Two linears read one weight; the second one's bias is not in the file."""
     path, wpath = tmp_path / "g.json", tmp_path / "w.bin"
@@ -677,6 +699,33 @@ def test_audit_layernorm_stream_with_inf_exits_2(tmp_path, capsys, prenorm):
         assert run("audit-layernorm", str(path), "--prenorm", prenorm,
                    "--out-dir", str(tmp_path)) == 2
     assert "inf.stream: row 2: entries must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("dtype", [np.float64, np.float16])
+@pytest.mark.parametrize("command", ["audit-softmax", "audit-layernorm"])
+def test_audits_refuse_a_non_finite_entry_naming_its_row(tmp_path, capsys, command,
+                                                         dtype, value):
+    path = tmp_path / "rows.stream"
+    rows = np.random.default_rng(0).normal(size=(4, 8)).astype(dtype)
+    rows[2, 3] = value
+    write_stream(path, [np.ones((3, 8), dtype), rows])
+    out = tmp_path / "audit"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any arithmetic
+        assert run(command, str(path), "--out-dir", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {path}: row 5: entries must be finite\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["audit-softmax", "audit-layernorm"])
+def test_audits_refuse_chunks_of_mixed_widths(tmp_path, capsys, command):
+    path = tmp_path / "rows.stream"
+    write_stream(path, [np.ones((2, 8)), np.ones((2, 4))])
+    out = tmp_path / "audit"
+    assert run(command, str(path), "--out-dir", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {path}: chunks have mixed widths [4, 8]\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("chunk, conv, why", [

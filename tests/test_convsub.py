@@ -455,6 +455,26 @@ def test_profile_conv_copies_a_short_chunks_columns_at_once(tmp_path, monkeypatc
     assert peak <= 1.02 * max(layer_in + cols, cols + weights + product) + (1 << 20)
 
 
+@pytest.mark.parametrize("cpus", [3], indirect=True)
+def test_profile_conv_copies_a_later_chunks_panels_in_their_tasks(tmp_path, monkeypatch,
+                                                                   traced_peak, cpus):
+    # on three CPUs the first 80x1000 chunk copies conv2d6 layer 1's columns
+    # whole, its weights not drawn yet; the second chunk finds them held, and
+    # beside them whole columns would peak above three owned panels
+    layer_in, cols, weights, product, panel = _conv2d6_layer1_bytes(80, 1000)
+    frames = np.random.default_rng(0).normal(size=(80, 1000))
+    path = tmp_path / "frames.stream"
+    write_stream(path, [frames, frames])
+    copies = _spy_columns(monkeypatch)
+    peak = traced_peak(lambda: cli.main(["profile-conv", str(path), "--conv", "conv2d6",
+                                         "--out-dir", str(tmp_path / "out")]))
+    allowed = layer_in + weights + product + 3 * panel + 2 * frames.nbytes + (1 << 20)
+    assert cols + weights + layer_in > allowed
+    assert copies[0] == (0, 1980)
+    assert sorted(copies[1:]) == convsub._panels(1980)
+    assert peak <= allowed
+
+
 _FRAMES = np.random.default_rng(8).normal(0.0, 4.0, (31, 40))
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lowprec import graphir, parallel
-from lowprec.floatsim import FP16, QuantRecorder, quantize_array
+from lowprec.floatsim import FP16, OverflowStats, QuantRecorder, quantize_array
 from lowprec.graphir import (
     Graph,
     GraphError,
@@ -432,6 +432,33 @@ def test_graph_layernorm_runs_the_audited_kernel():
     b = execute_traced(pass_layout(g4), {"x": x4}, fmt=FP16)
     assert a.outputs["y"].tobytes() == b.outputs["y"].tobytes()
     assert a.node_stats["n"] == b.node_stats["n"]
+
+
+def _add_graph():
+    return Graph("add", [
+        Node("x", "input", (), {"shape": [1, 4]}),
+        Node("y", "input", (), {"shape": [1, 4]}),
+        Node("a", "add", ("x", "y")),
+        Node("out", "output", ("a",)),
+    ], ["x", "y"], ["out"])
+
+
+def test_add_node_matches_numpy():
+    rng = np.random.default_rng(9)
+    x, y = rng.normal(size=(1, 4)), rng.normal(size=(1, 4))
+    got = execute_traced(_add_graph(), {"x": x, "y": y}).outputs["out"]
+    assert got.tobytes() == (x + y).tobytes()
+
+
+def test_add_node_rounds_and_counts_its_sum_in_fp16():
+    x = np.array([[1.0, 2.0, 60000.0, 1.0]])
+    y = np.array([[0.5, 1e-3, 60000.0, -1.0]])  # 1e-3 is not on the fp16 grid
+    with np.errstate(over="ignore"):
+        want = (np.float16(x) + np.float16(y)).astype(np.float64)
+    trace = execute_traced(_add_graph(), {"x": x, "y": y}, fmt=FP16)
+    assert trace.outputs["out"].tobytes() == want.tobytes()  # [1.5, 2, inf, 0]
+    assert trace.node_stats["a"] == OverflowStats(4, 2, 1, 0, 1)
+    assert trace.node_stats["y"] == OverflowStats(4, 3, 1, 0, 0)
 
 
 def test_split_concat_identity():

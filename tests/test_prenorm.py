@@ -10,7 +10,6 @@ from lowprec.floatsim import FP16, QuantRecorder, parse_format
 from lowprec.prenorm import (
     BoundStats,
     PrenormSpec,
-    ZeroMeanVector,
     extremal_vector,
     layernorm,
     lemma1_bound,
@@ -56,8 +55,11 @@ def test_layernorm_is_shift_and_scale_invariant_as_eps_vanishes(x, shift, scale)
     np.testing.assert_allclose(layernorm(scale * x + shift, eps=1e-12), base, atol=1e-4)
 
 
+THEOREM1 = PrenormSpec("theorem1")
+
+
 def test_zero_mean_vector_validation():
-    ZeroMeanVector(np.array([-1.0, 0.0, 1.0]))
+    prenormalize(np.array([-1.0, 0.0, 1.0]), THEOREM1)
 
 
 def test_zero_sum_tolerance_scales_with_the_l1_norm():
@@ -68,15 +70,15 @@ def test_zero_sum_tolerance_scales_with_the_l1_norm():
     residual = np.abs(centered.sum(axis=1)) / (512 * np.abs(centered).max(axis=1))
     assert residual.max() > 1e-12  # the old per-entry tolerance rejected these
     for row in centered:
-        ZeroMeanVector(row)
+        prenormalize(row, THEOREM1)
     with pytest.raises(ValueError, match="sum to zero"):
-        ZeroMeanVector(np.array([1.0, 1.0]))
+        prenormalize(np.array([1.0, 1.0]), THEOREM1)
     with pytest.raises(ValueError, match="sum to zero"):
-        ZeroMeanVector(np.array([-1.0, 1.0 + 1e-5]))
+        prenormalize(np.array([-1.0, 1.0 + 1e-5]), THEOREM1)
     with pytest.raises(ValueError):
-        ZeroMeanVector(np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        ZeroMeanVector(np.array([np.inf, -np.inf]))
+        prenormalize(np.array([1.0, 1.0]), THEOREM1)
+    with pytest.raises(ValueError, match="^entries must be finite$"):
+        prenormalize(np.array([np.inf, -np.inf]), THEOREM1)
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +88,7 @@ def test_zero_sum_tolerance_scales_with_the_l1_norm():
 def test_bound_is_attained_by_the_two_spike_vector():
     for p in (1.5, 2.0, 3.0):
         for S in (1.0, 2.0, 10.0):
-            v = extremal_vector(S, 5).values
+            v = extremal_vector(S, 5)
             attained = float((np.abs(v) ** p).sum())
             assert math.isclose(attained, lemma1_bound(S, p), rel_tol=1e-12)
 
@@ -185,7 +187,7 @@ def test_worst_case_lands_exactly_on_the_limit():
 @given(zero_mean_vectors)
 def test_no_zero_mean_vector_can_exceed_the_limit(x):
     spec = PrenormSpec("theorem1", p=2.0, max_value=65504.0)
-    y, flag = prenormalize(ZeroMeanVector(np.asarray(x, float) - x.mean()), spec)
+    y, flag = prenormalize(np.asarray(x, float) - x.mean(), spec)
     if not flag:
         assert (np.abs(y) ** 2).sum() <= 65504.0 * (1.0 + 1e-9)
 

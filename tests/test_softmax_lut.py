@@ -83,12 +83,12 @@ def test_rescale_threshold_is_strict():
     x = np.array([4096.0, 4090.5, 1.0])
     assert same_bits(softmax_lut(x), unrescaled(x))
     rec = QuantRecorder(FP16)
-    softmax_lut(x, rec)
+    softmax_lut(rec.q(x), rec)
     assert rec.stats.total == 3 * 4 + 1  # input, shift, table, quotient + total
     y = np.array([4100.0, 4092.0, 1.0])
     assert same_bits(softmax_lut(y), softmax_lut(4096.0 * (y / y.max())))
     rec = QuantRecorder(FP16)
-    softmax_lut(y, rec)
+    softmax_lut(rec.q(y), rec)
     assert rec.stats.total == 3 * 6 + 1  # plus the ratio and the product
 
 
@@ -140,7 +140,7 @@ def test_half_precision_hot_rows_keep_argmax_and_mass():
     rows = rows[np.max(rows, axis=1) > 4096.0]
     assert len(rows) >= 50
     rec = QuantRecorder(FP16)
-    out = softmax_lut(rows, rec)
+    out = softmax_lut(rec.q(rows), rec)
     ref = softmax_reference(rows)
     assert np.all(np.argmax(out, axis=1) == np.argmax(ref, axis=1))
     assert np.abs(out.sum(axis=1) - 1.0).max() <= 1e-3
@@ -150,7 +150,8 @@ def test_half_precision_hot_rows_keep_argmax_and_mass():
 def test_single_precision_mass_is_much_tighter():
     rng = np.random.default_rng(5)
     x = rng.normal(0.0, 100.0, (200, 48))
-    out = softmax_lut(x, QuantRecorder(FP32))
+    rec = QuantRecorder(FP32)
+    out = softmax_lut(rec.q(x), rec)
     assert np.abs(out.sum(axis=1) - 1.0).max() <= 1e-6
 
 
@@ -177,10 +178,11 @@ def test_nd_batches():
 
 
 def test_table_softmax_peaks_below_two_and_a_half_inputs(traced_peak):
-    # Only the input rounding and the table exp make new arrays; every
-    # other stage works in place.
+    # Only the input copy and the table exp make new arrays; every other
+    # stage works in place.
     x = np.random.default_rng(6).normal(0.0, 500.0, (1024, 512))
     x[3::4] *= 10.0  # hot rows take the rescale
+    x = QuantRecorder(FP16).q(x)
     before = x.copy()
     assert traced_peak(lambda: softmax_lut(x, QuantRecorder(FP16))) <= 2.5 * x.nbytes
     softmax_lut(x)
@@ -190,6 +192,6 @@ def test_table_softmax_peaks_below_two_and_a_half_inputs(traced_peak):
 def test_half_precision_runs_are_deterministic():
     rng = np.random.default_rng(4)
     x = rng.normal(0.0, 5000.0, (10, 16))
-    a = softmax_lut(x, QuantRecorder(FP16))
-    b = softmax_lut(x, QuantRecorder(FP16))
+    a = softmax_lut(QuantRecorder(FP16).q(x), QuantRecorder(FP16))
+    b = softmax_lut(QuantRecorder(FP16).q(x), QuantRecorder(FP16))
     assert a.tobytes() == b.tobytes()

@@ -9,6 +9,7 @@ import pytest
 
 from lowprec.streams import (
     StreamFormatError,
+    atomic_write,
     read_stream,
     read_tensors,
     write_stream,
@@ -107,6 +108,15 @@ def test_rewrite_replaces_whole_file(tmp_path):
     write_stream(path, [np.zeros((1, 2))])
     back = read_stream(path)
     assert len(back) == 1 and back[0].shape == (1, 2)
+
+
+def test_a_failed_write_leaves_neither_temp_file_nor_target(tmp_path):
+    target = tmp_path / "out" / "report.json"
+    with pytest.raises(RuntimeError, match="writer failed"):
+        with atomic_write(target, "w") as fh:
+            fh.write("partial")
+            raise RuntimeError("writer failed")
+    assert list(target.parent.iterdir()) == []
 
 
 def test_named_tensors_round_trip(tmp_path):
