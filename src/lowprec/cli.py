@@ -40,9 +40,9 @@ from .convsub import (
 # init_weights: no command calls it (profile-conv draws LazyWeights); it stays
 # only because the benchmark tracer (perfbench/spans.py) wraps this name.
 from .convsub import init_weights  # noqa: F401
-from .floatsim import FloatFormat, QuantRecorder, log2_bins, parse_format
-# Bound here so the benchmark tracer (perfbench/spans.py) can wrap it.
-from .floatsim import quantize_array  # noqa: F401
+# quantize_array: the benchmark tracer (perfbench/spans.py) wraps it at this name.
+from .floatsim import (FloatFormat, QuantRecorder, log2_bins, parse_format,
+                       quantize_array)
 from .graphir import (
     Graph,
     GraphError,
@@ -51,7 +51,7 @@ from .graphir import (
     apply_passes,
     build_mha_bsf,
     check_equivalence,
-    infer_shapes,
+    check_weights,
     mha_weights,
     movement_profile,
 )
@@ -374,8 +374,12 @@ def cmd_audit_layernorm(args) -> int:
 
 
 def _sum_tolerance(fmt: FloatFormat) -> float:
+    if fmt.name == "fp16":
+        return 1e-3
+    if fmt.name == "fp32":
+        return 1e-6
     u = 2.0 ** -(fmt.mantissa_bits + 1)
-    return {"fp16": 1e-3, "fp32": 1e-6}.get(fmt.name, 2.0 * u + u * u)
+    return 2.0 * u + u * u
 
 
 def cmd_audit_softmax(args) -> int:
@@ -392,6 +396,10 @@ def cmd_audit_softmax(args) -> int:
         agree = np.argmax(out, axis=1) == np.argmax(softmax_reference(rows), axis=1)
         sum_devs.append(np.abs(out.sum(axis=1) - 1.0).max())
         del out
+        # The same values again, uncounted: the benchmark tracer sees floatsim
+        # work only at this wrapped name until it wraps QuantRecorder.q
+        # (ROADMAP item 15); then this pass goes and q above is partitioned.
+        q, _ = quantize_array(rows, fmt)
         if q.shape[1] > 1:  # the two largest of each row
             q.partition((-2, -1), axis=1)
             runner_up = q[:, -2]
@@ -506,24 +514,6 @@ def cmd_profile_conv(args) -> int:
 # rewrite-graph
 
 
-def _check_weights(path: str, weights: dict, g: Graph) -> None:
-    """Refuse a weights file without a tensor that a linear or conv1x1 node
-    of ``g`` reads, or with one in a shape the node cannot read."""
-    shapes = infer_shapes(g)
-    for n in (n for n in g.nodes if n.op in ("linear", "conv1x1")):
-        s, out = shapes[n.inputs[0]], int(n.attrs["out_features"])
-        want = {"weight": (out, s[-1] if n.op == "linear" else s[1]), "bias": (out,)}
-        for attr in ("weight", "bias") if n.attrs.get("bias") else ("weight",):
-            name = n.attrs[attr]
-            if name not in weights:
-                raise StreamFormatError(f"{path}: {n.id}: {attr} tensor {name!r} "
-                                        "is not in the weights")
-            if weights[name].shape != want[attr]:
-                raise StreamFormatError(f"{path}: {n.id}: {attr} tensor {name!r} has "
-                                        f"shape {weights[name].shape}, the node reads "
-                                        f"{want[attr]}")
-
-
 def cmd_rewrite_graph(args) -> int:
     out_dir = Path(args.out_dir)
     weights = read_tensors(args.weights) if args.weights else {}
@@ -537,8 +527,11 @@ def cmd_rewrite_graph(args) -> int:
     else:
         g = Graph.load(args.graph)
         n_chunks = args.chunks if args.chunks else 1
-    if args.check and args.weights:
-        _check_weights(args.weights, weights, g)
+    if args.check and args.weights:  # before any pass runs
+        try:
+            check_weights(g, weights)
+        except GraphError as exc:
+            raise GraphError(f"{args.weights}: {exc}") from None
 
     passes = [p.strip() for p in args.passes.split(",") if p.strip()]
     rewritten = apply_passes(g, passes, n_chunks=n_chunks,

@@ -425,7 +425,12 @@ class RangeProfile:
                 "log2_edges": list(self.histogram_log2_edges),
                 "counts": list(self.histogram_counts),
             },
-            "quantize": {k: v for k, v in vars(self.overflow).items() if k != "exact"},
+            "quantize": {
+                "total": self.overflow.total,
+                "rounded": self.overflow.rounded,
+                "underflow": self.overflow.underflow,
+                "overflow": self.overflow.overflow,
+            },
         }
 
 

@@ -37,7 +37,6 @@ Block boundaries change no bit: every step is element-wise.
 from __future__ import annotations
 
 import math
-import operator
 import threading
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -121,7 +120,10 @@ class OverflowStats:
     overflow: int = 0
 
     def __add__(self, other: "OverflowStats") -> "OverflowStats":
-        return OverflowStats(*map(operator.add, vars(self).values(), vars(other).values()))
+        return OverflowStats(
+            self.total + other.total, self.exact + other.exact,
+            self.rounded + other.rounded, self.underflow + other.underflow,
+            self.overflow + other.overflow)
 
 
 _SIGN = np.uint64(1 << 63)

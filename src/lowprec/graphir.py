@@ -169,6 +169,8 @@ _ATTR_TYPES = {
     "out_features": ("an int", _is_int),
     "factor": ("a number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)),
     "equation": ("a string", lambda v: isinstance(v, str)),
+    "weight": ("a tensor name", lambda v: isinstance(v, str)),
+    "bias": ("a tensor name", lambda v: isinstance(v, str)),
 }
 
 
@@ -271,6 +273,8 @@ def infer_shapes(g: Graph) -> dict[str, tuple]:
             shapes[n.id] = of(n.inputs[0])
         elif n.op == "linear":
             s = of(n.inputs[0])
+            if not s:
+                raise GraphError(f"{n.id}: linear wants input of rank >= 1")
             shapes[n.id] = s[:-1] + (int(a["out_features"]),)
         elif n.op == "conv1x1":
             s = of(n.inputs[0])
@@ -382,15 +386,31 @@ class ExecTrace:
         return sum(self.node_stats.values(), OverflowStats())
 
 
+def check_weights(g: Graph, weights: dict) -> None:
+    """Raise GraphError, naming the node and tensor, when ``weights`` lacks
+    a tensor that a linear or conv1x1 node reads, or holds it in a shape
+    the node cannot read."""
+    shapes = infer_shapes(g)
+    for n in g.nodes:
+        if n.op not in ("linear", "conv1x1"):
+            continue
+        s, out = shapes[n.inputs[0]], int(n.attrs["out_features"])
+        want = {"weight": (out, s[-1] if n.op == "linear" else s[1]), "bias": (out,)}
+        for attr in ("weight", "bias") if n.attrs.get("bias") else ("weight",):
+            name = n.attrs[attr]
+            if name not in weights:
+                raise GraphError(f"{n.id}: {attr} tensor {name!r} is not in the weights")
+            if np.shape(weights[name]) != want[attr]:
+                raise GraphError(f"{n.id}: {attr} tensor {name!r} has shape "
+                                 f"{np.shape(weights[name])}, the node reads {want[attr]}")
+
+
 def _apply(node: Node, args: list[np.ndarray], weights: dict,
            rec: QuantRecorder):
     a = node.attrs
 
     def tensor(attr):  # a weight as float64, in the format but not counted
-        name = a[attr]
-        if name not in weights:
-            raise GraphError(f"{node.id}: {attr} tensor {name!r} is not in the weights")
-        return QuantRecorder(rec.fmt).q(weights[name])
+        return QuantRecorder(rec.fmt).q(weights[a[attr]])
 
     if node.op == "linear":
         out = args[0] @ tensor("weight").T
@@ -447,9 +467,11 @@ def execute_traced(g: Graph, feeds: dict[str, np.ndarray],
     are views, so they keep their parent's buffer until the last of them
     is consumed. In format mode a weight is rounded, uncounted, where a
     node reads it, so a tensor read by several nodes is rounded once per
-    read; the rounded copy lives only while that node runs.
+    read; the rounded copy lives only while that node runs. Weights are
+    checked first (``check_weights``).
     """
     weights = weights or {}
+    check_weights(g, weights)
     last_use = {r: i for i, n in enumerate(g.nodes) for r in n.inputs}
     keep = set(g.outputs)
     values: dict[str, np.ndarray] = {}

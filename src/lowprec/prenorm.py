@@ -81,7 +81,8 @@ def extremal_vector(S: float, n: int) -> np.ndarray:
     if S < 0:
         raise ValueError("need S >= 0")
     v = np.zeros(n)
-    v[[0, -1]] = -S / 2.0, S / 2.0
+    v[0] = -S / 2.0
+    v[-1] = S / 2.0
     return v
 
 
@@ -164,18 +165,18 @@ def prenormalize(x, spec: PrenormSpec) -> tuple[np.ndarray, bool | np.ndarray]:
         raise ValueError("prenormalize needs a non-empty vector or (rows, n) block")
     rows = v[None, :] if v.ndim == 1 else np.ascontiguousarray(v)
     if spec.mode == "theorem1":  # optimality needs zero mean
-        # A one-row block gets the bare message, a taller one names the row.
-        # Slack relative to the L1 norm S: centering leaves a residual s that
-        # grows with the mean removed; s raises max sum |v|**p by
-        # p(p-1)/2*(s/S)**2 at most.
         nonfinite = ~np.isfinite(rows).all(axis=1)
         stop = int(np.argmax(nonfinite)) if nonfinite.any() else len(rows)
+        # Slack relative to the L1 norm S: centering leaves a residual s that grows
+        # with the mean removed; s raises max sum |v|**p by p(p-1)/2*(s/S)**2 at most.
         l1 = np.abs(rows[:stop]).sum(axis=1)
-        off = np.flatnonzero(np.abs(rows[:stop].sum(axis=1))
-                             > 1e-6 * np.maximum(l1, _DEGENERATE_PEAK))
-        if off.size or stop < len(rows):
-            i, why = ((off[0], "entries do not sum to zero") if off.size
-                      else (stop, "entries must be finite"))
+        off = np.abs(rows[:stop].sum(axis=1)) > 1e-6 * np.maximum(l1, _DEGENERATE_PEAK)
+        why = None
+        if off.any():
+            i, why = int(np.argmax(off)), "entries do not sum to zero"
+        elif stop < len(rows):
+            i, why = stop, "entries must be finite"
+        if why:  # a one-row block gets the bare message, a taller one names the row
             raise ValueError(why if len(rows) == 1 else f"row {i}: {why}")
     y, degenerate = _scale_rows(rows, spec)
     if v.ndim == 1:

@@ -489,6 +489,8 @@ def test_graph_attr_of_the_wrong_type_exits_2(tmp_path, capsys, passes, node, at
      "e: einsum 'ij,kj': the output needs an explicit '->'"),
     ([2, 2], ("e", "einsum", ["a"], {"equation": "ij->ii"}),
      "e: einsum 'ij->ii': an output letter repeats"),
+    ([], ("l", "linear", ["a"], {"weight": "w", "out_features": 2}),
+     "l: linear wants input of rank >= 1"),
 ])
 def test_malformed_graph_file_exits_2(tmp_path, capsys, shape, node, message):
     nodes = [{"id": "a", "op": "input", "inputs": [], "attrs": {"shape": shape}}]
@@ -586,9 +588,13 @@ def test_rewrite_graph_weights_file_missing_a_tensor_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name, tensor, why", [
-    ("wq", np.eye(3), "q_lin: weight tensor 'wq' has shape (3, 3), the node reads (16, 16)"),
-    ("bo", np.ones(3), "out_lin: bias tensor 'bo' has shape (3,), the node reads (16,)"),
-    ("wk", None, "k_lin: weight tensor 'wk' is not in the weights"),
+    ("wq", np.eye(3),
+     "w.bin: q_lin: weight tensor 'wq' has shape (3, 3), the node reads (16, 16)"),
+    ("bo", np.ones(3), "w.bin: out_lin: bias tensor 'bo' has shape (3,), the node reads (16,)"),
+    ("wk", None, "w.bin: k_lin: weight tensor 'wk' is not in the weights"),
+    # a tensor name that is not a string is the graph file's fault
+    ("wq", "listed", "g.json: q_lin: attr 'weight' must be a tensor name, got ['wq']"),
+    ("bq", "listed", "g.json: q_lin: attr 'bias' must be a tensor name, got ['bq']"),
 ])
 def test_rewrite_graph_check_names_the_weights_file_tensor_and_node(tmp_path, capsys,
                                                                      name, tensor, why):
@@ -596,6 +602,11 @@ def test_rewrite_graph_check_names_the_weights_file_tensor_and_node(tmp_path, ca
     weights = mha_weights(MHAParams(batch=1, heads=2, features=16, seq=4), 0)
     if tensor is None:
         del weights[name]
+    elif isinstance(tensor, str):
+        d = json.loads(path.read_text())
+        [attrs] = [n["attrs"] for n in d["nodes"] if name in n["attrs"].values()]
+        attrs.update({k: [v] for k, v in attrs.items() if v == name})
+        path.write_text(json.dumps(d))
     else:
         weights[name] = tensor
     wpath = tmp_path / "w.bin"
@@ -603,7 +614,7 @@ def test_rewrite_graph_check_names_the_weights_file_tensor_and_node(tmp_path, ca
     out = tmp_path / "out"
     assert run("rewrite-graph", str(path), "--check", "--weights", str(wpath),
                "--out-dir", str(out)) == 2
-    assert capsys.readouterr().err == f"error: {wpath}: {why}\n"
+    assert capsys.readouterr().err == f"error: {tmp_path}/{why}\n"
     assert not out.exists()  # refused before the rewrite ran
 
 
