@@ -1,4 +1,4 @@
-"""Convolutional subsampling front ends: forward pass, MAC counts, range profiling.
+"""Convolutional subsampling front ends: conv layers, graphs, MAC counts, range profiling.
 
 Implements the two-layer vanilla subsampler and its depthwise-separable
 replacement (a grouped 5x5 followed by a 1x1 mix), both reducing the time
@@ -6,6 +6,11 @@ axis by 6. Convolutions are valid (no padding) with floor output sizes and
 a ReLU after every layer. The optional sqrt(512) output multiplier mirrors
 the transformer embedding scale and is the main driver of large activation
 magnitudes downstream, which is why the range profiler lives here.
+
+A front end runs as a graph (``subsampler_graph``) through
+``graphir.execute_traced``, which rounds each conv output and the
+multiplied result; arithmetic inside a convolution stays in float64, so the
+simulation tracks activation range rather than accumulator rounding.
 
 ``conv2d_forward`` builds its im2col columns one block of groups at a time
 (about ``_COLS_BYTES`` of columns per block) and multiplies each block into
@@ -34,31 +39,26 @@ depends on the CPU count. Layer 0 (k = 9) stays one call: its GEMM writes
 one output per 9 multiply-adds, so memory bounds it, and its panels ran
 1.35x slower on one thread and only about 10 % faster on two.
 
-``subsample_forward`` hands each layer the only reference to its input,
-and ``conv2d_forward`` looks the weight up late (a ``LazyWeights`` draws it
-on that first lookup), so a layer's largest buffers are not all live at
-once. A layer whose GEMM is not split drops its input once its last group
+The executor hands each conv2d node's call the only reference to its
+input, and ``conv2d_forward`` looks the weight up late (a ``LazyWeights``
+draws it on that first lookup), so a layer's largest buffers are not all
+live at once. A layer whose GEMM is not split drops its input once its last group
 block is copied, and only then looks up the weight. A split GEMM copies its
 columns in one of two orders, whichever peaks lower by these formulas:
 
 - whole columns: copy every column, drop the input, then look up the
   weight. Peak: columns + max(input, weights + product), or columns +
   weights + max(input, product) for a weight passed as an array, which
-  ``subsample_forward`` does once ``LazyWeights`` holds it.
+  a conv2d node does once ``LazyWeights`` holds it.
 - owned panels: each panel's task copies its own columns from the window
   view into an array it owns. The first task to finish its copy looks up
   the weight, once and under a lock (``LazyWeights`` is not thread-safe),
   and the input is dropped after the last panel is copied. Peak: input +
   weights + product + min(usable CPUs, panels) x widest panel.
 
-For conv2d6 layer 1 on one 80x1000 chunk (input 80 MB, columns 203 MB,
-weights 52 MB, product 8 MB, four panels of up to 52 MB) the whole columns
-peak at 283 MB, and owned panels at 193 MB on one CPU and 245 MB on two;
-from three CPUs on, the whole columns are lower. At 40x1000 (two panels)
-the whole columns are lower on any CPU count (140 MB against 147 MB on one
-CPU). A later chunk finds the weights drawn, so at 80x1000 its whole
-columns would peak at 335 MB, above owned panels up to three CPUs (297 MB
-on three). Either way each panel is one BLAS call on the same values in
+README.md works these through for conv2d6 layer 1: on one 80x1000 chunk
+owned panels peak lower up to two CPUs, or up to three once the weights
+are drawn. Either way each panel is one BLAS call on the same values in
 the same ``_panels`` layout, and the tests check both orders for the bits
 of one call at every width up to 2600. Grouped layers keep their input for
 all group blocks.
@@ -68,13 +68,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import reduce
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from lowprec import parallel
-from lowprec.floatsim import FloatFormat, OverflowStats, QuantRecorder, log2_bins
+from lowprec import graphir, parallel
+from lowprec.floatsim import FloatFormat, OverflowStats, log2_bins
 # Bound here so the benchmark tracer (perfbench/spans.py) can wrap it.
 from lowprec.floatsim import quantize_array  # noqa: F401
 
@@ -117,10 +117,11 @@ class SubsamplingConfig:
     def __post_init__(self):
         if not self.layers:
             raise ValueError("need at least one layer")
-        # subsample_forward's peaks rely on the multiplier keeping signs
-        if not self.output_multiplier > 0:
+        # an embedding scale: it keeps the ReLU outputs' signs, and a graph
+        # scale factor must be finite
+        if not 0 < self.output_multiplier < math.inf:
             raise ValueError(f"output multiplier {self.output_multiplier} "
-                             "is not positive")
+                             "is not positive and finite")
         for a, b in zip(self.layers, self.layers[1:]):
             if a.out_channels != b.in_channels:
                 raise ValueError(
@@ -320,41 +321,23 @@ def init_weights(config: SubsamplingConfig, seed: int) -> dict[str, np.ndarray]:
             for key in (f"layer{i}.weight", f"layer{i}.bias")}
 
 
-def subsample_forward(x, config: SubsamplingConfig, weights,
-                      rec: QuantRecorder):
-    """Run the subsampler on one (C, H, W) sample, rounding into ``rec``.
-
-    The input, each layer output and the multiplied result are rounded;
-    arithmetic inside a convolution stays in float64, so the simulation
-    tracks activation range rather than accumulator rounding. Returns
-    (output, per-layer peak |values|).
-
-    ``weights`` maps ``layer{i}.weight`` and ``layer{i}.bias`` to tensors.
-    Each layer gets the only reference to its input and looks a weight not
-    yet held up only once its columns exist (the module docstring says why).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 2:
-        x = x[None]
-    x = rec.q(x)
-    peaks = []
+def subsampler_graph(config: SubsamplingConfig, shape) -> graphir.Graph:
+    """``config`` as a graph on one (C, H, W) chunk of ``shape``: input ``x``;
+    per layer i a conv2d ``conv{i}`` that reads tensors ``layer{i}.weight``
+    and ``layer{i}.bias``, and a relu ``relu{i}``; then a scale ``mult``
+    when the output multiplier is not 1; output ``y``."""
+    nodes = [graphir.Node("x", "input", attrs={"shape": list(shape)})]
     for i, layer in enumerate(config.layers):
-        name = f"layer{i}.weight"
-        # a weight already held (drawn for an earlier chunk) is passed as is
-        weight = weights[name] if name in weights else partial(weights.__getitem__, name)
-        held = [x]
-        del x  # the call gets the only reference to the layer's input
-        x = conv2d_forward(held.pop(), weight, weights[f"layer{i}.bias"], layer)
-        rec.q(x, out=x)  # a fresh array, never the caller's: round and ReLU in place
-        np.maximum(x, 0.0, out=x)
-        # after the ReLU (and the positive multiplier) x is >= 0 or nan,
-        # so |max x| is max |x| without an |x| temporary
-        peaks.append(abs(float(x.max())))
+        nodes += [graphir.Node(f"conv{i}", "conv2d", (nodes[-1].id,), {
+            "weight": f"layer{i}.weight", "bias": f"layer{i}.bias",
+            "out_features": layer.out_channels, "kernel": list(layer.kernel),
+            "stride": list(layer.stride), "groups": layer.groups,
+        }), graphir.Node(f"relu{i}", "relu", (f"conv{i}",))]
     if config.output_multiplier != 1.0:
-        x = x * config.output_multiplier
-        rec.q(x, out=x)
-        peaks.append(abs(float(x.max())))
-    return x, tuple(peaks)
+        nodes.append(graphir.Node("mult", "scale", (nodes[-1].id,),
+                                  {"factor": config.output_multiplier}))
+    nodes.append(graphir.Node("y", "output", (nodes[-1].id,)))
+    return graphir.Graph(config.name, nodes, ["x"], ["y"])
 
 
 @dataclass(frozen=True)
@@ -436,37 +419,45 @@ class RangeProfile:
 
 def profile_dynamic_range(chunks, config: SubsamplingConfig, weights: dict,
                           fmt: FloatFormat | None = None) -> RangeProfile:
-    """Forward every chunk and summarize output magnitudes.
+    """Run every chunk through ``subsampler_graph`` and summarize output
+    magnitudes.
 
-    The histogram buckets per-chunk peak output magnitude by integer log2
-    (``log2_bins``), the natural scale for judging distance to a float
-    format's ceiling. Every chunk rounds into one recorder, whose counts
-    become ``overflow``.
+    A chunk is (H, W) or (C, H, W). The histogram buckets per-chunk peak
+    output magnitude by integer log2 (``log2_bins``), the natural scale for
+    judging distance to a float format's ceiling. A per-layer peak is the
+    largest over the chunks of a relu node's peak (or the multiplier's),
+    and ``overflow`` sums the node counts of every chunk.
     """
-    peak_per_chunk = []
-    layer_peaks = None
-    rec = QuantRecorder(fmt)
+    chunk_peaks, layer_peaks, stats = [], [], OverflowStats()
     for chunk in chunks:
-        out, peaks = subsample_forward(chunk, config, weights, rec)
-        finite = np.abs(out[np.isfinite(out)])
-        peak_per_chunk.append(float(finite.max()) if finite.size else math.inf)
-        layer_peaks = peaks if layer_peaks is None else tuple(
-            max(a, b) for a, b in zip(layer_peaks, peaks)
-        )
-        del out, finite  # not live beside the next chunk's columns
-    if not peak_per_chunk:
+        peak, peaks, chunk_stats = _profile_chunk(chunk, config, weights, fmt)
+        chunk_peaks.append(peak)
+        layer_peaks.append(peaks)
+        stats = stats + chunk_stats
+    if not chunk_peaks:
         raise ValueError("empty stream")
-
-    logs = log2_bins(peak_per_chunk)
-    lo, hi = int(logs.min()), int(logs.max()) + 1
-    edges = tuple(range(lo, hi + 1))
-    counts = tuple(int(np.count_nonzero(logs == e)) for e in edges[:-1])
+    logs = log2_bins(chunk_peaks)
+    edges = tuple(range(int(logs.min()), int(logs.max()) + 2))
     return RangeProfile(
-        config_name=config.name,
-        fmt_name=None if fmt is None else fmt.name,
-        per_chunk_peak=tuple(peak_per_chunk),
-        per_layer_peak=layer_peaks,
+        config_name=config.name, fmt_name=None if fmt is None else fmt.name,
+        per_chunk_peak=tuple(chunk_peaks),
+        # a NaN peak shows only if the first chunk has it: max(a, nan) is a
+        per_layer_peak=reduce(lambda a, b: tuple(map(max, a, b)), layer_peaks),
         histogram_log2_edges=edges,
-        histogram_counts=counts,
-        overflow=rec.stats,
-    )
+        histogram_counts=tuple(int(np.count_nonzero(logs == e)) for e in edges[:-1]),
+        overflow=stats)
+
+
+def _profile_chunk(chunk, config, weights, fmt):
+    """(largest finite |output| or inf, per-layer peaks, counts) of one chunk;
+    its output dies here, before the next chunk's columns exist."""
+    x = np.asarray(chunk, dtype=np.float64)
+    x = x[None] if x.ndim == 2 else x
+    g = subsampler_graph(config, x.shape)
+    # looked up at call time, so a wrapper (the benchmark tracer) sees it
+    trace = graphir.execute_traced(g, {"x": x}, weights, fmt, peaks=True)
+    out = trace.outputs["y"]
+    finite = np.abs(out[np.isfinite(out)])
+    return (float(finite.max()) if finite.size else math.inf,
+            tuple(trace.node_peaks[n.id] for n in g.nodes if n.op in ("relu", "scale")),
+            trace.total_overflow)

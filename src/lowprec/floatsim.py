@@ -275,9 +275,9 @@ class QuantRecorder:
 
     The rule: a stage rounds the values it computes into its caller's
     recorder and never rounds a value it was handed, which is already in
-    ``fmt``; only entry points (graph input nodes, a subsampler's input, an
-    audit's stream blocks) round external input, once. So each value is
-    rounded and counted once, and a run's counts accumulate in one place.
+    ``fmt``; only entry points (graph input nodes, an audit's stream
+    blocks) round external input, once. So each value is rounded and
+    counted once, and a run's counts accumulate in one place.
 
     ``q(values)`` rounds ``values`` onto ``fmt`` into a new array and
     merges their status counts into ``stats``; ``q(values, out=values)``

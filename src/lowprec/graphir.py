@@ -1,9 +1,10 @@
-"""A small tensor-graph IR and rewrite passes for attention blocks.
+"""A small tensor-graph IR, its executor, and rewrite passes for attention blocks.
 
 The IR is a flat list of single-output nodes (split is the exception, its
 consumers address ports as "id:k"). Graphs are executable with float64 or
 simulated low-precision arithmetic, serializable to JSON, and cheap to
-analyze structurally.
+analyze structurally. ``execute_traced`` is the one executor that rounds
+intermediates, for attention blocks and conv front ends alike.
 
 Three passes target accelerator-friendly shapes:
 
@@ -28,11 +29,16 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
-from lowprec.floatsim import FloatFormat, OverflowStats, QuantRecorder
+# convsub builds its front ends as graphs of this module; its names are
+# looked up at call time, so the import cycle is harmless
+from lowprec import convsub
+from lowprec.floatsim import _BLOCK, FloatFormat, OverflowStats, QuantRecorder
 # Bound here so the benchmark tracer (perfbench/spans.py) can wrap it.
 from lowprec.floatsim import quantize_array  # noqa: F401
 from lowprec.parallel import map_in_order
@@ -40,10 +46,12 @@ from lowprec.prenorm import layernorm as _layernorm_ref
 from lowprec.prenorm import stabilized_layernorm_rows
 from lowprec.softmax_lut import softmax_lut, softmax_reference
 
-ARITHMETIC_OPS = {"linear", "conv1x1", "batched_matmul", "einsum", "scale",
-                  "softmax", "layernorm", "add"}
+ARITHMETIC_OPS = {"linear", "conv1x1", "conv2d", "batched_matmul", "einsum",
+                  "scale", "softmax", "layernorm", "add"}
 MOVEMENT_OPS = {"reshape", "transpose", "split", "concat"}
-ALL_OPS = ARITHMETIC_OPS | MOVEMENT_OPS | {"input", "output"}
+# relu is exact: it rounds and counts nothing
+ALL_OPS = ARITHMETIC_OPS | MOVEMENT_OPS | {"input", "output", "relu"}
+WEIGHTED_OPS = ("linear", "conv1x1", "conv2d")
 
 
 class GraphError(Exception):
@@ -86,10 +94,7 @@ class Graph:
                 if any(r.split(":")[0] == ref_base for r in n.inputs)]
 
     def op_counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for n in self.nodes:
-            out[n.op] = out.get(n.op, 0) + 1
-        return out
+        return dict(Counter(n.op for n in self.nodes))
 
     # -- serialization ------------------------------------------------------
 
@@ -140,8 +145,8 @@ class Graph:
 # ---------------------------------------------------------------------------
 # Validation and shape inference
 
-_ARITY = {"output": 1, "linear": 1, "conv1x1": 1, "reshape": 1,
-          "transpose": 1, "split": 1, "scale": 1, "softmax": 1,
+_ARITY = {"output": 1, "linear": 1, "conv1x1": 1, "conv2d": 1, "relu": 1,
+          "reshape": 1, "transpose": 1, "split": 1, "scale": 1, "softmax": 1,
           "layernorm": 1, "batched_matmul": 2, "add": 2, "einsum": None,
           "concat": None, "input": 0}
 
@@ -149,7 +154,8 @@ _REQUIRED_ATTRS = {"input": ("shape",), "reshape": ("shape",), "transpose": ("pe
                    "split": ("axis", "sections"), "concat": ("axis",),
                    "scale": ("factor",), "einsum": ("equation",),
                    "linear": ("weight", "out_features"),
-                   "conv1x1": ("weight", "out_features")}
+                   "conv1x1": ("weight", "out_features"),
+                   "conv2d": ("weight", "bias", "out_features", "kernel", "stride")}
 
 
 def _is_int(v) -> bool:
@@ -160,14 +166,21 @@ def _is_int_list(v) -> bool:
     return isinstance(v, (list, tuple)) and all(map(_is_int, v))
 
 
+_POSITIVE = ("a positive int", lambda v: _is_int(v) and v > 0)
+_PAIR = ("a pair of ints >= 1", lambda v: _is_int_list(v) and len(v) == 2 and min(v) > 0)
+
 # attr -> (what it must be, check); applies to every op that carries the attr.
 _ATTR_TYPES = {
     "shape": ("a list of ints >= 1", lambda v: _is_int_list(v) and min(v, default=1) > 0),
     "perm": ("a list of ints", _is_int_list),
     "axis": ("an int", _is_int),
-    "sections": ("a positive int", lambda v: _is_int(v) and v > 0),
-    "out_features": ("an int", _is_int),
-    "factor": ("a number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)),
+    "sections": _POSITIVE,
+    "out_features": _POSITIVE,
+    "groups": _POSITIVE,
+    "kernel": _PAIR,
+    "stride": _PAIR,
+    "factor": ("a finite number", lambda v: isinstance(v, numbers.Real)
+               and not isinstance(v, bool) and math.isfinite(v)),
     "equation": ("a string", lambda v: isinstance(v, str)),
     "weight": ("a tensor name", lambda v: isinstance(v, str)),
     "bias": ("a tensor name", lambda v: isinstance(v, str)),
@@ -234,6 +247,8 @@ def _einsum_shape(node: Node, shapes: list[tuple]) -> tuple:
     lhs, arrow, rhs = node.attrs["equation"].partition("->")
     if not arrow:
         raise GraphError(f"{where}: the output needs an explicit '->'")
+    if not all(c.isascii() and c.isalpha() for c in lhs.replace(",", "") + rhs):
+        raise GraphError(f"{where}: a subscript is not a letter")
     terms = lhs.split(",")
     if len(terms) != len(shapes):
         raise GraphError(f"{where}: got {len(shapes)} operands")
@@ -251,82 +266,85 @@ def _einsum_shape(node: Node, shapes: list[tuple]) -> tuple:
     return tuple(dims[c] for c in rhs)
 
 
-def _axis(n: Node, shape: tuple) -> int:
-    ax = int(n.attrs["axis"])
-    if not 0 <= ax < len(shape):
-        raise GraphError(f"{n.id}: axis {ax} is outside [0, {len(shape)})")
-    return ax
+def _axis(n: Node, shape: tuple, negative: bool = False) -> int:
+    """The node's axis (default -1) in [0, rank), or [-rank, rank) if ``negative``."""
+    ax, lo = int(n.attrs.get("axis", -1)), -len(shape) if negative else 0
+    if not lo <= ax < len(shape):
+        raise GraphError(f"{n.id}: axis {ax} is outside [{lo}, {len(shape)})")
+    return ax % len(shape)
+
+
+def _conv_layer(n: Node, s: tuple):
+    """The ``convsub.ConvLayerSpec`` a conv2d node runs on a (C, H, W) input ``s``."""
+    if len(s) != 3:
+        raise GraphError(f"{n.id}: conv2d wants (C, H, W) input, got {s}")
+    try:
+        layer = convsub.ConvLayerSpec(s[0], n.attrs["out_features"], tuple(n.attrs["kernel"]),
+                                      tuple(n.attrs["stride"]), n.attrs.get("groups", 1))
+        layer.out_hw(s[1], s[2])  # the input holds a kernel
+    except ValueError as exc:
+        raise GraphError(f"{n.id}: {exc}") from None
+    return layer
 
 
 def infer_shapes(g: Graph) -> dict[str, tuple]:
     """Output shape for every reference (ports included), weights not needed."""
     shapes: dict[str, tuple] = {}
-
-    def of(ref: str) -> tuple:
-        return shapes[ref]
-
     for n in g.nodes:
-        a = n.attrs
+        a, ins = n.attrs, [shapes[r] for r in n.inputs]
+        s = ins[0] if ins else None
         if n.op == "input":
             shapes[n.id] = tuple(a["shape"])
-        elif n.op == "output":
-            shapes[n.id] = of(n.inputs[0])
+        elif n.op in ("output", "scale", "relu"):
+            shapes[n.id] = s
         elif n.op == "linear":
-            s = of(n.inputs[0])
             if not s:
                 raise GraphError(f"{n.id}: linear wants input of rank >= 1")
-            shapes[n.id] = s[:-1] + (int(a["out_features"]),)
+            shapes[n.id] = s[:-1] + (a["out_features"],)
         elif n.op == "conv1x1":
-            s = of(n.inputs[0])
             if len(s) != 4:
                 raise GraphError(f"{n.id}: conv1x1 wants rank-4 input, got {s}")
-            shapes[n.id] = (s[0], int(a["out_features"]), s[2], s[3])
+            shapes[n.id] = (s[0], a["out_features"], s[2], s[3])
+        elif n.op == "conv2d":
+            shapes[n.id] = (a["out_features"], *_conv_layer(n, s).out_hw(s[1], s[2]))
         elif n.op == "reshape":
-            s = of(n.inputs[0])
             t = tuple(a["shape"])
             if math.prod(s) != math.prod(t):
                 raise GraphError(f"{n.id}: reshape {s} -> {t} changes size")
             shapes[n.id] = t
         elif n.op == "transpose":
-            s = of(n.inputs[0])
             perm = tuple(a["perm"])
             if sorted(perm) != list(range(len(s))):
                 raise GraphError(f"{n.id}: bad permutation {perm} for rank {len(s)}")
             shapes[n.id] = tuple(s[p] for p in perm)
         elif n.op == "split":
-            s = of(n.inputs[0])
-            ax, k = _axis(n, s), int(a["sections"])
+            ax, k = _axis(n, s), a["sections"]
             if s[ax] % k:
                 raise GraphError(f"{n.id}: axis {ax} size {s[ax]} not "
                                  f"divisible into {k}")
-            piece = s[:ax] + (s[ax] // k,) + s[ax + 1:]
-            for p in range(k):
-                shapes[f"{n.id}:{p}"] = piece
+            shapes.update((f"{n.id}:{p}", s[:ax] + (s[ax] // k,) + s[ax + 1:])
+                          for p in range(k))
         elif n.op == "concat":
-            parts = [of(r) for r in n.inputs]
-            ax = _axis(n, parts[0])
-            base = list(parts[0])
-            for p in parts[1:]:
-                if len(p) != len(base) or any(
-                    p[i] != base[i] for i in range(len(base)) if i != ax
-                ):
-                    raise GraphError(f"{n.id}: concat shapes disagree: {parts}")
-            base[ax] = sum(p[ax] for p in parts)
-            shapes[n.id] = tuple(base)
+            ax = _axis(n, s)
+            if any(len(p) != len(s) or p[:ax] + p[ax + 1:] != s[:ax] + s[ax + 1:]
+                   for p in ins):
+                raise GraphError(f"{n.id}: concat shapes disagree: {ins}")
+            shapes[n.id] = s[:ax] + (sum(p[ax] for p in ins),) + s[ax + 1:]
         elif n.op == "batched_matmul":
-            s1, s2 = of(n.inputs[0]), of(n.inputs[1])
-            if len(s1) != len(s2) or s1[:-2] != s2[:-2] or s1[-1] != s2[-2]:
-                raise GraphError(f"{n.id}: cannot matmul {s1} @ {s2}")
-            shapes[n.id] = s1[:-1] + (s2[-1],)
+            s2 = ins[1]
+            if len(s) < 2 or len(s) != len(s2) or s[:-2] != s2[:-2] or s[-1] != s2[-2]:
+                raise GraphError(f"{n.id}: cannot matmul {s} @ {s2}")
+            shapes[n.id] = s[:-1] + (s2[-1],)
         elif n.op == "einsum":
-            shapes[n.id] = _einsum_shape(n, [of(r) for r in n.inputs])
+            shapes[n.id] = _einsum_shape(n, ins)
         elif n.op == "add":
-            s1, s2 = of(n.inputs[0]), of(n.inputs[1])
-            if s1 != s2:
-                raise GraphError(f"{n.id}: add shapes differ: {s1} vs {s2}")
-            shapes[n.id] = s1
-        elif n.op in ("scale", "softmax", "layernorm"):
-            shapes[n.id] = of(n.inputs[0])
+            if s != ins[1]:
+                raise GraphError(f"{n.id}: add shapes differ: {s} vs {ins[1]}")
+            shapes[n.id] = s
+        elif n.op in ("softmax", "layernorm"):  # layernorm on any axis
+            if _axis(n, s, negative=True) != len(s) - 1 and n.op == "softmax":
+                raise GraphError(f"{n.id}: softmax only along the last axis")
+            shapes[n.id] = s
     return shapes
 
 
@@ -345,24 +363,17 @@ def _boundary_ids(g: Graph) -> set[str]:
 def movement_profile(g: Graph) -> dict[str, int]:
     """Counts the rewrites aim to change; the score is what a copy costs."""
     boundary = _boundary_ids(g)
-    interior_t = interior_r = boundary_t = boundary_r = 0
-    for n in g.nodes:
-        if n.op == "transpose":
-            if n.id in boundary:
-                boundary_t += 1
-            else:
-                interior_t += 1
-        elif n.op == "reshape":
-            if n.id in boundary:
-                boundary_r += 1
-            else:
-                interior_r += 1
+
+    def moves(op: str, at_edge: bool) -> int:
+        return sum(n.op == op and (n.id in boundary) == at_edge for n in g.nodes)
+
+    interior_t, interior_r = moves("transpose", False), moves("reshape", False)
     counts = g.op_counts()
     return {
         "interior_transposes": interior_t,
         "interior_reshapes": interior_r,
-        "boundary_transposes": boundary_t,
-        "boundary_reshapes": boundary_r,
+        "boundary_transposes": moves("transpose", True),
+        "boundary_reshapes": moves("reshape", True),
         "splits": counts.get("split", 0),
         "concats": counts.get("concat", 0),
         "batched_matmuls": counts.get("batched_matmul", 0),
@@ -379,6 +390,7 @@ def movement_profile(g: Graph) -> dict[str, int]:
 class ExecTrace:
     outputs: dict[str, np.ndarray]
     node_stats: dict[str, OverflowStats]
+    node_peaks: dict[str, float]
     movement_bytes: int = 0
 
     @property
@@ -386,52 +398,76 @@ class ExecTrace:
         return sum(self.node_stats.values(), OverflowStats())
 
 
+def _weight_shapes(n: Node, s: tuple) -> dict[str, tuple]:
+    """attr -> shape of each tensor a weighted node reads on an input of shape ``s``."""
+    out = n.attrs["out_features"]
+    if n.op == "conv2d":
+        w = (out, s[0] // n.attrs.get("groups", 1), *n.attrs["kernel"])
+    else:
+        w = (out, s[-1] if n.op == "linear" else s[1])
+    return {"weight": w, "bias": (out,)} if n.attrs.get("bias") else {"weight": w}
+
+
+def _tensor(n: Node, attr: str, weights, want: tuple) -> np.ndarray:
+    """The tensor ``n`` names in ``attr``, or GraphError if missing or not of shape ``want``."""
+    name = n.attrs[attr]
+    try:
+        t = weights[name]
+    except KeyError:
+        raise GraphError(f"{n.id}: {attr} tensor {name!r} is not in the weights") from None
+    if np.shape(t) != want:
+        raise GraphError(f"{n.id}: {attr} tensor {name!r} has shape "
+                         f"{np.shape(t)}, the node reads {want}")
+    return t
+
+
 def check_weights(g: Graph, weights: dict) -> None:
-    """Raise GraphError, naming the node and tensor, when ``weights`` lacks
-    a tensor that a linear or conv1x1 node reads, or holds it in a shape
-    the node cannot read."""
+    """``_tensor``'s check of every tensor a weighted node reads, up front."""
     shapes = infer_shapes(g)
     for n in g.nodes:
-        if n.op not in ("linear", "conv1x1"):
-            continue
-        s, out = shapes[n.inputs[0]], int(n.attrs["out_features"])
-        want = {"weight": (out, s[-1] if n.op == "linear" else s[1]), "bias": (out,)}
-        for attr in ("weight", "bias") if n.attrs.get("bias") else ("weight",):
-            name = n.attrs[attr]
-            if name not in weights:
-                raise GraphError(f"{n.id}: {attr} tensor {name!r} is not in the weights")
-            if np.shape(weights[name]) != want[attr]:
-                raise GraphError(f"{n.id}: {attr} tensor {name!r} has shape "
-                                 f"{np.shape(weights[name])}, the node reads {want[attr]}")
+        if n.op in WEIGHTED_OPS:
+            for attr, want in _weight_shapes(n, shapes[n.inputs[0]]).items():
+                _tensor(n, attr, weights, want)
 
 
-def _apply(node: Node, args: list[np.ndarray], weights: dict,
-           rec: QuantRecorder):
+def _apply(node: Node, args: list, weights, rec: QuantRecorder):
+    """An arithmetic or movement node's value; a conv2d pops its input off ``args``."""
     a = node.attrs
+    if node.op in WEIGHTED_OPS:  # each tensor checked as the node reads it
+        want = _weight_shapes(node, args[0].shape)
 
     def tensor(attr):  # a weight as float64, in the format but not counted
-        return QuantRecorder(rec.fmt).q(weights[a[attr]])
+        return QuantRecorder(rec.fmt).q(_tensor(node, attr, weights, want[attr]))
 
+    # The product is made before the rounded weight copy, so that, rounded in
+    # place and kept, it does not sit above the copy's freed block in the heap.
     if node.op == "linear":
-        out = args[0] @ tensor("weight").T
+        out = np.empty(args[0].shape[:-1] + want["weight"][:1])
+        np.matmul(args[0], tensor("weight").T, out=out)
         if a.get("bias"):
             out += tensor("bias")
         return out
     if node.op == "conv1x1":
-        out = np.einsum("oc,bcus->bous", tensor("weight"), args[0])
+        out = np.empty((args[0].shape[0], want["weight"][0], *args[0].shape[2:]))
+        np.einsum("oc,bcus->bous", tensor("weight"), args[0], out=out)
         if a.get("bias"):
             out += tensor("bias")[None, :, None, None]
         return out
+    if node.op == "conv2d":
+        # unrounded weights; one not held yet is looked up once the columns exist
+        layer = _conv_layer(node, args[0].shape)
+        bias = _tensor(node, "bias", weights, want["bias"])
+        read = partial(_tensor, node, "weight", weights, want["weight"])
+        return convsub.conv2d_forward(args.pop(), read() if a["weight"] in weights else read,
+                                      bias, layer)
     if node.op == "batched_matmul":
         return np.matmul(args[0], args[1])
     if node.op == "einsum":
-        return np.einsum(a["equation"], *args)
+        out = np.einsum(a["equation"], *args)  # one operand may come back as a view of it
+        return out.copy() if np.may_share_memory(out, args[0]) else out
     if node.op == "scale":
         return args[0] * float(a["factor"])
     if node.op == "softmax":
-        ax = int(a.get("axis", -1))
-        if ax not in (-1, args[0].ndim - 1):
-            raise GraphError(f"{node.id}: softmax only along the last axis")
         if rec.fmt is None:
             return softmax_reference(args[0])
         return softmax_lut(args[0], rec)
@@ -453,65 +489,98 @@ def _apply(node: Node, args: list[np.ndarray], weights: dict,
     raise GraphError(f"cannot execute op {node.op!r}")  # pragma: no cover
 
 
+def _feed(n: Node, feeds: dict) -> np.ndarray:
+    if n.id not in feeds:
+        raise GraphError(f"missing feed for input {n.id!r}")
+    arr, want = np.asarray(feeds[n.id], dtype=np.float64), tuple(n.attrs["shape"])
+    if arr.shape != want:
+        raise GraphError(f"{n.id}: feed shape {arr.shape} does not match {want}")
+    return arr
+
+
+def _round(out, rec: QuantRecorder) -> np.ndarray:  # in place where the layout allows
+    if isinstance(out, np.ndarray) and out.flags.c_contiguous:
+        return rec.q(out, out=out)
+    return rec.q(out)
+
+
+def _range(x: np.ndarray) -> tuple[float, float]:
+    """(min, max) of ``x`` (NaN if it holds one); each block is read again in cache for its max."""
+    flat = np.ravel(x, order="K")  # a view unless x is scattered in memory
+    lo, hi = np.inf, -np.inf
+    for i in range(0, flat.size, _BLOCK):  # np.minimum and np.maximum keep a NaN
+        b = flat[i:i + _BLOCK]
+        lo, hi = np.minimum(lo, b.min()), np.maximum(hi, b.max())
+    return float(lo), float(hi)
+
+
 def execute_traced(g: Graph, feeds: dict[str, np.ndarray],
                    weights: dict[str, np.ndarray] | None = None,
-                   fmt: FloatFormat | None = None) -> ExecTrace:
-    """Run the graph, in the arithmetic of ``fmt`` when one is given.
+                   fmt: FloatFormat | None = None, peaks: bool = False) -> ExecTrace:
+    """Run a graph ``validate`` accepts, in the arithmetic of ``fmt`` if given.
 
-    Each node rounds what it computes into its own recorder (the rule is
-    ``QuantRecorder``'s), whose counts are its ``node_stats``; input nodes
-    round their feeds, and movement ops round nothing. In format mode
-    softmax runs the table/rescale path and layernorm the audited kernel
-    along its axis; in float64 both run the reference.
-    Each intermediate is dropped after its last consumer; a split's ports
-    are views, so they keep their parent's buffer until the last of them
-    is consumed. In format mode a weight is rounded, uncounted, where a
-    node reads it, so a tensor read by several nodes is rounded once per
-    read; the rounded copy lives only while that node runs. Weights are
-    checked first (``check_weights``).
+    Each node rounds what it computes into its own recorder, whose counts
+    are its ``node_stats``: input nodes their feeds, other arithmetic nodes
+    their output, in place; movement ops and relu round nothing. In format
+    mode softmax runs the table path and layernorm the audited kernel; in
+    float64 both run the reference. With ``peaks``, ``node_peaks`` holds the
+    peak |value| (NaN if there is one) of each input, arithmetic and relu
+    node; a run that reads outputs alone skips those passes.
+
+    A node's inputs leave ``values`` at their last use, before it runs, and
+    no local keeps a value past its node, so a conv2d gets the only
+    reference to its input. A relu runs in place on an input that an
+    arithmetic node made and no other node reads. A weight is checked when
+    its node reads it; a linear or conv1x1 in format mode rounds it,
+    uncounted, for that node alone, and a conv2d reads it unrounded.
     """
-    weights = weights or {}
-    check_weights(g, weights)
+    weights = {} if weights is None else weights
     last_use = {r: i for i, n in enumerate(g.nodes) for r in n.inputs}
-    keep = set(g.outputs)
+    readers = Counter(r for n in g.nodes for r in set(n.inputs))
+    sole = {n.id for n in g.nodes if n.op in ARITHMETIC_OPS and readers[n.id] == 1}
     values: dict[str, np.ndarray] = {}
+    ranges: dict[str, tuple[float, float]] = {}  # (min, max) of each value computed
     node_stats: dict[str, OverflowStats] = {}
+    node_peaks: dict[str, float] = {}
     movement = 0
 
     for i, n in enumerate(g.nodes):
+        args = [values[r] for r in n.inputs]
+        for r in n.inputs:
+            if last_use[r] == i and r not in g.outputs:
+                values.pop(r, None)  # a node may read one value twice
         rec = QuantRecorder(fmt)
         if n.op == "input":
-            if n.id not in feeds:
-                raise GraphError(f"missing feed for input {n.id!r}")
-            arr = np.asarray(feeds[n.id], dtype=np.float64)
-            if arr.shape != tuple(n.attrs["shape"]):
-                raise GraphError(f"{n.id}: feed shape {arr.shape} does not "
-                                 f"match {tuple(n.attrs['shape'])}")
-            values[n.id] = rec.q(arr)
+            values[n.id] = rec.q(_feed(n, feeds))
         elif n.op == "output":
-            values[n.id] = values[n.inputs[0]]
+            values[n.id] = args[0]
         elif n.op == "split":
-            arr = values[n.inputs[0]]
-            parts = np.split(arr, int(n.attrs["sections"]),
-                             axis=int(n.attrs["axis"]))
-            for p, part in enumerate(parts):
-                values[f"{n.id}:{p}"] = part
-            movement += arr.nbytes
+            values.update((f"{n.id}:{p}", part) for p, part in enumerate(
+                np.split(args[0], int(n.attrs["sections"]), axis=int(n.attrs["axis"]))))
+            movement += args[0].nbytes
+        elif n.op == "relu":
+            r = n.inputs[0]
+            if peaks:  # from the input's (min, max): a NaN stays first, and wins
+                lo, hi = ranges[r] if r in ranges else _range(args[0])
+                ranges[n.id] = max(lo, 0.0), max(hi, 0.0)
+            values[n.id] = np.maximum(args[0], 0.0, out=args[0] if r in sole else None)
         else:
-            out = _apply(n, [values[r] for r in n.inputs], weights, rec)
-            if n.op in ARITHMETIC_OPS and n.op not in ("softmax", "layernorm"):
-                out = rec.q(out)
-            values[n.id] = out
+            values[n.id] = _apply(n, args, weights, rec)
             if n.op in MOVEMENT_OPS:
-                movement += out.nbytes
+                movement += values[n.id].nbytes
+            elif n.op not in ("softmax", "layernorm"):  # these round their own stages
+                values[n.id] = _round(values[n.id], rec)
+        if peaks and (n.op in ("input", "relu") or n.op in ARITHMETIC_OPS):
+            if n.id not in ranges:
+                ranges[n.id] = _range(values[n.id])
+            lo, hi = ranges[n.id]
+            node_peaks[n.id] = abs(max(hi, -lo))  # a NaN hi stays first
         if fmt is not None and (n.op == "input" or n.op in ARITHMETIC_OPS):
             node_stats[n.id] = rec.stats
-        for r in n.inputs:
-            if last_use[r] == i and r not in keep:
-                values.pop(r, None)  # a node may read one value twice
     return ExecTrace(
         outputs={o: values[o] for o in g.outputs},
         node_stats=node_stats,
+        node_peaks=node_peaks,
         movement_bytes=movement,
     )
 
@@ -736,7 +805,7 @@ def pass_layout(g: Graph) -> Graph:
             op, attrs = "einsum", {"equation": equations[n.id]}
         elif n.op == "layernorm":
             attrs["axis"] = 1  # features live on the channel axis now
-        elif n.op not in ("scale", "softmax", "add"):
+        elif n.op not in ("scale", "relu", "softmax", "add"):
             raise GraphRewriteError(f"{n.id}: op {n.op} not supported by "
                                     "the layout pass")
         if op is None:  # a copy the new layout does not need
@@ -763,14 +832,8 @@ def _find_single(g: Graph, pred, what: str) -> Node:
 
 
 def _replace_ref(nodes: list[Node], old: str, new: str) -> list[Node]:
-    out = []
-    for n in nodes:
-        if old in n.inputs:
-            out.append(replace(n, inputs=tuple(new if r == old else r
-                                               for r in n.inputs)))
-        else:
-            out.append(n)
-    return out
+    return [replace(n, inputs=tuple(new if r == old else r for r in n.inputs))
+            if old in n.inputs else n for n in nodes]
 
 
 def pass_chunk(g: Graph, n_chunks: int, axis: str = "heads") -> Graph:
@@ -902,22 +965,16 @@ def _chunk_core(g: Graph, core, n_chunks: int, axis: int, qkv, split: str,
 
 def pass_einsum(g: Graph) -> Graph:
     """Batched matmuls become einsum nodes of matching rank."""
-    letters = "abcdefgh"
-    shapes = infer_shapes(g)
-    nodes = []
-    changed = False
-    for n in g.nodes:
-        if n.op != "batched_matmul":
-            nodes.append(n)
-            continue
-        rank = len(shapes[n.inputs[0]])
-        batch = letters[:rank - 2]
-        eq = f"{batch}ij,{batch}jk->{batch}ik"
-        nodes.append(Node(n.id, "einsum", n.inputs, {"equation": eq}))
-        changed = True
-    if not changed:
+    if not any(n.op == "batched_matmul" for n in g.nodes):
         return g
-    out = Graph(g.name, nodes, list(g.inputs), list(g.outputs), dict(g.meta))
+    shapes = infer_shapes(g)
+
+    def einsum(n: Node) -> Node:
+        b = "abcdefgh"[:len(shapes[n.inputs[0]]) - 2]  # the batch axes
+        return Node(n.id, "einsum", n.inputs, {"equation": f"{b}ij,{b}jk->{b}ik"})
+
+    out = Graph(g.name, [einsum(n) if n.op == "batched_matmul" else n for n in g.nodes],
+                list(g.inputs), list(g.outputs), dict(g.meta))
     validate(out)
     return out
 

@@ -127,7 +127,11 @@ def write_tensors(path, tensors: dict) -> None:
 
 
 def read_tensors(path) -> dict[str, np.ndarray]:
+    """Read named arrays written by :func:`write_tensors`; names are unique strings."""
     out = {}
-    for name, arr in _read_records(path, "tensor"):
-        out[str(name)] = arr
+    for index, (name, arr) in enumerate(_read_records(path, "tensor")):
+        if not isinstance(name, str) or name in out:
+            why = "repeats an earlier record's" if isinstance(name, str) else "is not a string"
+            raise StreamFormatError(f"{path}: record {index}: tensor name {name!r} {why}")
+        out[name] = arr
     return out

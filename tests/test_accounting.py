@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import lowprec
-from lowprec.convsub import SUBSAMPLERS, init_weights, subsample_forward
+from lowprec.convsub import SUBSAMPLERS, init_weights, subsampler_graph
 from lowprec.floatsim import FP16, OverflowStats, QuantRecorder
 from lowprec.graphir import (
     Graph,
@@ -50,10 +50,11 @@ def test_softmax_counts_only_hot_rows_in_the_rescale():
 
 def test_subsampler_counts():
     config = SUBSAMPLERS["dws2d6x22"]
-    x = np.random.default_rng(13).normal(0.0, 3000.0, (13, 20))
-    rec = QuantRecorder(FP16)
-    _, peaks = subsample_forward(x, config, init_weights(config, 13), rec)
-    assert rec.stats == OverflowStats(30980, 510, 30433, 0, 37)
+    x = np.random.default_rng(13).normal(0.0, 3000.0, (1, 13, 20))
+    trace = execute_traced(subsampler_graph(config, x.shape), {"x": x},
+                           init_weights(config, 13), FP16, peaks=True)
+    peaks = tuple(trace.node_peaks[k] for k in ("relu0", "relu1", "relu2", "mult"))
+    assert trace.total_overflow == OverflowStats(30980, 510, 30433, 0, 37)
     assert peaks == (19168.0, 10128.0, 5524.0, np.inf)
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from lowprec import cli
+from lowprec.convsub import ConvLayerSpec, SubsamplingConfig, init_weights, subsampler_graph
 from lowprec.floatsim import FP16
 from lowprec.graphir import GraphRewriteError, Graph, build_mha_bsf, MHAParams
 from lowprec.graphir import apply_passes, mha_weights
@@ -261,14 +262,13 @@ def test_rewrite_graph_check_catches_a_bad_pass(tmp_path, monkeypatch):
 
 
 def test_rewrite_graph_check_fails_a_graph_whose_output_is_nan(tmp_path, capsys):
+    # a NaN weight; a NaN scale factor is a malformed graph file (exit 2)
     p = MHAParams(batch=1, heads=2, features=16, seq=4)
-    d = build_mha_bsf(p).to_json_dict()
-    for n in d["nodes"]:
-        if n["op"] == "scale":
-            n["attrs"]["factor"] = math.nan  # written as NaN, read back as nan
     graph, weights = tmp_path / "g.json", tmp_path / "w.bin"
-    graph.write_text(json.dumps(d))
-    write_tensors(weights, mha_weights(p, seed=0))
+    graph.write_text(json.dumps(build_mha_bsf(p).to_json_dict()))
+    tensors = mha_weights(p, seed=0)
+    tensors["wo"][0, 0] = math.nan
+    write_tensors(weights, tensors)
     out = tmp_path / "rg"
     assert run("rewrite-graph", str(graph), "--check", "--weights", str(weights),
                "--out-dir", str(out)) == 1
@@ -432,6 +432,17 @@ def test_audit_layernorm_rows_on_a_large_dc_offset(tmp_path):
     assert all(r["overflow_invocations"] == 0 for r in stabilized)
 
 
+_SMALL_CONV = SubsamplingConfig("small", (ConvLayerSpec(1, 4, (3, 3), (2, 2)),
+                                          ConvLayerSpec(4, 4, (3, 3), (1, 1), groups=2)))
+
+
+def small_conv_graph_file(tmp_path):
+    """A two-layer conv front end's graph file and its weights."""
+    path = tmp_path / "g.json"
+    subsampler_graph(_SMALL_CONV, (1, 9, 9)).save(path)
+    return path, init_weights(_SMALL_CONV, 0)
+
+
 def small_graph_file(tmp_path, drop_input_shape=False):
     d = build_mha_bsf(MHAParams(batch=1, heads=2, features=16, seq=4)).to_json_dict()
     if drop_input_shape:
@@ -473,6 +484,9 @@ def test_graph_attr_of_the_wrong_type_exits_2(tmp_path, capsys, passes, node, at
     assert f"{node}: attr {attr!r} must be" in err and "Traceback" not in err
 
 
+_CONV = {"weight": "w", "bias": "b", "out_features": 4, "kernel": [3, 3], "stride": [1, 1]}
+
+
 @pytest.mark.parametrize("shape, node, message", [
     ([2, 4], ("sp", "split", ["a"], {"axis": 2, "sections": 2}),
      "sp: axis 2 is outside [0, 2)"),
@@ -491,6 +505,30 @@ def test_graph_attr_of_the_wrong_type_exits_2(tmp_path, capsys, passes, node, at
      "e: einsum 'ij->ii': an output letter repeats"),
     ([], ("l", "linear", ["a"], {"weight": "w", "out_features": 2}),
      "l: linear wants input of rank >= 1"),
+    ([3], ("m", "batched_matmul", ["a", "a"], {}), "m: cannot matmul (3,) @ (3,)"),
+    ([], ("s", "softmax", ["a"], {}), "s: axis -1 is outside [0, 0)"),
+    ([2, 4], ("n", "layernorm", ["a"], {"axis": 5}), "n: axis 5 is outside [-2, 2)"),
+    ([2, 4], ("s", "softmax", ["a"], {"axis": 5}), "s: axis 5 is outside [-2, 2)"),
+    ([2, 4], ("s", "softmax", ["a"], {"axis": 0}), "s: softmax only along the last axis"),
+    ([2, 4], ("e", "einsum", ["a"], {"equation": "i1->i1"}),
+     "e: einsum 'i1->i1': a subscript is not a letter"),
+    ([2, 4], ("l", "linear", ["a"], {"weight": "w", "out_features": 0}),
+     "l: attr 'out_features' must be a positive int, got 0"),
+    ([2, 4], ("l", "linear", ["a"], {"weight": "w", "out_features": -3}),
+     "l: attr 'out_features' must be a positive int, got -3"),
+    ([2, 4], ("s", "scale", ["a"], {"factor": math.nan}),
+     "s: attr 'factor' must be a finite number, got nan"),
+    ([2, 4], ("c", "conv2d", ["a"], {**_CONV, "kernel": [1, 1]}),
+     "c: conv2d wants (C, H, W) input, got (2, 4)"),
+    ([1, 2, 40], ("c", "conv2d", ["a"], _CONV), "c: input 2x40 smaller than kernel 3x3"),
+    ([3, 5, 5], ("c", "conv2d", ["a"], {**_CONV, "groups": 2}),
+     "c: groups must divide both channel counts"),
+    ([1, 5, 5], ("c", "conv2d", ["a"], {**_CONV, "kernel": [3]}),
+     "c: attr 'kernel' must be a pair of ints >= 1, got [3]"),
+    ([1, 5, 5], ("c", "conv2d", ["a"], {**_CONV, "stride": [0, 1]}),
+     "c: attr 'stride' must be a pair of ints >= 1, got [0, 1]"),
+    ([1, 5, 5], ("c", "conv2d", ["a"], {k: v for k, v in _CONV.items() if k != "bias"}),
+     "c: op conv2d needs attr 'bias'"),
 ])
 def test_malformed_graph_file_exits_2(tmp_path, capsys, shape, node, message):
     nodes = [{"id": "a", "op": "input", "inputs": [], "attrs": {"shape": shape}}]
@@ -595,11 +633,16 @@ def test_rewrite_graph_weights_file_missing_a_tensor_exits_2(tmp_path, capsys):
     # a tensor name that is not a string is the graph file's fault
     ("wq", "listed", "g.json: q_lin: attr 'weight' must be a tensor name, got ['wq']"),
     ("bq", "listed", "g.json: q_lin: attr 'bias' must be a tensor name, got ['bq']"),
+    ("layer1.weight", np.ones((4, 4, 3, 3)), "w.bin: conv1: weight tensor "
+     "'layer1.weight' has shape (4, 4, 3, 3), the node reads (4, 2, 3, 3)"),
 ])
 def test_rewrite_graph_check_names_the_weights_file_tensor_and_node(tmp_path, capsys,
                                                                      name, tensor, why):
-    path = small_graph_file(tmp_path)
-    weights = mha_weights(MHAParams(batch=1, heads=2, features=16, seq=4), 0)
+    if name.startswith("layer"):
+        path, weights = small_conv_graph_file(tmp_path)
+    else:
+        path = small_graph_file(tmp_path)
+        weights = mha_weights(MHAParams(batch=1, heads=2, features=16, seq=4), 0)
     if tensor is None:
         del weights[name]
     elif isinstance(tensor, str):

@@ -25,11 +25,19 @@ from lowprec.convsub import (
     mac_count,
     mac_count_encoder,
     profile_dynamic_range,
-    subsample_forward,
+    subsampler_graph,
 )
-from lowprec.floatsim import FP16, QuantRecorder, log2_bins, parse_format
+from lowprec.floatsim import FP16, log2_bins, parse_format
+from lowprec.graphir import execute_traced
 from lowprec.streams import write_stream
 from oracles import im2col_conv, naive_conv, naive_subsample
+
+
+def forward(x, config, weights, fmt=None):
+    """The subsampler's graph run on one (C, H, W) chunk, and its per-layer
+    peaks: each relu node's, then the multiplier's."""
+    trace = execute_traced(subsampler_graph(config, x.shape), {"x": x}, weights, fmt, peaks=True)
+    return trace, tuple(v for k, v in trace.node_peaks.items() if k.startswith(("relu", "mult")))
 
 
 def test_builtin_configurations():
@@ -172,8 +180,7 @@ def test_only_the_long_dense_gemms_are_split(monkeypatch):
     calls = _spy_panel_gemm(monkeypatch)
     x = np.random.default_rng(0).normal(size=(30, 40))
     for name in sorted(SUBSAMPLERS):
-        subsample_forward(x, SUBSAMPLERS[name], init_weights(SUBSAMPLERS[name], 0),
-                          QuantRecorder(None))
+        profile_dynamic_range([x], SUBSAMPLERS[name], init_weights(SUBSAMPLERS[name], 0))
     # conv2d6 layer 1 and the dws2d6 1x1 layer, each with and without x22
     assert [a for a, _, _ in calls] == [(512, 12800)] * 2 + [(512, 512)] * 2
 
@@ -283,9 +290,10 @@ def test_layer_peaks_are_the_max_magnitude_of_each_output(fill, want):
     x = np.zeros((1, 30, 40)) if fill == 0.0 else np.random.default_rng(5).normal(
         size=(1, 30, 40))
     x[0, 5, 5] = fill
-    out, peaks = subsample_forward(x, DWS2D6_X22, wts, QuantRecorder(FP16))
-    outs = [subsample_forward(x, SubsamplingConfig("head", DWS2D6_X22.layers[:n]),
-                              wts, QuantRecorder(FP16))[0] for n in (1, 2, 3)] + [out]
+    trace, peaks = forward(x, DWS2D6_X22, wts, FP16)
+    out = trace.outputs["y"]
+    outs = [forward(x, SubsamplingConfig("head", DWS2D6_X22.layers[:n]),
+                    wts, FP16)[0].outputs["y"] for n in (1, 2, 3)] + [out]
     assert len(peaks) == len(outs) == 4
     for peak, o in zip(peaks, outs):
         assert _same(peak, float(np.abs(o).max()))
@@ -304,11 +312,11 @@ def test_whole_frontend_matches_loop_oracle():
     wts = init_weights(small_dws, 1)
     x = rng.normal(size=(1, 30, 40))
     want, n_mult = naive_subsample(x, small_dws, wts)
-    rec = QuantRecorder(None)
-    got, _ = subsample_forward(x, small_dws, wts, rec)
+    trace, _ = forward(x, small_dws, wts)
+    got = trace.outputs["y"]
     assert np.abs(got - want).max() <= 1e-10
     assert mac_count(small_dws, (30, 40)).total == n_mult
-    assert rec.stats.total == 0  # double mode performs no quantization
+    assert trace.total_overflow.total == 0  # double mode performs no quantization
 
 
 def test_mac_counts_for_the_real_frontends():
@@ -360,8 +368,8 @@ def test_output_multiplier_is_exact_in_double():
     rng = np.random.default_rng(3)
     wts = init_weights(DWS2D6, 5)
     x = rng.normal(0.0, 1.0, (1, 80, 60))
-    plain, _ = subsample_forward(x, DWS2D6, wts, QuantRecorder(None))
-    scaled, _ = subsample_forward(x, DWS2D6_X22, wts, QuantRecorder(None))
+    plain = forward(x, DWS2D6, wts)[0].outputs["y"]
+    scaled = forward(x, DWS2D6_X22, wts)[0].outputs["y"]
     assert np.abs(scaled - plain * math.sqrt(512.0)).max() < 1e-12
     assert np.all(plain >= 0.0)  # last op before the multiplier is a ReLU
 
@@ -369,21 +377,17 @@ def test_output_multiplier_is_exact_in_double():
 def test_quantized_forward_counts_overflow():
     wts = init_weights(CONV2D6, 2)
     x = np.full((1, 30, 40), 50000.0)
-    rec = QuantRecorder(FP16)
-    subsample_forward(x, CONV2D6, wts, rec)
-    assert rec.stats.overflow > 0
-    rec2 = QuantRecorder(FP16)
-    subsample_forward(x * 1e-4, CONV2D6, wts, rec2)
-    assert rec2.stats.overflow == 0
+    assert forward(x, CONV2D6, wts, FP16)[0].total_overflow.overflow > 0
+    assert forward(x * 1e-4, CONV2D6, wts, FP16)[0].total_overflow.overflow == 0
 
 
 def test_quantized_forward_holds_no_second_copy_of_a_layer_output(traced_peak):
     # Each layer output is rounded in place, so the fp16 forward peaks where
     # the float64 one does: at the largest layer output and its conv.
     wts = init_weights(DWS2D6, 0)
-    x = np.random.default_rng(0).normal(0.0, 2.0, (80, 200))
-    fp16 = traced_peak(lambda: subsample_forward(x, DWS2D6, wts, QuantRecorder(FP16)))
-    exact = traced_peak(lambda: subsample_forward(x, DWS2D6, wts, QuantRecorder(None)))
+    x = np.random.default_rng(0).normal(0.0, 2.0, (1, 80, 200))
+    fp16 = traced_peak(lambda: forward(x, DWS2D6, wts, FP16))
+    exact = traced_peak(lambda: forward(x, DWS2D6, wts))
     assert fp16 <= 1.05 * exact
 
 
@@ -517,9 +521,9 @@ def test_lazy_weights_draw_in_layer_order_whichever_is_asked_first():
 def test_two_dimensional_input_is_promoted():
     wts = init_weights(CONV2D6, 2)
     x = np.random.default_rng(0).normal(size=(30, 40))
-    a, _ = subsample_forward(x, CONV2D6, wts, QuantRecorder(None))
-    b, _ = subsample_forward(x[None], CONV2D6, wts, QuantRecorder(None))
-    np.testing.assert_array_equal(a, b)
+    a = profile_dynamic_range([x], CONV2D6, wts)
+    b = profile_dynamic_range([x[None]], CONV2D6, wts)
+    assert a == b
 
 
 def test_range_profile_accounting():

@@ -8,6 +8,13 @@ import numpy as np
 import pytest
 
 from lowprec import graphir, parallel
+from lowprec.convsub import (
+    ConvLayerSpec,
+    SubsamplingConfig,
+    conv2d_forward,
+    init_weights,
+    subsampler_graph,
+)
 from lowprec.floatsim import FP16, OverflowStats, QuantRecorder, quantize_array
 from lowprec.graphir import (
     Graph,
@@ -357,6 +364,81 @@ def test_a_missing_bias_on_a_later_node_is_named(fmt):
     with pytest.raises(GraphError, match="^l2: bias tensor 'b2' is not in the weights$"):
         execute_traced(_two_linears("w", "b2"), {"x": rng.normal(size=(2, 3, 4))},
                        {"w": w, "b": b}, fmt)
+
+
+def _relu_beside_an_output(factor, n=4):
+    """x -> scale s -> output y, and s -> relu r -> output z."""
+    return Graph("g", [
+        Node("x", "input", attrs={"shape": [n]}),
+        Node("s", "scale", ("x",), {"factor": factor}),
+        Node("y", "output", ("s",)),
+        Node("r", "relu", ("s",)),
+        Node("z", "output", ("r",)),
+    ], ["x"], ["y", "z"])
+
+
+@pytest.mark.parametrize("fmt", [None, FP16], ids=["float64", "fp16"])
+def test_a_relu_leaves_a_value_another_node_reads_as_it_was(fmt):
+    x = np.array([-1.0, 2.0, -3.0, 4.0])
+    trace = execute_traced(_relu_beside_an_output(2.0), {"x": x}, fmt=fmt, peaks=True)
+    assert trace.outputs["y"].tolist() == [-2.0, 4.0, -6.0, 8.0]
+    assert trace.outputs["z"].tolist() == [0.0, 4.0, 0.0, 8.0]
+    assert trace.node_peaks == {"x": 4.0, "s": 8.0, "r": 8.0}
+    assert x.tolist() == [-1.0, 2.0, -3.0, 4.0]
+
+
+@pytest.mark.parametrize("equation", ["ij->ij", "ij->ji"])
+def test_a_relu_leaves_the_operand_of_a_one_operand_einsum_as_it_was(equation):
+    # numpy returns such an einsum as a view of its operand, here the feed
+    g = Graph("g", [Node("x", "input", attrs={"shape": [2, 2]}),
+                    Node("e", "einsum", ("x",), {"equation": equation}),
+                    Node("r", "relu", ("e",)), Node("y", "output", ("r",))], ["x"], ["y"])
+    x = np.array([[-1.0, 2.0], [3.0, -4.0]])
+    got = execute_traced(g, {"x": x}).outputs["y"]
+    assert got.tolist() == np.maximum(np.einsum(equation, x), 0.0).tolist()
+    assert x.tolist() == [[-1.0, 2.0], [3.0, -4.0]]
+
+
+@pytest.mark.parametrize("fmt", [None, FP16], ids=["float64", "fp16"])
+@pytest.mark.parametrize("fill, peak", [(-0.0, 0.0), (-7.0, 7.0), (math.nan, math.nan)])
+def test_node_peaks_are_the_max_magnitude_of_each_value(fmt, fill, peak):
+    x = np.full(40000, -0.0)  # two blocks of the pass
+    x[-1] = fill
+    trace = execute_traced(_relu_beside_an_output(1.0, x.size), {"x": x}, fmt=fmt, peaks=True)
+    for node, out in (("x", "y"), ("s", "y"), ("r", "z")):  # str tells nan and -0.0 apart
+        assert str(trace.node_peaks[node]) == str(float(np.abs(trace.outputs[out]).max()))
+    assert str(trace.node_peaks["s"]) == str(peak)
+
+
+class _Reads(dict):
+    """A weights mapping that records the name of each lookup."""
+
+    def __init__(self, tensors):
+        super().__init__(tensors)
+        self.reads = []
+
+    def __getitem__(self, key):
+        self.reads.append(key)
+        return super().__getitem__(key)
+
+
+def test_conv2d_nodes_read_their_weights_as_they_run():
+    config = SubsamplingConfig("small", (ConvLayerSpec(1, 4, (3, 3), (2, 2)),
+                                         ConvLayerSpec(4, 4, (3, 3), (1, 1), groups=2)))
+    weights = init_weights(config, 0)
+    x = np.random.default_rng(0).normal(size=(1, 11, 9))
+    g = subsampler_graph(config, x.shape)
+    seen = _Reads(weights)
+    got = execute_traced(g, {"x": x}, seen).outputs["y"]
+    assert seen.reads == ["layer0.bias", "layer0.weight", "layer1.bias", "layer1.weight"]
+    want = x
+    for i, layer in enumerate(config.layers):
+        want = np.maximum(conv2d_forward(want, weights[f"layer{i}.weight"],
+                                         weights[f"layer{i}.bias"], layer), 0.0)
+    assert got.tobytes() == want.tobytes()
+    del seen["layer1.weight"]
+    with pytest.raises(GraphError, match="^conv1: weight tensor 'layer1.weight' is not in"):
+        execute_traced(g, {"x": x}, seen)
 
 
 def test_shape_inference(mha):

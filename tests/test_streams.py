@@ -94,6 +94,26 @@ def test_out_of_order_chunks_are_rejected(tmp_path):
         read_stream(path)
 
 
+def test_a_repeated_tensor_name_is_rejected(tmp_path):
+    path = tmp_path / "w.bin"
+    record = b'{"dtype":"<f8","shape":[2],"tensor":"w"}\n' + np.zeros(2).tobytes()
+    path.write_bytes(record * 2)
+    with pytest.raises(StreamFormatError,
+                       match=r"w\.bin: record 1: tensor name 'w' repeats an earlier"):
+        read_tensors(path)
+
+
+@pytest.mark.parametrize("name, shown", [("[1, 2]", r"\[1, 2\]"), ("7", "7"),
+                                         ("null", "None")])
+def test_a_tensor_name_that_is_not_a_string_is_rejected(tmp_path, name, shown):
+    path = tmp_path / "w.bin"
+    header = '{"dtype":"<f8","shape":[2],"tensor":%s}\n' % name
+    path.write_bytes(header.encode() + np.zeros(2).tobytes())
+    with pytest.raises(StreamFormatError,
+                       match=rf"w\.bin: record 0: tensor name {shown} is not a string"):
+        read_tensors(path)
+
+
 def test_writes_are_byte_deterministic(tmp_path):
     chunks = [np.linspace(0, 1, 7).reshape(1, 7)]
     a, b = tmp_path / "a.bin", tmp_path / "b.bin"

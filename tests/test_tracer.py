@@ -1,10 +1,14 @@
 """The benchmark tracer (perfbench/spans.py) still finds every name it wraps."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from lowprec import cli
+from lowprec.streams import write_stream
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -42,3 +46,26 @@ def test_tracer_installs_records_and_uninstalls(tmp_path):
     assert metrics["softmax_lut.elems"] == 8 * 16
     assert metrics["floatsim.calls"] >= 1
     assert metrics["streams.read_bytes"] == stream.stat().st_size
+
+
+def test_tracer_sees_every_conv_of_the_front_end_graphs(tmp_path):
+    # each config's chunk runs as one graph execution, whose conv2d nodes
+    # call conv2d_forward through the module name the tracer wraps
+    spans = _load_spans()
+    stream = tmp_path / "frames.stream"
+    write_stream(stream, [np.random.default_rng(0).normal(size=(20, 40))])
+    out = tmp_path / "out"
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        rc = tracer.run_job("j", lambda: cli.main(
+            ["profile-conv", str(stream), "--conv", "conv2d6,dws2d6", "--out-dir", str(out)]))
+    finally:
+        tracer.uninstall()
+
+    assert rc == 0
+    metrics = tracer.breakdowns()["j"]
+    rows = json.loads((out / "mac_table.json").read_text())["rows"]
+    assert metrics["convsub.conv_calls"] == 5
+    assert metrics["convsub.macs"] == sum(r["frontend_macs"] for r in rows)
+    assert metrics["graphir.exec_calls"] == 2
