@@ -55,7 +55,8 @@ from .graphir import (
     mha_weights,
     movement_profile,
 )
-from .prenorm import PrenormSpec, stabilized_layernorm_rows, theorem1_ceiling
+from .prenorm import (PrenormSpec, layernorm_kernel, prenormalized_rows,
+                      stabilized_layernorm_rows, theorem1_ceiling)
 from .softmax_lut import ExpLUT, hot_rows, softmax_lut, softmax_reference
 from .streams import (
     StreamFormatError,
@@ -314,19 +315,21 @@ def cmd_audit_layernorm(args) -> int:
     mults = {"1": 1.0, "sqrt512": SQRT512}
     recs = {(m, pre_name): QuantRecorder(fmt, rows=n_rows)
             for m in mults for pre_name in variants}
-    peaks = {m: [] for m in mults}  # per-row peak |input|, one array per block
+    peaks = {m: np.empty(n_rows) for m in mults}  # per-row peak |input|
     for start, block in blocks:
+        for rec in recs.values():
+            rec.first_row = start
         for m, mult in mults.items():
-            with np.errstate(over="ignore"):  # a finite row can overflow here
-                x = block * mult
-            for pre_name, pre in variants.items():
-                rec = recs[m, pre_name]
-                rec.first_row = start
-                try:
-                    stabilized_layernorm_rows(x, pre, rec)
-                except ValueError as exc:  # theorem1: a row it cannot center
-                    raise StreamFormatError(f"{args.stream}: {exc}") from None
-            peaks[m].append(np.abs(x, out=x).max(axis=1))
+            x = _times(block, mult)
+            stabilized_layernorm_rows(x, None, recs[m, "none"])
+            np.abs(x, out=x).max(axis=1, out=peaks[m][start:start + len(x)])
+        del x  # so that no block but the stream's is held from here on
+        if pspec is not None:
+            try:
+                _audit_prenormalized(block, pspec, fmt, [
+                    (mult, recs[m, args.prenorm]) for m, mult in mults.items()])
+            except ValueError as exc:  # theorem1: a row it cannot center
+                raise StreamFormatError(f"{args.stream}: {exc}") from None
 
     table, violated = [], False
     for (m, pre_name), rec in recs.items():
@@ -345,7 +348,7 @@ def cmd_audit_layernorm(args) -> int:
 
     # Histogram of per-row peak input magnitude, integer log2 bins.
     hist_path = out_dir / "layernorm_hist.csv"
-    logs = {m: log2_bins(np.concatenate(v)) for m, v in peaks.items()}
+    logs = {m: log2_bins(v) for m, v in peaks.items()}
     lo = min(v.min() for v in logs.values())
     hi = max(v.max() for v in logs.values())
     csv_rows = [
@@ -367,6 +370,37 @@ def cmd_audit_layernorm(args) -> int:
     print(f"report: {report_path}")
     print(f"histogram: {hist_path}")
     return 1 if violated else 0
+
+
+def _times(block: np.ndarray, mult: float) -> np.ndarray:
+    """A new array ``block * mult``; a finite row can overflow to inf here."""
+    with np.errstate(over="ignore"):
+        return block * mult
+
+
+def _audit_prenormalized(block: np.ndarray, pspec: PrenormSpec, fmt: FloatFormat,
+                         configs) -> None:
+    """Audit ``block`` under ``pspec`` for each (multiplier, recorder) of
+    ``configs``, running the kernel once per distinct kernel input.
+
+    Each config's first half rounds into its own recorder, since its counts
+    differ per config. The pre-normalizer divides the multiplier out, so
+    the two kernel inputs often match; they are compared bit for bit (as
+    uint64, so NaNs and signed zeros match exactly). When they match, the
+    kernel rounds into a recorder of its own, and both configs add its
+    counts. Returning frees every block this made.
+    """
+    (a, rec_a), (b, rec_b) = [(prenormalized_rows(_times(block, mult), pspec, rec), rec)
+                              for mult, rec in configs]
+    if np.array_equal(a.view(np.uint64), b.view(np.uint64)):
+        del b  # the kernel's temporaries can take its place
+        shared = QuantRecorder(fmt, rows=len(a))
+        layernorm_kernel(a, shared)
+        rec_a.add(shared)
+        rec_b.add(shared)
+    else:
+        layernorm_kernel(a, rec_a)
+        layernorm_kernel(b, rec_b)
 
 
 # ---------------------------------------------------------------------------

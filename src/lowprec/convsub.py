@@ -68,7 +68,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -426,7 +425,8 @@ def profile_dynamic_range(chunks, config: SubsamplingConfig, weights: dict,
     output magnitude by integer log2 (``log2_bins``), the natural scale for
     judging distance to a float format's ceiling. A per-layer peak is the
     largest over the chunks of a relu node's peak (or the multiplier's),
-    and ``overflow`` sums the node counts of every chunk.
+    NaN if any chunk's is, and ``overflow`` sums the node counts of every
+    chunk.
     """
     chunk_peaks, layer_peaks, stats = [], [], OverflowStats()
     for chunk in chunks:
@@ -441,8 +441,7 @@ def profile_dynamic_range(chunks, config: SubsamplingConfig, weights: dict,
     return RangeProfile(
         config_name=config.name, fmt_name=None if fmt is None else fmt.name,
         per_chunk_peak=tuple(chunk_peaks),
-        # a NaN peak shows only if the first chunk has it: max(a, nan) is a
-        per_layer_peak=reduce(lambda a, b: tuple(map(max, a, b)), layer_peaks),
+        per_layer_peak=tuple(map(float, np.max(layer_peaks, axis=0))),  # NaN wins
         histogram_log2_edges=edges,
         histogram_counts=tuple(int(np.count_nonzero(logs == e)) for e in edges[:-1]),
         overflow=stats)

@@ -286,8 +286,10 @@ class QuantRecorder:
     overflowed, the OVERFLOW codes of each leading-axis index i to
     ``row_overflow[first_row + i]``; only such a recorder builds the codes.
     A caller that feeds a stream one block of rows at a time sets
-    ``first_row`` to the block's first stream row. With ``fmt=None`` values
-    pass through as float64 and nothing is counted.
+    ``first_row`` to the block's first stream row. ``add(other)`` adds the
+    counts of a recorder that rounded on this one's behalf, such as a stage
+    that two recorders share. With ``fmt=None`` values pass through as
+    float64 and nothing is counted.
     """
 
     def __init__(self, fmt: FloatFormat | None, rows: int = 0):
@@ -308,3 +310,11 @@ class QuantRecorder:
             self.row_overflow[self.first_row:self.first_row + len(over)] += (
                 np.count_nonzero(over, axis=1))
         return out
+
+    def add(self, other: "QuantRecorder") -> None:
+        """Add ``other``'s counts to this recorder's; ``other``'s row i
+        counts as row ``first_row + i``."""
+        self.stats = self.stats + other.stats
+        if self.row_overflow.size:
+            rows = other.row_overflow
+            self.row_overflow[self.first_row:self.first_row + rows.size] += rows

@@ -437,7 +437,8 @@ def _apply(node: Node, args: list, weights, rec: QuantRecorder):
         want = _weight_shapes(node, args[0].shape)
 
     def tensor(attr):  # a weight as float64, in the format but not counted
-        return QuantRecorder(rec.fmt).q(_tensor(node, attr, weights, want[attr]))
+        t = _tensor(node, attr, weights, want[attr])
+        return rec.q(t) if rec.fmt is None else QuantRecorder(rec.fmt).q(t)
 
     # The product is made before the rounded weight copy, so that, rounded in
     # place and kept, it does not sit above the copy's freed block in the heap.
@@ -543,13 +544,14 @@ def execute_traced(g: Graph, feeds: dict[str, np.ndarray],
     node_stats: dict[str, OverflowStats] = {}
     node_peaks: dict[str, float] = {}
     movement = 0
+    exact = QuantRecorder(None)  # float64 mode rounds and counts nothing
 
     for i, n in enumerate(g.nodes):
         args = [values[r] for r in n.inputs]
         for r in n.inputs:
             if last_use[r] == i and r not in g.outputs:
                 values.pop(r, None)  # a node may read one value twice
-        rec = QuantRecorder(fmt)
+        rec = exact if fmt is None else QuantRecorder(fmt)
         if n.op == "input":
             values[n.id] = rec.q(_feed(n, feeds))
         elif n.op == "output":

@@ -285,51 +285,70 @@ def stabilized_layernorm_rows(rows, pspec: PrenormSpec | None,
                               rec: QuantRecorder) -> np.ndarray:
     """Row-wise layernorm computed in the simulated arithmetic of ``rec.fmt``.
 
+    :func:`prenormalized_rows` on a copy of ``rows``, then
+    :func:`layernorm_kernel`, both rounding into ``rec``, whose
+    ``row_overflow`` counts row i at ``rec.first_row + i``. Returns the
+    outputs; the caller's rows stay as they were.
+    """
+    # the copy is an argument only, so it dies before the kernel runs
+    return layernorm_kernel(prenormalized_rows(
+        np.array(rows, dtype=np.float64, order="C", ndmin=2), pspec, rec), rec)
+
+
+def prenormalized_rows(x: np.ndarray, pspec: PrenormSpec | None,
+                       rec: QuantRecorder) -> np.ndarray:
+    """The kernel's input: the rows of ``x`` centered, pre-normalized and rounded.
+
     Per row: subtract the mean, apply the pre-normalizer (both in float64,
     the pre-normalizer being the thing under test; theorem1 raises ValueError
     naming, as ``rec.first_row + i``, the first row i that is not finite
-    once centered), quantize, then run the
-    variance/sqrt/divide chain with every elementary result re-quantized.
-    The sum of squares reduces pairwise (a balanced tree, the shape a SIMD
-    lane reduction takes), so rounding error grows with log n rather than n
-    while every partial sum still has to fit the format.
-
-    Rounds into ``rec``, whose ``row_overflow`` counts row i at
-    ``rec.first_row + i``. Returns the outputs.
+    once centered), then round into ``rec``. ``x`` is a C-contiguous
+    (rows, n) float64 array the caller owns; it is centered in place, so a
+    caller that holds no other copy of its rows holds one block less.
+    Returns the rounded rows, ``x`` itself without a pre-normalizer.
     """
-    x = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     if x.size == 0:
         raise ValueError("empty input")
-    n = x.shape[1]
-
-    # Every array rounded below is this function's own, so each is rounded
-    # in place and no stage holds a second copy of its values.
     with np.errstate(over="ignore", invalid="ignore"):  # huge finite rows
-        yq = x - x.mean(axis=1, keepdims=True)
+        x -= x.mean(axis=1, keepdims=True)
         if pspec is not None and pspec.mode == "theorem1":
             # rows centered here miss zero sum only by float64 cancellation
-            bad = np.flatnonzero(~np.isfinite(yq).all(axis=1))
+            bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
             if bad.size:
                 raise ValueError(f"row {rec.first_row + int(bad[0])}: entries "
                                  "overflow float64 once scaled")
-        if pspec is not None:
-            yq = _scale_rows(yq, pspec)[0]
-    rec.q(yq, out=yq)
+        yq = x if pspec is None else _scale_rows(x, pspec)[0]
+    return rec.q(yq, out=yq)
 
-    acc = yq * yq
-    rec.q(acc, out=acc)
-    while acc.shape[1] > 1:
-        even = acc.shape[1] // 2 * 2
-        pairs = acc[:, 0:even:2] + acc[:, 1:even:2]
-        rec.q(pairs, out=pairs)
-        if even != acc.shape[1]:  # odd leftover rides along unchanged
-            pairs = np.concatenate([pairs, acc[:, even:]], axis=1)
-        acc = pairs
-    var = rec.q(acc[:, 0] / n)
-    var_eps = rec.q(var + LAYERNORM_EPS)
-    denom = rec.q(np.sqrt(var_eps))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(yq, denom[:, None], out=yq)  # saturated rows give inf or nan
+
+def layernorm_kernel(yq: np.ndarray, rec: QuantRecorder) -> np.ndarray:
+    """The variance/sqrt/divide chain on a (rows, n) block already in ``rec.fmt``.
+
+    Every elementary result is rounded into ``rec``. The sum of squares
+    reduces pairwise (a balanced tree, the shape a SIMD lane reduction
+    takes), so rounding error grows with log n rather than n while every
+    partial sum still has to fit the format. ``yq`` is C-contiguous float64,
+    owned by the caller, and overwritten with the returned outputs.
+    """
+    n = yq.shape[1]
+    # Every array rounded below is this function's own, so each is rounded
+    # in place and no stage holds a second copy of its values. In a format
+    # as wide as float64, a square or sum can overflow before its rounding,
+    # which counts the inf; saturated rows divide to inf or nan.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        acc = yq * yq
+        rec.q(acc, out=acc)
+        while acc.shape[1] > 1:
+            even = acc.shape[1] // 2 * 2
+            pairs = acc[:, 0:even:2] + acc[:, 1:even:2]
+            rec.q(pairs, out=pairs)
+            if even != acc.shape[1]:  # odd leftover rides along unchanged
+                pairs = np.concatenate([pairs, acc[:, even:]], axis=1)
+            acc = pairs
+        var = rec.q(acc[:, 0] / n)
+        var_eps = rec.q(var + LAYERNORM_EPS)
+        denom = rec.q(np.sqrt(var_eps))
+        np.divide(yq, denom[:, None], out=yq)
     return rec.q(yq, out=yq)
 
 

@@ -39,6 +39,17 @@ def test_layernorm_counts_and_per_row_overflow():
     assert rec.stats == OverflowStats(396, 44, 352, 0, 0)
 
 
+def test_adding_a_recorder_counts_as_rounding_into_this_one():
+    x = np.array([[1.0, 7e4], [0.1, 2.0], [1e5, -1e5]])  # rows 0 and 2 overflow
+    direct, part, summed = (QuantRecorder(FP16, rows=r) for r in (6, 3, 6))
+    direct.first_row = summed.first_row = 2
+    direct.q(x)
+    part.q(x)
+    summed.add(part)
+    assert summed.stats == direct.stats and summed.stats.overflow == 3
+    assert summed.row_overflow.tolist() == direct.row_overflow.tolist() == [0, 0, 1, 0, 2, 0]
+
+
 def test_softmax_counts_only_hot_rows_in_the_rescale():
     x = np.random.default_rng(12).normal(0.0, 3000.0, (5, 8))
     assert (x.max(axis=1) > 4096.0).tolist() == [True, True, False, False, True]

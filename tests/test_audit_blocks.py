@@ -2,7 +2,8 @@
 
 Blocks change neither a report byte nor an exit code, whatever the
 chunking; the audits hold the stream plus a few blocks, not copies of the
-stream; and a refused row is named by its stream row.
+stream; a refused row is named by its stream row; and a LayerNorm kernel
+run that two configs share counts for both.
 """
 
 import json
@@ -12,8 +13,9 @@ import warnings
 import numpy as np
 import pytest
 
-from lowprec import cli
-from lowprec.streams import write_stream
+from lowprec import cli, prenorm
+from lowprec.floatsim import QuantRecorder, parse_format
+from lowprec.streams import read_stream, write_stream
 
 REPORTS = ("layernorm_audit.json", "layernorm_hist.csv", "softmax_audit.json")
 AUDITS = [("audit-layernorm", fmt, "--prenorm", pre)
@@ -141,3 +143,44 @@ def test_a_narrow_stream_audits_as_its_float64_widening(tmp_path, dtype, fmt, pr
         got[name] = (rc, json.loads((out / "layernorm_audit.json").read_text())["rows"],
                      (out / "layernorm_hist.csv").read_bytes())
     assert got["narrow"] == got["wide"]
+
+
+@pytest.mark.parametrize("pre", ["mad", "theorem1"])
+@pytest.mark.parametrize("fmt, kernel_runs", [
+    ("fp16", 6),  # 2 blocks x (none at each mult, one run both pre-normalized configs share)
+    ("custom:52,11", 8),  # the two mults round to different kernel inputs
+])
+def test_a_shared_kernel_run_counts_for_both_configs(tmp_path, monkeypatch, fmt,
+                                                     kernel_runs, pre):
+    path, out = tmp_path / "s.stream", tmp_path / "out"
+    assert cli.main(["gen-stream", str(path)]) == 0  # 256 x 512 rows: two blocks
+    kernel, runs = prenorm.layernorm_kernel, []
+
+    def counted(yq, rec):
+        runs.append(len(yq))
+        return kernel(yq, rec)
+
+    for module in (cli, prenorm):
+        monkeypatch.setattr(module, "layernorm_kernel", counted)
+    assert cli.main(["audit-layernorm", str(path), "--format", fmt, "--prenorm", pre,
+                     "--out-dir", str(out)]) == 0
+    assert len(runs) == kernel_runs
+    monkeypatch.undo()
+
+    # the report built with one stabilized_layernorm_rows call per config
+    f, x = parse_format(fmt), np.concatenate(read_stream(path))
+    spec = prenorm.PrenormSpec(pre)
+    if pre == "theorem1":
+        spec = prenorm.PrenormSpec(pre, max_value=prenorm.theorem1_ceiling(f, x.shape[1]))
+    want = []
+    for m, mult in (("1", 1.0), ("sqrt512", cli.SQRT512)):
+        for name, pspec in (("none", None), (pre, spec)):
+            rec = QuantRecorder(f, rows=len(x))
+            prenorm.stabilized_layernorm_rows(x * mult, pspec, rec)
+            bad = int(np.count_nonzero(rec.row_overflow))
+            want.append({"config": f"prenorm={name},mult={m}", "invocations": len(x),
+                         "overflow_invocations": bad, "overflow_fraction": bad / len(x),
+                         "quantize": vars(rec.stats)})
+            if name == "theorem1":
+                want[-1]["max_value"] = spec.max_value
+    assert json.loads((out / "layernorm_audit.json").read_text())["rows"] == want

@@ -381,6 +381,16 @@ def test_quantized_forward_counts_overflow():
     assert forward(x * 1e-4, CONV2D6, wts, FP16)[0].total_overflow.overflow == 0
 
 
+def test_a_nan_layer_peak_shows_whichever_chunk_holds_it():
+    # x * 1e5 overflows fp16 at every layer, so its layer peaks are NaN
+    wts = init_weights(DWS2D6, 0)
+    x = np.random.default_rng(0).normal(0.0, 1.0, (30, 40))
+    first = profile_dynamic_range([x, x * 1e5], DWS2D6, wts, FP16).per_layer_peak
+    last = profile_dynamic_range([x * 1e5, x], DWS2D6, wts, FP16).per_layer_peak
+    assert len(first) == 3 and all(math.isnan(p) for p in first)
+    assert np.array_equal(first, last, equal_nan=True)
+
+
 def test_quantized_forward_holds_no_second_copy_of_a_layer_output(traced_peak):
     # Each layer output is rounded in place, so the fp16 forward peaks where
     # the float64 one does: at the largest layer output and its conv.
