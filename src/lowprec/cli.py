@@ -300,6 +300,8 @@ def cmd_verify_theory(args) -> int:
 
 
 def cmd_audit_layernorm(args) -> int:
+    if not args.p >= 1:  # whatever --prenorm is; written so that nan fails too
+        raise ValueError(f"--p: norm order p must be >= 1, got {args.p}")
     fmt = parse_format(args.format)
     n_rows, width, blocks = _row_blocks(args.stream)
     out_dir = Path(args.out_dir)

@@ -467,7 +467,8 @@ def _apply(node: Node, args: list, weights, rec: QuantRecorder):
         out = np.einsum(a["equation"], *args)  # one operand may come back as a view of it
         return out.copy() if np.may_share_memory(out, args[0]) else out
     if node.op == "scale":
-        return args[0] * float(a["factor"])
+        with np.errstate(over="ignore"):  # past float64's range the result is inf
+            return args[0] * float(a["factor"])
     if node.op == "softmax":
         if rec.fmt is None:
             return softmax_reference(args[0])
@@ -480,7 +481,8 @@ def _apply(node: Node, args: list, weights, rec: QuantRecorder):
         out = stabilized_layernorm_rows(x.reshape(-1, x.shape[-1]), None, rec)
         return np.moveaxis(out.reshape(x.shape), -1, ax)
     if node.op == "add":
-        return args[0] + args[1]
+        with np.errstate(over="ignore"):  # as for scale
+            return args[0] + args[1]
     if node.op == "reshape":
         return args[0].reshape(tuple(a["shape"]))
     if node.op == "transpose":

@@ -1,15 +1,15 @@
 """Layer normalization and pre-normalizers that keep it inside a low-precision range.
 
 Two pre-normalizers are provided. The worst-case-optimal one divides a
-zero-mean vector by ``0.5 * (2/M)**(1/p)`` times its L1 norm, which makes the
-largest attainable sum of p-th powers exactly M. For a kernel that rounds
-into a format, :func:`theorem1_ceiling` derives M from the format and the
-row width, below the format's max finite value by enough that the
-rounded sum of squares provably fits. The practical one divides by the mean
-absolute value (MAD), which maps common activation distributions into a
-small band around [-2, 2] (uniform) or [-5, 5] (Gaussian). Brute-force
-oracles for the underlying extremal inequality live here too, so the
-closed forms never have to be trusted on faith.
+finite vector x by ``0.5 * (2/M)**(1/p) * (sum|x| + |sum x|)``, which bounds
+its sum of p-th powers by M, reached by zero-sum two-spike vectors. For a
+kernel that rounds into a format, :func:`theorem1_ceiling` derives M from
+the format and the row width, below the format's max finite value by enough
+that the rounded sum of squares provably fits. The practical one divides by
+the mean absolute value (MAD), which maps common activation distributions
+into a small band around [-2, 2] (uniform) or [-5, 5] (Gaussian).
+Brute-force oracles for the underlying extremal inequality live here too, so
+the closed forms never have to be trusted on faith.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from lowprec.floatsim import FloatFormat, QuantRecorder
 from lowprec.floatsim import quantize_array  # noqa: F401
 
 # Peak |x| below which a vector is degenerate, where prenormalize's
-# denominator could underflow; also the floor of the zero-sum tolerance.
+# denominator could underflow.
 _DEGENERATE_PEAK = 1e-300
 
 
@@ -36,24 +36,26 @@ LAYERNORM_EPS = 1e-5
 class PrenormSpec:
     """Pre-normalizer choice.
 
-    mode "theorem1" uses the worst-case-optimal L1 scaling for norm order
-    ``p``, which bounds the sum of p-th powers by ``max_value``; a caller
-    that rounds the result into a format passes
-    ``theorem1_ceiling(fmt, n)``, the bound that keeps the rounded sum of
-    squares of a width-n row inside ``fmt``. Mode "mad" divides by the
-    mean absolute value and ignores ``max_value``.
+    mode "theorem1" uses the worst-case-optimal scaling for norm order
+    ``p``, which bounds the sum of p-th powers of any finite row by
+    ``max_value``, a bound it requires; a caller that rounds the result
+    into a format passes ``theorem1_ceiling(fmt, n)``, the bound that keeps
+    the rounded sum of squares of a width-n row inside ``fmt``. Mode "mad"
+    divides by the mean absolute value and ignores ``max_value``.
     """
 
     mode: str
     p: float = 2.0
-    max_value: float = 65504.0
+    max_value: float | None = None
 
     def __post_init__(self):
         if self.mode not in ("theorem1", "mad"):
             raise ValueError(f"unknown prenorm mode {self.mode!r}")
         if not self.p >= 1:  # written so that nan fails too
             raise ValueError("norm order p must be >= 1")
-        if not self.max_value > 0:
+        if self.mode == "theorem1" and self.max_value is None:
+            raise ValueError("theorem1 needs max_value, e.g. theorem1_ceiling(fmt, n)")
+        if self.max_value is not None and not self.max_value > 0:
             raise ValueError("max_value must be positive")
 
 
@@ -62,9 +64,10 @@ def layernorm(x, axis: int = -1, eps: float = LAYERNORM_EPS) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise ValueError("layernorm of an empty input")
-    mu = x.mean(axis=axis, keepdims=True)
-    var = x.var(axis=axis, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps)
+    with np.errstate(over="ignore"):  # rows past float64's range saturate as they may
+        mu = x.mean(axis=axis, keepdims=True)
+        var = x.var(axis=axis, keepdims=True)
+        return (x - mu) / np.sqrt(var + eps)
 
 
 def lemma1_bound(S: float, p: float) -> float:
@@ -87,7 +90,12 @@ def extremal_vector(S: float, n: int) -> np.ndarray:
 
 
 def theorem1_scale(p: float, M: float) -> float:
-    """Coefficient c in the optimal pre-normalizer denominator c * sum|x_i|."""
+    """Coefficient c in the optimal pre-normalizer denominator c * (sum|x_i| + |sum x_i|).
+
+    The sum is 2 max(P, N), P and N the positive and negative masses, and
+    sum |x_i|**p <= P**p + N**p <= 2 max(P, N)**p, so a scaled row reaches
+    at most M, and a zero-sum two-spike row reaches it.
+    """
     if p < 1 or M <= 0:
         raise ValueError("need p >= 1 and M > 0")
     return 0.5 * (2.0 / M) ** (1.0 / p)
@@ -101,8 +109,8 @@ def theorem1_ceiling(fmt: FloatFormat, n: int) -> float:
     eta = min_normal * 2**-m the subnormal spacing. Raises ValueError when
     that is not positive, a format too narrow for width-n rows.
 
-    Proof, for p = 2. Theorem 1 makes the pre-normalized float64 row z
-    satisfy sum z_i**2 <= M. :func:`stabilized_layernorm_rows` rounds
+    Proof, for p = 2. Theorem 1 gives sum z_i**2 <= M for the pre-normalized
+    float64 z of any finite row. :func:`stabilized_layernorm_rows` rounds
     y_i = fl(z_i), then s_i = fl(y_i**2), then adds the s_i in a pairwise
     tree of L levels, rounding every sum. Round-to-nearest gives
     fl(a o b) = (a o b)(1 + d), |d| <= u, for a normal result, and an
@@ -127,14 +135,13 @@ def theorem1_ceiling(fmt: FloatFormat, n: int) -> float:
     after the root divide it by n, add the epsilon and take the root; the
     outputs y_i / sigma are at most sqrt(n) in exact arithmetic.
 
-    float64 carries z. The centering residual s of a row of L1 norm S, the
-    L1 sum, the scale, the divide and the divisions below raise
-    sum z_i**2 to at most M (1 + g), g < (s/S)**2 + (2n + L + 12) * 2**-53.
-    While g <= u, each value above is still at most max_finite before its
-    own rounding, whose (1+u) is not yet spent, so the bound stands. Within
-    the zero-sum slack (s/S <= 1e-6) that holds for m <= 30 and
-    n <= 2**20, fp16 and fp32 included. For p != 2 the kernel still sums
-    squares, which this bound does not cover.
+    float64 carries z. The two row sums, their sum, the scale, the divide
+    and the divisions below raise sum z_i**2 to at most M (1 + g),
+    g < (4n + L + 12) * 2**-53. While g <= u, each value above is still at
+    most max_finite before its own rounding, whose (1+u) is not yet spent,
+    so the bound stands. That holds for m <= 29 and n <= 2**20, fp16 and
+    fp32 included. For p != 2 the kernel still sums squares, which this
+    bound does not cover.
     """
     m = fmt.mantissa_bits
     u = math.ldexp(1.0, -(m + 1))
@@ -158,26 +165,17 @@ def prenormalize(x, spec: PrenormSpec) -> tuple[np.ndarray, bool | np.ndarray]:
     1e-300, the all-zero row included: it is returned unchanged, because
     its denominator would underflow to zero or a subnormal (the layernorm
     epsilon already covers that case). In theorem1 mode the first row that
-    is not finite or does not sum to zero raises ValueError.
+    is not finite raises ValueError.
     """
     v = np.asarray(x, dtype=np.float64)
     if v.ndim not in (1, 2) or v.size == 0:
         raise ValueError("prenormalize needs a non-empty vector or (rows, n) block")
     rows = v[None, :] if v.ndim == 1 else np.ascontiguousarray(v)
-    if spec.mode == "theorem1":  # optimality needs zero mean
-        nonfinite = ~np.isfinite(rows).all(axis=1)
-        stop = int(np.argmax(nonfinite)) if nonfinite.any() else len(rows)
-        # Slack relative to the L1 norm S: centering leaves a residual s that grows
-        # with the mean removed; s raises max sum |v|**p by p(p-1)/2*(s/S)**2 at most.
-        l1 = np.abs(rows[:stop]).sum(axis=1)
-        off = np.abs(rows[:stop].sum(axis=1)) > 1e-6 * np.maximum(l1, _DEGENERATE_PEAK)
-        why = None
-        if off.any():
-            i, why = int(np.argmax(off)), "entries do not sum to zero"
-        elif stop < len(rows):
-            i, why = stop, "entries must be finite"
-        if why:  # a one-row block gets the bare message, a taller one names the row
-            raise ValueError(why if len(rows) == 1 else f"row {i}: {why}")
+    if spec.mode == "theorem1":
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+        if bad.size:  # a one-row block gets the bare message, a taller one names the row
+            why = "entries must be finite"
+            raise ValueError(why if len(rows) == 1 else f"row {bad[0]}: {why}")
     y, degenerate = _scale_rows(rows, spec)
     if v.ndim == 1:
         return y[0], bool(degenerate[0])
@@ -185,12 +183,12 @@ def prenormalize(x, spec: PrenormSpec) -> tuple[np.ndarray, bool | np.ndarray]:
 
 
 def _scale_rows(rows: np.ndarray, spec: PrenormSpec) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`prenormalize` of a (rows, n) block, without the zero-mean check."""
+    """:func:`prenormalize` of a (rows, n) block, without the finiteness check."""
     a = np.abs(rows)
     s1 = a.sum(axis=1)
     degenerate = a.max(axis=1) < _DEGENERATE_PEAK
     if spec.mode == "theorem1":
-        denom = theorem1_scale(spec.p, spec.max_value) * s1
+        denom = theorem1_scale(spec.p, spec.max_value) * (s1 + np.abs(rows.sum(axis=1)))
     else:
         denom = s1 / rows.shape[1]
     denom[degenerate] = 1.0  # x / 1 returns the row unchanged
@@ -312,7 +310,6 @@ def prenormalized_rows(x: np.ndarray, pspec: PrenormSpec | None,
     with np.errstate(over="ignore", invalid="ignore"):  # huge finite rows
         x -= x.mean(axis=1, keepdims=True)
         if pspec is not None and pspec.mode == "theorem1":
-            # rows centered here miss zero sum only by float64 cancellation
             bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
             if bad.size:
                 raise ValueError(f"row {rec.first_row + int(bad[0])}: entries "

@@ -65,7 +65,8 @@ def _hot_ratio(x, mx):
 def softmax_reference(x) -> np.ndarray:
     """Max-subtracted float64 softmax over the last axis, the comparison baseline."""
     x = np.asarray(x, dtype=np.float64)
-    e = x - np.max(x, axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):  # a span past float64's range gives -inf, exp 0
+        e = x - np.max(x, axis=-1, keepdims=True)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e

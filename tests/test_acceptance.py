@@ -137,7 +137,8 @@ def test_criterion_5_stabilized_layernorm_stream(acceptance, tmp_path):
     naive_frac = float(np.mean(naive.row_overflow > 0))
     ref = layernorm(rows)
     results = {}
-    for name, spec in (("theorem1", PrenormSpec(mode="theorem1", p=2.0)),
+    for name, spec in (("theorem1", PrenormSpec(mode="theorem1", p=2.0,
+                                                max_value=FP16.max_finite)),
                        ("mad", PrenormSpec(mode="mad"))):
         rec = QuantRecorder(FP16, rows=len(rows))
         out = stabilized_layernorm_rows(rows, spec, rec)

@@ -169,9 +169,7 @@ def test_a_shared_kernel_run_counts_for_both_configs(tmp_path, monkeypatch, fmt,
 
     # the report built with one stabilized_layernorm_rows call per config
     f, x = parse_format(fmt), np.concatenate(read_stream(path))
-    spec = prenorm.PrenormSpec(pre)
-    if pre == "theorem1":
-        spec = prenorm.PrenormSpec(pre, max_value=prenorm.theorem1_ceiling(f, x.shape[1]))
+    spec = prenorm.PrenormSpec(pre, max_value=prenorm.theorem1_ceiling(f, x.shape[1]))
     want = []
     for m, mult in (("1", 1.0), ("sqrt512", cli.SQRT512)):
         for name, pspec in (("none", None), (pre, spec)):

@@ -176,6 +176,31 @@ def test_audits_on_saturating_rows_print_no_numpy_warnings(tmp_path, argv):
         assert (strict / report.name).read_bytes() == report.read_bytes()
 
 
+def test_audit_softmax_on_a_row_spanning_past_float64_prints_no_numpy_warning(tmp_path):
+    path = tmp_path / "wide.stream"
+    write_stream(path, [np.array([[1e308, -1e308]])])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("audit-softmax", str(path), "--out-dir", str(tmp_path / "audit")) == 0
+
+
+@pytest.mark.parametrize("second", [
+    {"id": "s2", "op": "scale", "inputs": ["s1"], "attrs": {"factor": 1e308}},
+    {"id": "s2", "op": "add", "inputs": ["s1", "s1"]},
+])
+def test_float64_graph_nodes_that_overflow_print_no_numpy_warning(tmp_path, second):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"name": "huge", "inputs": ["x"], "outputs": ["y"], "nodes": [
+        {"id": "x", "op": "input", "inputs": [], "attrs": {"shape": [1, 2, 1, 3]}},
+        {"id": "s1", "op": "scale", "inputs": ["x"], "attrs": {"factor": 1e308}},
+        second,
+        {"id": "y", "op": "output", "inputs": ["s2"]}]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("rewrite-graph", str(path), "--passes", "", "--check",
+                   "--check-instances", "2", "--out-dir", str(tmp_path / "out")) == 0
+
+
 def test_profile_conv_emits_peaks_hist_and_mac_table(tmp_path):
     path = tmp_path / "mel.stream"
     run("gen-stream", str(path), "--rows", "120", "--width", "80",
@@ -332,11 +357,12 @@ def test_rewrite_graph_heads_0_exits_2(tmp_path, capsys):
 
 
 def test_audit_layernorm_p_nan_exits_2(adversarial, tmp_path, capsys):
-    out = tmp_path / "audit"
-    assert run("audit-layernorm", str(adversarial), "--p", "nan",
-               "--out-dir", str(out)) == 2
-    assert "norm order p" in capsys.readouterr().err
-    assert not (out / "layernorm_audit.json").exists()
+    for prenorm in ("none", "mad", "theorem1"):  # checked whether or not p is used
+        out = tmp_path / prenorm
+        assert run("audit-layernorm", str(adversarial), "--p", "nan",
+                   "--prenorm", prenorm, "--out-dir", str(out)) == 2
+        assert "norm order p" in capsys.readouterr().err
+        assert not (out / "layernorm_audit.json").exists()
 
 
 @pytest.mark.parametrize("n", ["0", "-3"])
@@ -419,7 +445,7 @@ def test_refused_runs_leave_no_out_dir(adversarial, tmp_path, capsys, argv):
 
 def test_audit_layernorm_rows_on_a_large_dc_offset(tmp_path):
     # Centering 1e6 + N(0, 1) rows leaves a residual sum far above 1e-12 per
-    # entry; the theorem-1 zero-mean check must still accept those rows.
+    # entry; theorem 1 must still bound those rows.
     path = tmp_path / "dc.stream"
     rows = 1e6 + np.random.default_rng(0).normal(size=(32, 64))
     write_stream(path, [rows[:16], rows[16:]])
@@ -430,6 +456,25 @@ def test_audit_layernorm_rows_on_a_large_dc_offset(tmp_path):
     stabilized = [r for r in report["rows"] if "prenorm=theorem1" in r["config"]]
     assert len(stabilized) == 2
     assert all(r["overflow_invocations"] == 0 for r in stabilized)
+
+
+@pytest.mark.parametrize("n", [2, 8, 512])
+def test_audit_layernorm_bounds_offset_two_spike_rows_in_fp32(tmp_path, n):
+    # Rows of 1e10 with two spikes of +-1e-3 keep a large centering residual;
+    # scaled by their L1 norm alone, 95, 3 and 187 of the 200 overflowed the
+    # fp32 ceiling at n = 2, 8 and 512.
+    rng = np.random.default_rng(1)
+    rows = np.full((200, n), 1e10)
+    spikes = 1e-3 * rng.uniform(0.5, 1.5, (200, 2))
+    rows[:, 0] -= spikes[:, 0]
+    rows[:, -1] += spikes[:, 1]
+    path, out = tmp_path / "spikes.stream", tmp_path / "audit"
+    write_stream(path, [rows[:100], rows[100:]])
+    assert run("audit-layernorm", str(path), "--format", "fp32",
+               "--out-dir", str(out)) == 0
+    report = json.loads((out / "layernorm_audit.json").read_text())
+    assert [r["overflow_invocations"] for r in report["rows"]
+            if "prenorm=theorem1" in r["config"]] == [0, 0]
 
 
 _SMALL_CONV = SubsamplingConfig("small", (ConvLayerSpec(1, 4, (3, 3), (2, 2)),

@@ -292,13 +292,13 @@ def _two_scales(f1, f2):
     return Graph("scales", nodes, ["x"], ["y"])
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error")  # float64 overflow to inf warns nothing
 def test_equal_infinities_agree():
     huge = _two_scales(1e308, 1e308)  # every entry overflows to +-inf
     assert check_equivalence(huge, huge, {}, n_instances=3).hex() == (0.0).hex()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error")  # float64 overflow to inf warns nothing
 @pytest.mark.parametrize("f1,f2,g1,g2", [
     (1.0, 1.0, math.nan, 1.0),       # a NaN rewrite of a finite graph
     (math.nan, 1.0, math.nan, 1.0),  # NaN never agrees, even with NaN

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from lowprec.floatsim import FP16, FP32, QuantRecorder
@@ -195,3 +196,9 @@ def test_half_precision_runs_are_deterministic():
     a = softmax_lut(QuantRecorder(FP16).q(x), QuantRecorder(FP16))
     b = softmax_lut(QuantRecorder(FP16).q(x), QuantRecorder(FP16))
     assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_reference_of_a_row_spanning_past_float64_warns_nothing():
+    # 1e308 - (-1e308) overflows to inf by design; exp(-inf) is 0
+    np.testing.assert_array_equal(softmax_reference(np.array([1e308, -1e308])), [1.0, 0.0])

@@ -1,4 +1,5 @@
-"""The benchmark tracer (perfbench/spans.py) still finds every name it wraps."""
+"""The benchmark's tracer (perfbench/spans.py) still finds every name it wraps,
+and its workloads (perfbench/workloads.py) still expect what the program reports."""
 
 import importlib.util
 import json
@@ -10,11 +11,12 @@ import numpy as np
 from lowprec import cli
 from lowprec.streams import write_stream
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load(name: str):
+    """perfbench/<name>.py as a module, loaded by path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses resolve the module by name
     spec.loader.exec_module(module)
@@ -22,7 +24,7 @@ def _load_spans():
 
 
 def test_tracer_installs_records_and_uninstalls(tmp_path):
-    spans = _load_spans()
+    spans = _load("spans")
     points = [(m, attr) for m, attr, _, _ in spans.WRAP_POINTS]
     originals = [getattr(m, attr) for m, attr in points]
     stream = tmp_path / "s.stream"
@@ -51,7 +53,7 @@ def test_tracer_installs_records_and_uninstalls(tmp_path):
 def test_tracer_sees_every_conv_of_the_front_end_graphs(tmp_path):
     # each config's chunk runs as one graph execution, whose conv2d nodes
     # call conv2d_forward through the module name the tracer wraps
-    spans = _load_spans()
+    spans = _load("spans")
     stream = tmp_path / "frames.stream"
     write_stream(stream, [np.random.default_rng(0).normal(size=(20, 40))])
     out = tmp_path / "out"
@@ -69,3 +71,12 @@ def test_tracer_sees_every_conv_of_the_front_end_graphs(tmp_path):
     assert metrics["convsub.conv_calls"] == 5
     assert metrics["convsub.macs"] == sum(r["frontend_macs"] for r in rows)
     assert metrics["graphir.exec_calls"] == 2
+
+
+def test_verify_theory_reports_the_check_count_the_benchmark_expects():
+    workloads = _load("workloads")
+    args = cli.build_parser().parse_args(
+        ["verify-theory", *workloads.SIZES["toy"]["theory_args"]])
+    rows = cli.theory_report(n_max=args.n_max, vectors=args.vectors,
+                             samples=args.samples, seed=args.seed)
+    assert len(rows) == workloads.THEORY_CHECKS == 12
