@@ -74,14 +74,19 @@ def test_rows_off_zero_sum_are_accepted_and_bounded():
     rows = 1e6 + np.random.default_rng(0).normal(size=(64, 512))
     centered = rows - rows.mean(axis=1, keepdims=True)
     assert np.abs(centered.sum(axis=1)).max() > 0  # centering misses zero sum
-    for row in [*centered, [1.0, 1.0], [-1.0, 1.0 + 1e-5], [1.0, 2.0]]:
+    for row in [*centered, [1.0, 1.0], [-1.0, 1.0 + 1e-5]]:
         y, flag = prenormalize(np.array(row), THEOREM1)
         assert not flag and (y ** 2).sum() <= FP16.max_finite * (1.0 + 1e-9)
+    with pytest.raises(ValueError, match="^entries must be finite$"):
+        prenormalize(np.array([np.inf, -np.inf]), THEOREM1)
+
+
+def test_theorem1_mode_accepts_rows_off_zero_mean():
+    y, flag = prenormalize(np.array([1.0, 2.0]), THEOREM1)
+    assert not flag and (y ** 2).sum() <= FP16.max_finite * (1.0 + 1e-9)
     # one sign only: the denominator is twice the L1 norm, so M/2 here
     y, _ = prenormalize(np.array([0.0, 3.0]), THEOREM1)
     assert math.isclose((y ** 2).sum(), FP16.max_finite / 2, rel_tol=1e-12)
-    with pytest.raises(ValueError, match="^entries must be finite$"):
-        prenormalize(np.array([np.inf, -np.inf]), THEOREM1)
 
 
 # ---------------------------------------------------------------------------
