@@ -216,12 +216,13 @@ def theory_report(n_max: int, vectors: int, samples: int, seed: int) -> list[dic
     rows.append(_check("prenormalized_worst_case_reaches_ceiling", worst,
                        1e-6, worst <= 1e-6))
 
-    # ... and no random zero-mean vector exceeds it.
+    # ... and no random row exceeds it: centered, as drawn, and moved off
+    # zero by its first entry.
     per_cell = max(1, vectors // (len(n_grid) * len(p_grid) * len(m_grid)))
     worst = 0.0
     for n in n_grid:
         x = rng.normal(size=(per_cell, n)) * 10.0 ** rng.uniform(-2, 2, (per_cell, 1))
-        x -= x.mean(axis=1, keepdims=True)
+        x = np.concatenate([x - x.mean(axis=1, keepdims=True), x, x + x[:, :1]])
         for p in p_grid + (1.0, 4.0):
             for M in m_grid:
                 spec = PrenormSpec(mode="theorem1", p=p, max_value=M)

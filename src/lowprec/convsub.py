@@ -44,7 +44,8 @@ input, and ``conv2d_forward`` looks the weight up late (a ``LazyWeights``
 draws it on that first lookup), so a layer's largest buffers are not all
 live at once. A layer whose GEMM is not split drops its input once its last group
 block is copied, and only then looks up the weight. A split GEMM copies its
-columns in one of two orders, whichever peaks lower by these formulas:
+columns in one of two orders, whichever peaks lower by these formulas
+(``_copy_order``):
 
 - whole columns: copy every column, drop the input, then look up the
   weight. Peak: columns + max(input, weights + product), or columns +
@@ -62,12 +63,19 @@ are drawn. Either way each panel is one BLAS call on the same values in
 the same ``_panels`` layout, and the tests check both orders for the bits
 of one call at every width up to 2600. Grouped layers keep their input for
 all group blocks.
+
+The owned order's peak counts the weights, so ``profile_dynamic_range``
+has a ``LazyWeights`` draw them on a helper thread from the first chunk on
+(``_ahead_layers`` says when that costs no peak memory). The draw then
+overlaps the layers before, where the first panel task to finish its copy
+would draw while the others wait on its lock; the draws keep their order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -101,10 +109,14 @@ class ConvLayerSpec:
         sh, sw = self.stride
         return (h - kh) // sh + 1, (w - kw) // sw + 1
 
+    @property
+    def fan_in(self) -> int:
+        """Multiply-adds per output value: the GEMM's reduction length."""
+        return self.kernel[0] * self.kernel[1] * self.in_channels // self.groups
+
     def macs(self, h: int, w: int) -> int:
         oh, ow = self.out_hw(h, w)
-        per_position = self.kernel[0] * self.kernel[1] * self.in_channels // self.groups
-        return oh * ow * self.out_channels * per_position
+        return oh * ow * self.out_channels * self.fan_in
 
 
 @dataclass(frozen=True)
@@ -209,6 +221,27 @@ def _panel_gemm(win, filters, out, owned: bool) -> None:
     parallel.map_in_order(panel, range(len(ranges)), len(ranges))
 
 
+def _copy_order(layer: ConvLayerSpec, in_bytes: int, n: int, held: bool) -> tuple[str, int]:
+    """How ``conv2d_forward`` copies a layer's im2col columns, and that
+    order's peak bytes, for an input of ``in_bytes``, ``n`` output positions
+    and weights ``held`` already or looked up late: "blocks" (one block of
+    groups at a time) for a GEMM that is not split, its peak counting input,
+    product, weights and a block at once; else "owned" or "whole", whichever
+    peaks lower by the module docstring's formulas.
+    """
+    k = layer.fan_in
+    w_bytes, p_bytes = 8 * layer.out_channels * k, 8 * layer.out_channels * n
+    if layer.groups > 1 or min(layer.out_channels, k) < _PANEL:
+        block = 8 * k * n * min(layer.groups, max(1, _COLS_BYTES // (8 * k * n)))
+        return "blocks", in_bytes + p_bytes + w_bytes + block
+    ranges = _panels(n)
+    drawn = w_bytes if held else 0  # held weights stay live
+    owned = (in_bytes + w_bytes + p_bytes
+             + min(parallel.usable_cpus(), len(ranges)) * 8 * k * max(b - a for a, b in ranges))
+    whole = 8 * k * n + drawn + max(in_bytes, w_bytes + p_bytes - drawn)
+    return ("owned", owned) if owned < whole else ("whole", whole)
+
+
 def conv2d_forward(x, weight, bias, layer: ConvLayerSpec) -> np.ndarray:
     """Valid grouped 2-d convolution of one sample.
 
@@ -242,7 +275,7 @@ def conv2d_forward(x, weight, bias, layer: ConvLayerSpec) -> np.ndarray:
     win = win.transpose(0, 3, 4, 1, 2)
     in_bytes = x.nbytes
     del x  # from here only win's base holds the input
-    k = cig * kh * kw
+    k = layer.fan_in
     n = oh * ow
 
     def filters():
@@ -251,20 +284,13 @@ def conv2d_forward(x, weight, bias, layer: ConvLayerSpec) -> np.ndarray:
             raise ValueError(f"bad weight shape {filt.shape}")
         return filt.reshape(g, cog, k)
 
+    order, _ = _copy_order(layer, in_bytes, n, held=not callable(weight))
     out = np.empty((g, cog, n))
     with np.errstate(invalid="ignore"):  # saturated inputs propagate inf/nan
-        if g == 1 and min(cog, k) >= _PANEL:
-            ranges = _panels(n)
-            w_bytes, p_bytes = 8 * cog * k, 8 * cog * n  # the weights, the product
-            drawn = 0 if callable(weight) else w_bytes  # held weights stay live
-            widest = 8 * k * max(c1 - c0 for c0, c1 in ranges)
-            # the owned order's peak bytes against the whole-column order's
-            owned = (in_bytes + w_bytes + p_bytes
-                     + min(parallel.usable_cpus(), len(ranges)) * widest
-                     < 8 * k * n + drawn + max(in_bytes, w_bytes + p_bytes - drawn))
+        if order != "blocks":
             held = [win]
             del win  # _panel_gemm gets the only reference to the input
-            _panel_gemm(held.pop(), lambda: filters()[0], out[0], owned)
+            _panel_gemm(held.pop(), lambda: filters()[0], out[0], order == "owned")
         else:
             filt = None
             step = max(1, _COLS_BYTES // (k * n * 8))
@@ -282,35 +308,89 @@ def conv2d_forward(x, weight, bias, layer: ConvLayerSpec) -> np.ndarray:
 
 
 class LazyWeights(dict):
-    """The tensors of ``init_weights(config, seed)``, each weight drawn on
-    its first lookup.
+    """The tensors of ``init_weights(config, seed)``, each weight drawn when
+    first needed.
 
-    The zero biases are there from the start. Looking up a missing
-    ``layer{i}.weight`` draws the weights of every layer up to i that are
-    not drawn yet, in layer order, from the one ``default_rng(seed)``, so
-    every tensor is bit for bit the one ``init_weights`` returns. Drawn
-    tensors stay for later lookups. Like a ``defaultdict``, it iterates
+    The zero biases are there from the start. The weights are one chain of
+    per-layer draws from one ``default_rng(seed)``: each draw runs once,
+    and first asks for the previous layer's, so the draws run in layer
+    order whichever is asked for first, and on whichever thread, and every
+    tensor is bit for bit the one ``init_weights`` returns. Looking up a
+    missing ``layer{i}.weight`` asks for layer i's draw and holds the
+    tensors of every layer up to i for later lookups. ``draw_ahead`` starts
+    the chain early on a helper thread. Like a ``defaultdict``, it iterates
     over only what it holds so far.
     """
 
     def __init__(self, config: SubsamplingConfig, seed: int):
         super().__init__((f"layer{i}.bias", np.zeros(layer.out_channels))
                          for i, layer in enumerate(config.layers))
-        self._layers = config.layers
-        self._rng = np.random.default_rng(seed)
-        self._drawn = 0
+        self._config = config
+        self._names = [f"layer{i}.weight" for i in range(len(config.layers))]
+        rng = np.random.default_rng(seed)
+        self._draws, prev = [], None
+        for layer in config.layers:
+            prev = parallel.once(partial(_draw_weight, rng, layer, prev))
+            self._draws.append(prev)
 
     def __missing__(self, key):
-        while self._drawn < len(self._layers):
-            layer = self._layers[self._drawn]
-            fan_in = layer.kernel[0] * layer.kernel[1] * layer.in_channels // layer.groups
-            shape = (layer.out_channels, layer.in_channels // layer.groups, *layer.kernel)
-            self[f"layer{self._drawn}.weight"] = self._rng.normal(
-                0.0, 1.0 / math.sqrt(fan_in), shape)
-            self._drawn += 1
-            if key in self:
-                return self[key]
-        raise KeyError(key)
+        if key not in self._names:
+            raise KeyError(key)
+        for name, draw in zip(self._names, self._draws[:self._names.index(key) + 1]):
+            if name not in self:
+                self[name] = draw()
+        return self[key]
+
+    def draw_ahead(self, shape):
+        """Start drawing, on a helper thread, the weights of the layers that
+        ``_ahead_layers`` picks for a first chunk of (C, H, W) ``shape``;
+        their lookups wait for it. Returns a function that waits for the
+        draw (``parallel.ahead``), or None when nothing is drawn ahead."""
+        i = _ahead_layers(self._config, shape) - 1
+        if i < 0:
+            return None
+        self._draws[i] = parallel.ahead(self._draws[i])
+        return self._draws[i]
+
+
+def _draw_weight(rng, layer: ConvLayerSpec, prev) -> np.ndarray:
+    """One layer's Gaussian weights, std 1/sqrt(fan-in), drawn after
+    ``prev()``, the previous layer's draw (None for the first layer)."""
+    if prev is not None:
+        prev()
+    shape = (layer.out_channels, layer.in_channels // layer.groups, *layer.kernel)
+    return rng.normal(0.0, 1.0 / math.sqrt(layer.fan_in), shape)
+
+
+def _ahead_layers(config: SubsamplingConfig, shape) -> int:
+    """How many leading layers' weights ``LazyWeights.draw_ahead`` draws for
+    a first chunk of (C, H, W) ``shape``.
+
+    It draws up to the last layer that copies owned panels with its weights
+    not drawn yet, an order whose peak already counts them, while each
+    earlier layer's peak, plus the weights of the layers after it up to
+    that one, stays below that peak. A layer that copies whole columns
+    draws after its input is freed, and so do the layers after it, whose
+    draws follow its own. Returns 0 when no layer qualifies.
+    """
+    _, h, w = shape
+    in_bytes = 8 * math.prod(shape)
+    peaks, weights, count = [], [], 0
+    for i, layer in enumerate(config.layers):
+        try:
+            h, w = layer.out_hw(h, w)
+        except ValueError:  # the graph refuses the chunk, naming the node
+            return 0
+        order, peak = _copy_order(layer, in_bytes, h * w, held=False)
+        if order == "whole":
+            break
+        weights.append(8 * layer.out_channels * layer.fan_in)
+        if order == "owned" and all(live + sum(weights[j + 1:]) < peak
+                                    for j, live in enumerate(peaks)):
+            count = i + 1
+        peaks.append(peak)
+        in_bytes = 8 * layer.out_channels * h * w
+    return count
 
 
 def init_weights(config: SubsamplingConfig, seed: int) -> dict[str, np.ndarray]:
@@ -426,14 +506,24 @@ def profile_dynamic_range(chunks, config: SubsamplingConfig, weights: dict,
     judging distance to a float format's ceiling. A per-layer peak is the
     largest over the chunks of a relu node's peak (or the multiplier's),
     NaN if any chunk's is, and ``overflow`` sums the node counts of every
-    chunk.
+    chunk. With a ``LazyWeights``, the first chunk starts its
+    ``draw_ahead``, which is waited for before this returns or raises.
     """
     chunk_peaks, layer_peaks, stats = [], [], OverflowStats()
-    for chunk in chunks:
-        peak, peaks, chunk_stats = _profile_chunk(chunk, config, weights, fmt)
-        chunk_peaks.append(peak)
-        layer_peaks.append(peaks)
-        stats = stats + chunk_stats
+    ahead = None
+    try:
+        for chunk in chunks:
+            x = np.asarray(chunk, dtype=np.float64)
+            x = x[None] if x.ndim == 2 else x
+            if not chunk_peaks and isinstance(weights, LazyWeights):
+                ahead = weights.draw_ahead(x.shape)
+            peak, peaks, chunk_stats = _profile_chunk(x, config, weights, fmt)
+            chunk_peaks.append(peak)
+            layer_peaks.append(peaks)
+            stats = stats + chunk_stats
+    finally:
+        if ahead is not None:  # joins the helper thread, had no layer looked up its weights
+            ahead()
     if not chunk_peaks:
         raise ValueError("empty stream")
     logs = log2_bins(chunk_peaks)
@@ -447,11 +537,10 @@ def profile_dynamic_range(chunks, config: SubsamplingConfig, weights: dict,
         overflow=stats)
 
 
-def _profile_chunk(chunk, config, weights, fmt):
-    """(largest finite |output| or inf, per-layer peaks, counts) of one chunk;
-    its output dies here, before the next chunk's columns exist."""
-    x = np.asarray(chunk, dtype=np.float64)
-    x = x[None] if x.ndim == 2 else x
+def _profile_chunk(x, config, weights, fmt):
+    """(largest finite |output| or inf, per-layer peaks, counts) of one
+    (C, H, W) chunk; its output dies here, before the next chunk's columns
+    exist."""
     g = subsampler_graph(config, x.shape)
     # looked up at call time, so a wrapper (the benchmark tracer) sees it
     trace = graphir.execute_traced(g, {"x": x}, weights, fmt, peaks=True)

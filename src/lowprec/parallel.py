@@ -5,7 +5,8 @@ the tasks run on the calling thread and on one helper thread per further
 usable CPU. The caller fixes what each task computes, so no result bit
 depends on the CPU count. numpy releases the GIL in BLAS calls and in
 einsum, so the threads run at the same time. ``once(fn)`` lets the tasks
-share one value that the first task to need it computes.
+share one value that the first task to need it computes, and ``ahead(fn)``
+one value that a helper thread starts computing at once.
 """
 
 from __future__ import annotations
@@ -42,6 +43,39 @@ def once(fn):
             return kept[0]
 
     return call
+
+
+def ahead(fn):
+    """``once(fn)``, with ``fn`` started at once on a helper thread.
+
+    The helper runs in a copy of the caller's context, so ``fn`` keeps the
+    caller's numpy error state (see ``map_in_order``). The first call waits
+    for the helper to end, then returns ``fn``'s value or raises what it
+    raised, so no traceback is printed for the thread. As with ``once``, a
+    failure keeps nothing, and a later call runs ``fn`` again, on its own
+    thread.
+    """
+    got: list = []  # (value, exception) once the helper is done
+
+    def run():
+        try:
+            got.append((fn(), None))
+        except BaseException as exc:  # raised by the first call, on its thread
+            got.append((None, exc))
+
+    helper = threading.Thread(target=contextvars.copy_context().run, args=(run,))
+    helper.start()
+
+    def call():
+        helper.join()
+        if not got:  # the helper's value or failure went to an earlier call
+            return fn()
+        value, exc = got.pop()
+        if exc is not None:
+            raise exc
+        return value
+
+    return once(call)
 
 
 def map_in_order(fn, tasks, n_tasks: int) -> list:

@@ -183,16 +183,35 @@ def prenormalize(x, spec: PrenormSpec) -> tuple[np.ndarray, bool | np.ndarray]:
 
 
 def _scale_rows(rows: np.ndarray, spec: PrenormSpec) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`prenormalize` of a (rows, n) block, without the finiteness check."""
+    """:func:`prenormalize` of a (rows, n) block, without the finiteness check.
+
+    A finite row whose denominator overflows float64 is first multiplied by
+    2**-b, b the bit length of 2n, so that its sums fit. The scaling is
+    exact, but for entries it makes subnormal, which lie so far below the
+    row's peak that their quotients are zero either way; so the quotients
+    are those of a float with a wider exponent range, and no other row
+    moves.
+    """
     a = np.abs(rows)
-    s1 = a.sum(axis=1)
-    degenerate = a.max(axis=1) < _DEGENERATE_PEAK
-    if spec.mode == "theorem1":
-        denom = theorem1_scale(spec.p, spec.max_value) * (s1 + np.abs(rows.sum(axis=1)))
-    else:
-        denom = s1 / rows.shape[1]
+    peak = a.max(axis=1)
+    degenerate = peak < _DEGENERATE_PEAK
+    with np.errstate(over="ignore"):  # an inf denominator is redone below
+        denom = _denominator(rows, a, spec)
     denom[degenerate] = 1.0  # x / 1 returns the row unchanged
-    return np.divide(rows, denom[:, None], out=a), degenerate
+    y = np.divide(rows, denom[:, None], out=a)
+    wide = np.isinf(denom) & np.isfinite(peak)
+    if wide.any():
+        scaled = np.ldexp(rows[wide], -(2 * rows.shape[1]).bit_length())
+        y[wide] = scaled / _denominator(scaled, np.abs(scaled), spec)[:, None]
+    return y, degenerate
+
+
+def _denominator(rows: np.ndarray, a: np.ndarray, spec: PrenormSpec) -> np.ndarray:
+    """Per-row pre-normalizer denominator of ``rows``, ``a`` being ``|rows|``."""
+    s1 = a.sum(axis=1)
+    if spec.mode == "theorem1":
+        return theorem1_scale(spec.p, spec.max_value) * (s1 + np.abs(rows.sum(axis=1)))
+    return s1 / rows.shape[1]
 
 
 # ---------------------------------------------------------------------------

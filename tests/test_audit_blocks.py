@@ -126,6 +126,28 @@ def test_a_refused_row_is_named_by_file_and_stream_row(
     assert "Warning" not in err and not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_row_whose_denominator_overflows_once_multiplied_is_still_normalized(
+        tmp_path, monkeypatch):
+    # times sqrt(512) the row [5e306, -5e306] stays finite, but its theorem-1
+    # denominator overflows; scaled first, it pre-normalizes to the same
+    # +-peak as at mult 1 instead of to zeros
+    kernel_inputs, real = [], cli.prenormalized_rows
+
+    def spy(x, pspec, rec):
+        y = real(x, pspec, rec)
+        kernel_inputs.append(y.copy())
+        return y
+
+    monkeypatch.setattr(cli, "prenormalized_rows", spy)
+    path = tmp_path / "huge.stream"
+    write_stream(path, [np.array([[5e306, -5e306], [1.0, -3.0]])])
+    assert cli.main(["audit-layernorm", str(path), "--out-dir", str(tmp_path)]) == 0
+    mult1, sqrt512 = kernel_inputs[-2:]
+    assert (mult1[0] != 0).all() and mult1[0, 0] == -mult1[0, 1]
+    np.testing.assert_array_equal(sqrt512, mult1)
+
+
 @pytest.mark.parametrize("dtype", [np.float16, np.float32])
 @pytest.mark.parametrize("fmt, pre", [("fp32", "none"), ("fp16", "theorem1"),
                                       ("custom:7,8", "mad")])

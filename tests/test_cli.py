@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lowprec import cli
+from lowprec import cli, prenorm
 from lowprec.convsub import ConvLayerSpec, SubsamplingConfig, init_weights, subsampler_graph
 from lowprec.floatsim import FP16
 from lowprec.graphir import GraphRewriteError, Graph, build_mha_bsf, MHAParams
@@ -77,6 +77,21 @@ def test_verify_theory_flags_a_corrupted_constant(tmp_path, monkeypatch, capsys)
     failed = {r["name"] for r in report["checks"] if not r["pass"]}
     assert "l2_scale_matches_simplified_constant" in failed
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_theory_bounds_rows_off_zero_mean(tmp_path, monkeypatch):
+    # the zero-mean-only denominator c * sum|x| bounds every centered row,
+    # so only the rows verify-theory draws off zero mean can expose it
+    def zero_mean_only(rows, a, spec):
+        return prenorm.theorem1_scale(spec.p, spec.max_value) * a.sum(axis=1)
+
+    monkeypatch.setattr(prenorm, "_denominator", zero_mean_only)
+    assert run("verify-theory", "--n-max", "2", "--vectors", "500",
+               "--samples", "20000", "--out-dir", str(tmp_path)) == 1
+    report = json.loads((tmp_path / "theory_report.json").read_text())
+    assert len(report["checks"]) == 12
+    assert [r["name"] for r in report["checks"] if not r["pass"]] == [
+        "prenormalized_power_never_exceeds_ceiling"]
 
 
 def test_audit_layernorm_stabilizer_kills_the_overflow(adversarial, tmp_path):

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import math
+import threading
 import time
 
 import numpy as np
@@ -513,6 +514,61 @@ def test_lazy_weights_profile_bit_for_bit_as_init_weights(name, fmt, chunks):
     for key, tensor in eager.items():
         assert lazy[key].dtype == tensor.dtype
         assert lazy[key].tobytes() == tensor.tobytes(), key
+
+
+@pytest.mark.parametrize("config, hw, cpus, layers", [
+    (CONV2D6, (80, 1000), 1, 2),  # layer 1 copies owned panels, its weights counted
+    (CONV2D6, (80, 1000), 2, 2),
+    (CONV2D6, (80, 1000), 3, 0),  # layer 1 copies whole columns
+    (CONV2D6, (40, 1000), 2, 0),
+    (DWS2D6, (80, 1000), 2, 0),   # the 1x1 layer copies whole columns
+    (DWS2D6, (80, 1000), 1, 0),
+], indirect=["cpus"])
+def test_the_weights_drawn_ahead_for_a_first_chunk(config, hw, cpus, layers):
+    assert convsub._ahead_layers(config, (1, *hw)) == layers
+    lazy = LazyWeights(config, 3)
+    wait = lazy.draw_ahead((1, *hw))
+    assert (wait is None) == (layers == 0)
+    if wait is not None:
+        assert wait().tobytes() == _init_weights(config.name)[f"layer{layers - 1}.weight"].tobytes()
+        assert sorted(lazy) == sorted(f"layer{i}.bias" for i in range(len(config.layers)))
+
+
+def _spy_ahead(monkeypatch) -> list:
+    """Record every function ``parallel.ahead`` starts."""
+    started, real = [], parallel.ahead
+
+    def spy(fn):
+        started.append(fn)
+        return real(fn)
+
+    monkeypatch.setattr(parallel, "ahead", spy)
+    return started
+
+
+@pytest.mark.parametrize("fmt", ["none", "fp16"])
+@pytest.mark.parametrize("cpus", [1, 2], indirect=True)
+def test_weights_drawn_ahead_profile_bit_for_bit_as_init_weights(monkeypatch, one_blas_thread,
+                                                                 cpus, fmt):
+    # an 80x1000 first chunk draws layer 1's weights ahead; the second finds them held
+    fmt = None if fmt == "none" else parse_format(fmt)
+    frames = np.random.default_rng(9).normal(0.0, 4.0, (80, 1000))
+    chunks = [frames, frames[:40]]
+    want = profile_dynamic_range(chunks, CONV2D6, _init_weights("conv2d6"), fmt).to_json_dict()
+    started = _spy_ahead(monkeypatch)
+    got = profile_dynamic_range(chunks, CONV2D6, LazyWeights(CONV2D6, 3), fmt).to_json_dict()
+    assert len(started) == 1
+    assert json.dumps(got) == json.dumps(want)  # floats at full repr
+
+
+@pytest.mark.parametrize("cpus", [2], indirect=True)
+def test_profile_conv_leaves_no_helper_thread_running(tmp_path, monkeypatch, cpus):
+    path = tmp_path / "frames.stream"
+    write_stream(path, [np.random.default_rng(0).normal(size=(80, 1000))])
+    started = _spy_ahead(monkeypatch)
+    before = threading.active_count()
+    _profile_conv_reports(path, tmp_path / "out", "--conv", "conv2d6,dws2d6")
+    assert len(started) == 1 and threading.active_count() == before
 
 
 def test_lazy_weights_draw_in_layer_order_whichever_is_asked_first():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from lowprec import parallel
-from lowprec.parallel import map_in_order, once
+from lowprec.parallel import ahead, map_in_order, once
 
 SRC = Path(parallel.__file__).resolve().parent
 
@@ -136,6 +136,49 @@ def test_once_runs_its_function_on_one_thread_and_keeps_only_a_result(cpus):
         shared()
     got = map_in_order(lambda _: shared(), range(40), 40)
     assert len(calls) == 2 and all(r is got[0] for r in got)
+
+
+def test_ahead_computes_its_value_once_on_a_helper_thread(cpus):
+    calls, started = [], threading.Event()
+
+    def make():
+        calls.append(threading.current_thread())
+        started.set()
+        time.sleep(0.01)  # tasks call in meanwhile and must wait
+        return object()
+
+    before = threading.active_count()
+    shared = ahead(make)
+    assert started.wait(timeout=10)  # running before the first call
+    got = map_in_order(lambda _: shared(), range(40), 40)
+    assert len(calls) == 1 and calls[0] is not threading.current_thread()
+    assert all(r is got[0] for r in got) and shared() is got[0]
+    assert not calls[0].is_alive() and threading.active_count() == before
+
+
+def test_ahead_raises_its_failure_at_the_first_call_and_prints_no_traceback(monkeypatch):
+    unhandled, calls = [], []
+    monkeypatch.setattr(threading, "excepthook", unhandled.append)
+
+    def make():
+        calls.append(threading.current_thread())
+        if len(calls) == 1:
+            raise ValueError("the draw fails")
+        return 7
+
+    shared = ahead(make)
+    with pytest.raises(ValueError, match="the draw fails"):
+        shared()
+    assert not calls[0].is_alive() and unhandled == []
+    assert shared() == 7 and calls[1] is threading.current_thread()  # run again, as once's
+
+
+def test_ahead_runs_under_the_callers_numpy_error_state():
+    with np.errstate(divide="raise"):
+        shared = ahead(lambda: (threading.current_thread(), np.geterr()["divide"]))
+    thread, mode = shared()
+    assert mode == "raise" and thread is not threading.current_thread()
+    assert not thread.is_alive()
 
 
 def test_only_the_runner_starts_threads_or_takes_locks():

@@ -213,6 +213,26 @@ def test_no_finite_row_can_exceed_the_limit(xs, offset, center, p):
         assert (np.abs(y) ** p).sum() <= 65504.0 * (1.0 + 1e-9)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", ["theorem1", "mad"])
+@pytest.mark.parametrize("x", [[1e308, -1e308], [1e308, -5e307, 0.0]])
+def test_a_finite_row_whose_denominator_overflows_is_scaled_first(mode, x):
+    # Σ|x|, or Σ|x| + |Σx|, is past float64's range; the pre-normalizer is
+    # invariant under an exact power-of-two scaling, so the row divided by
+    # 1024 gives the same quotients
+    x = np.array(x)
+    spec = PrenormSpec(mode, max_value=FP16.max_finite)
+    y, flag = prenormalize(x, spec)
+    want, _ = prenormalize(x / 1024.0, spec)
+    assert not flag and np.abs(y).max() >= 1.0
+    np.testing.assert_array_equal(y.view(np.uint64), want.view(np.uint64))
+    block, flags = prenormalize(np.stack([x, x / 1024.0]), spec)  # one row needs it
+    assert not flags.any()
+    np.testing.assert_array_equal(block.view(np.uint64), np.stack([y, y]).view(np.uint64))
+    if mode == "theorem1":
+        assert (y ** 2).sum() <= FP16.max_finite * (1.0 + 1e-9)
+
+
 def test_mad_divides_by_mean_absolute_value():
     x = np.array([4.0, -2.0, 0.0, 6.0])  # mean |x| = 3
     y, flag = prenormalize(x, PrenormSpec("mad"))
