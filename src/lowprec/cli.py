@@ -55,7 +55,9 @@ from .graphir import (
     mha_weights,
     movement_profile,
 )
-from .prenorm import (PrenormSpec, layernorm_kernel, prenormalized_rows,
+# stabilized_layernorm_rows: no command calls it (audit-layernorm runs its two
+# halves); it stays only because the benchmark tracer (perfbench/spans.py) wraps this name.
+from .prenorm import (PrenormSpec, layernorm_kernel, prenormalized_rows,  # noqa: F401
                       stabilized_layernorm_rows, theorem1_ceiling)
 from .softmax_lut import ExpLUT, hot_rows, softmax_lut, softmax_reference
 from .streams import (
@@ -322,17 +324,34 @@ def cmd_audit_layernorm(args) -> int:
     for start, block in blocks:
         for rec in recs.values():
             rec.first_row = start
+        # max|block| * mult is each row's max|block * mult|, since rounding
+        # a product by a positive constant is monotone
+        peak = np.abs(block).max(axis=1)
+        pre = []  # (block, recorder) per distinct pre-normalized block
         for m, mult in mults.items():
-            x = _times(block, mult)
-            stabilized_layernorm_rows(x, None, recs[m, "none"])
-            np.abs(x, out=x).max(axis=1, out=peaks[m][start:start + len(x)])
-        del x  # so that no block but the stream's is held from here on
-        if pspec is not None:
-            try:
-                _audit_prenormalized(block, pspec, fmt, [
-                    (mult, recs[m, args.prenorm]) for m, mult in mults.items()])
+            peaks[m][start:start + len(block)] = _times(peak, mult)
+            x, rec = _times(block, mult), recs[m, "none"]
+            try:  # centers x in place; with a pre-normalizer, rounds a new block
+                y = prenormalized_rows(x, pspec, recs[m, args.prenorm])
             except ValueError as exc:  # theorem1: a row it cannot center
                 raise StreamFormatError(f"{args.stream}: {exc}") from None
+            if y is not x:
+                # The pre-normalizer divides mult out, so the blocks often
+                # match (as uint64, so NaNs and signed zeros match exactly);
+                # a match is dropped before a kernel runs beside it.
+                if not (pre and np.array_equal(pre[0][0].view(np.uint64), y.view(np.uint64))):
+                    pre.append((y, recs[m, args.prenorm]))
+                rec.q(x, out=x)  # the centered x, for the plain LayerNorm
+            del y
+            layernorm_kernel(x, rec)
+            del x  # so that the next multiplier's block takes its place
+        if len(pre) == 1:  # one kernel run, whose counts both configs add
+            shared = QuantRecorder(fmt, rows=len(block))
+            layernorm_kernel(pre.pop()[0], shared)
+            for m in mults:
+                recs[m, args.prenorm].add(shared)
+        while pre:  # two distinct blocks; none with --prenorm none
+            layernorm_kernel(*pre.pop())
 
     table, violated = [], False
     for (m, pre_name), rec in recs.items():
@@ -381,31 +400,6 @@ def _times(block: np.ndarray, mult: float) -> np.ndarray:
         return block * mult
 
 
-def _audit_prenormalized(block: np.ndarray, pspec: PrenormSpec, fmt: FloatFormat,
-                         configs) -> None:
-    """Audit ``block`` under ``pspec`` for each (multiplier, recorder) of
-    ``configs``, running the kernel once per distinct kernel input.
-
-    Each config's first half rounds into its own recorder, since its counts
-    differ per config. The pre-normalizer divides the multiplier out, so
-    the two kernel inputs often match; they are compared bit for bit (as
-    uint64, so NaNs and signed zeros match exactly). When they match, the
-    kernel rounds into a recorder of its own, and both configs add its
-    counts. Returning frees every block this made.
-    """
-    (a, rec_a), (b, rec_b) = [(prenormalized_rows(_times(block, mult), pspec, rec), rec)
-                              for mult, rec in configs]
-    if np.array_equal(a.view(np.uint64), b.view(np.uint64)):
-        del b  # the kernel's temporaries can take its place
-        shared = QuantRecorder(fmt, rows=len(a))
-        layernorm_kernel(a, shared)
-        rec_a.add(shared)
-        rec_b.add(shared)
-    else:
-        layernorm_kernel(a, rec_a)
-        layernorm_kernel(b, rec_b)
-
-
 # ---------------------------------------------------------------------------
 # audit-softmax
 
@@ -435,15 +429,12 @@ def cmd_audit_softmax(args) -> int:
         del out
         # The same values again, uncounted: the benchmark tracer sees floatsim
         # work only at this wrapped name until it wraps QuantRecorder.q
-        # (ROADMAP item 15); then this pass goes and q above is partitioned.
+        # (ROADMAP, "Benchmark upkeep"); then this pass goes.
         q, _ = quantize_array(rows, fmt)
-        if q.shape[1] > 1:  # the two largest of each row
-            q.partition((-2, -1), axis=1)
-            runner_up = q[:, -2]
-        else:  # a width-1 row's single entry is its own unique max
-            runner_up = -np.inf
-        peak = q[:, -1]
-        unique = np.isfinite(peak) & (peak > runner_up)
+        peak = q.max(axis=1)
+        # a row in the format holds no nan, so its max is unique when finite
+        # and met once; a width-1 row's single entry is its own unique max
+        unique = np.isfinite(peak) & (np.count_nonzero(q == peak[:, None], axis=1) == 1)
         n_unique += int(np.count_nonzero(unique))
         n_agree += int(np.count_nonzero(agree & unique))
         rescaled += int(np.count_nonzero(hot_rows(peak)))

@@ -189,20 +189,20 @@ def _columns(win, c0: int, c1: int) -> np.ndarray:
     return cols.reshape(c * kh * kw, c1 - c0)
 
 
-def _panel_gemm(win, filters, out, owned: bool) -> None:
-    """``out = filters() @ cols``, ``cols`` being the im2col matrix of the
-    (C, kh, kw, oh, ow) window view ``win``: one BLAS call per column panel
-    of ``_panels``, the panels spread over every usable CPU.
+def _panel_gemm(win, filters, m: int, owned: bool) -> np.ndarray:
+    """The (m, n) product ``filters() @ cols``, ``cols`` being the im2col
+    matrix of the (C, kh, kw, oh, ow) window view ``win``: one BLAS call per
+    column panel of ``_panels``, the panels spread over every usable CPU.
 
     The caller passes the only reference to ``win``, and ``filters`` is
-    called once. The whole-column order copies every column, drops the
-    input and calls ``filters`` on this thread, as an unsplit layer does;
-    the panels multiply slices of that one copy. In the owned order
-    (``owned``) each panel's task copies its own columns into an array it
-    owns, the first task to finish its copy calls ``filters`` under a lock,
-    and the input lives until the last panel is copied.
+    called once. The whole-column order copies every column and drops the
+    input before it calls ``filters`` and allocates the product, as an
+    unsplit layer does; the panels multiply slices of that one copy. In the
+    owned order (``owned``) each panel's task copies its own columns into an
+    array it owns, the first task to finish its copy calls ``filters`` under
+    a lock, and the input lives until the last panel is copied.
     """
-    n = out.shape[1]
+    n = win.shape[3] * win.shape[4]
     ranges = _panels(n)
     filters = parallel.once(filters)
     if owned:
@@ -212,6 +212,7 @@ def _panel_gemm(win, filters, out, owned: bool) -> None:
         cols = _columns(win, 0, n)
         del win
         filters()
+    out = np.empty((m, n))
 
     def panel(i):
         c0, c1 = ranges[i]
@@ -219,6 +220,7 @@ def _panel_gemm(win, filters, out, owned: bool) -> None:
         np.matmul(filters(), b, out=out[:, c0:c1])
 
     parallel.map_in_order(panel, range(len(ranges)), len(ranges))
+    return out
 
 
 def _copy_order(layer: ConvLayerSpec, in_bytes: int, n: int, held: bool) -> tuple[str, int]:
@@ -285,13 +287,14 @@ def conv2d_forward(x, weight, bias, layer: ConvLayerSpec) -> np.ndarray:
         return filt.reshape(g, cog, k)
 
     order, _ = _copy_order(layer, in_bytes, n, held=not callable(weight))
-    out = np.empty((g, cog, n))
     with np.errstate(invalid="ignore"):  # saturated inputs propagate inf/nan
         if order != "blocks":
             held = [win]
             del win  # _panel_gemm gets the only reference to the input
-            _panel_gemm(held.pop(), lambda: filters()[0], out[0], order == "owned")
+            out = _panel_gemm(held.pop(), lambda: filters()[0], layer.out_channels,
+                              order == "owned")
         else:
+            out = np.empty((g, cog, n))
             filt = None
             step = max(1, _COLS_BYTES // (k * n * 8))
             for g0 in range(0, g, step):

@@ -322,7 +322,9 @@ def prenormalized_rows(x: np.ndarray, pspec: PrenormSpec | None,
     once centered), then round into ``rec``. ``x`` is a C-contiguous
     (rows, n) float64 array the caller owns; it is centered in place, so a
     caller that holds no other copy of its rows holds one block less.
-    Returns the rounded rows, ``x`` itself without a pre-normalizer.
+    Returns ``x`` itself without a pre-normalizer; with one, a new array,
+    and ``x`` is left centered, bit for bit ``x - x.mean(axis=1,
+    keepdims=True)``, for a caller to round for the plain LayerNorm.
     """
     if x.size == 0:
         raise ValueError("empty input")

@@ -118,3 +118,29 @@ def frexp_quantize(xs, fmt: FloatFormat) -> tuple[np.ndarray, np.ndarray]:
 
     out = np.where(nan, np.nan, np.copysign(r, x))
     return out, codes
+
+
+def softmax_audit_counts(rows, rounded, threshold: float) -> dict:
+    """``unique_max_rows``, ``argmax_agreement`` and ``rescaled_rows`` of an
+    audit-softmax report on ``rows``, whose values in the audited format
+    are ``rounded`` (the caller rounds them, by a numpy float16 cast or
+    ``frexp_quantize``).
+
+    Each rounded row is sorted. Its max is unique when it is finite and
+    above the runner-up (a width-1 row has none); the row is rescaled when
+    its max is above ``threshold``. Rounding is monotone, so a unique max in
+    the format sits where the float64 row's first max does, and a correct
+    softmax agrees with the reference on every such row.
+    """
+    unique = agree = rescaled = 0
+    for row, low in zip(np.asarray(rows, dtype=np.float64), np.asarray(rounded, dtype=np.float64)):
+        top = sorted(float(v) for v in low)
+        peak = top[-1]
+        runner_up = top[-2] if len(top) > 1 else -np.inf
+        if np.isfinite(peak) and peak > runner_up:
+            unique += 1
+            agree += list(low).index(peak) == list(row).index(max(row))
+        rescaled += peak > threshold
+    return {"unique_max_rows": unique,
+            "argmax_agreement": agree / unique if unique else 1.0,
+            "rescaled_rows": rescaled}

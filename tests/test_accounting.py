@@ -116,7 +116,8 @@ def test_only_floatsim_calls_quantize_array():
     # every other module rounds through a QuantRecorder, so that each value
     # is rounded and counted once, in one place. One uncounted pass stays in
     # audit-softmax, the benchmark tracer's only view of floatsim until it
-    # wraps QuantRecorder.q (ROADMAP item 15); then this list empties.
+    # wraps QuantRecorder.q (ROADMAP, "Benchmark upkeep"); then this list
+    # empties.
     held = ["cli.py:cmd_audit_softmax"]
     calls = []
     for path in sorted(Path(lowprec.__file__).parent.glob("*.py")):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from lowprec import cli, prenorm
-from lowprec.floatsim import QuantRecorder, parse_format
+from lowprec.floatsim import QuantRecorder, log2_bins, parse_format
 from lowprec.streams import read_stream, write_stream
 
 REPORTS = ("layernorm_audit.json", "layernorm_hist.csv", "softmax_audit.json")
@@ -102,6 +102,34 @@ def test_audits_hold_the_stream_plus_a_few_blocks(tmp_path, traced_peak, command
     peak = traced_peak(lambda: cli.main([command, str(path), "--out-dir", str(tmp_path)]))
     # the whole stream once, its blocks joined, and the kernels' temporaries
     assert peak <= x.nbytes + 10 * cli._BLOCK_BYTES
+
+
+def test_row_peaks_times_the_multiplier_are_the_peaks_of_the_product(tmp_path):
+    # audit-layernorm takes max|block * mult| per row as max|block| * mult,
+    # since rounding a product by a positive constant is monotone
+    block = np.random.default_rng(12).normal(0.0, 500.0, (8, 512))
+    block[0], block[1] = 0.0, -0.0
+    block[2, ::2] = -0.0
+    block[2, 1::2] = 0.0
+    block[3, 7] = 1e307  # inf once multiplied by sqrt(512)
+    block[4] = -1e307
+    hist = []
+    for mult in (1.0, cli.SQRT512):
+        with np.errstate(over="ignore"):
+            want = np.abs(block * mult).max(axis=1)
+        got = cli._times(np.abs(block).max(axis=1), mult)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        hist.append(log2_bins(want))
+    assert np.isinf(want[3:5]).all() and (want[:3].view(np.uint64) == 0).all()
+    path, out = tmp_path / "s.stream", tmp_path / "out"
+    write_stream(path, [block])
+    assert cli.main(["audit-layernorm", str(path), "--prenorm", "none",
+                     "--out-dir", str(out)]) == 0
+    lo, hi = min(map(min, hist)), max(map(max, hist))
+    want_csv = ["log2_bin,count_mult1,count_multsqrt512"] + [
+        ",".join([str(b)] + [str(int(np.count_nonzero(h == b))) for h in hist])
+        for b in range(lo, hi + 1)]
+    assert (out / "layernorm_hist.csv").read_text().splitlines() == want_csv
 
 
 @pytest.mark.parametrize("bad, why", [

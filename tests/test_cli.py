@@ -10,11 +10,13 @@ import pytest
 
 from lowprec import cli, prenorm
 from lowprec.convsub import ConvLayerSpec, SubsamplingConfig, init_weights, subsampler_graph
-from lowprec.floatsim import FP16
+from lowprec.floatsim import FP16, parse_format
 from lowprec.graphir import GraphRewriteError, Graph, build_mha_bsf, MHAParams
 from lowprec.graphir import apply_passes, mha_weights
 from lowprec.prenorm import theorem1_ceiling
+from lowprec.softmax_lut import RESCALE_THRESHOLD
 from lowprec.streams import read_stream, write_stream, write_tensors
+from oracles import frexp_quantize, softmax_audit_counts
 
 
 def run(*argv):
@@ -170,6 +172,46 @@ def test_audit_softmax_width_one_rows(tmp_path):
     assert run("audit-softmax", str(path), "--out-dir", str(out)) == 0
     report = json.loads((out / "softmax_audit.json").read_text())
     assert report["unique_max_rows"] == 6 and report["pass"] is True
+
+
+_SOFTMAX_EDGES = {
+    "fp16 ties": ("fp16", [
+        [1, 2, 3, 4, 5, 6],  # an ordinary unique max
+        [5, 5, 1, 0, -2, 3],  # tied in float64
+        [1000.1, 1000.2, 0, 1, 2, 3],  # distinct in float64, tied once rounded
+        [0.0, -0.0, -1, -2, -3, -4],  # signed zeros are equal
+        [70000, 1, 2, 3, 4, 5],  # the max rounds to +inf
+        [5000, 1, 2, 3, 4, 0],  # a hot unique max: rescaled
+        [-1e5] * 6,  # every entry rounds to -inf
+        [-1e5, 3, 1, 0, -1, 2],  # one -inf entry beside a unique max
+    ]),
+    "fp16 width 1": ("fp16", [[3.0], [-1e5], [7e4], [5000.0], [0.0], [-0.0]]),
+    "custom:3,4": ("custom:3,4", [
+        [10, 1, 0, 0, 0, 0],
+        [97, 99, 1, 0, 0, 0],  # both round to 96
+        [300, 1, 2, 0, 0, 0],  # past the format's 240: +inf
+        [-1000] * 6,  # all -inf in the format
+        [-1000, 5, 1, 0, 0, 0],
+    ]),
+    "custom:3,4 width 1": ("custom:3,4", [[3.0], [-1000.0], [1000.0], [0.5]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SOFTMAX_EDGES))
+def test_audit_softmax_unique_max_rule_at_its_edges(tmp_path, case):
+    fmt, rows = _SOFTMAX_EDGES[case]
+    rows = np.array(rows, dtype=np.float64)
+    if fmt == "fp16":  # numpy's own cast, not lowprec's quantizer
+        with np.errstate(over="ignore"):
+            rounded = rows.astype(np.float16).astype(np.float64)
+    else:
+        rounded, _ = frexp_quantize(rows, parse_format(fmt))
+    path, out = tmp_path / "edges.stream", tmp_path / "audit"
+    write_stream(path, [rows])
+    run("audit-softmax", str(path), "--format", fmt, "--out-dir", str(out))
+    report = json.loads((out / "softmax_audit.json").read_text())
+    want = softmax_audit_counts(rows, rounded, RESCALE_THRESHOLD)
+    assert {k: report[k] for k in want} == want
 
 
 @pytest.mark.parametrize("argv", [

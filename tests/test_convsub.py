@@ -130,12 +130,11 @@ def _every_width_panel_products(owned: bool) -> None:
     rng = np.random.default_rng(21)
     a = rng.normal(size=(m, k))
     b = rng.normal(size=(k, widths[-1]))
-    bufs = np.empty((3, m * widths[-1]))  # reused: no fresh pages per width
+    bufs = np.empty((2, m * widths[-1]))  # reused: no fresh pages per width
     for n in widths:
-        bn, got, want = (buf[:rows * n].reshape(rows, n)
-                         for buf, rows in zip(bufs, (k, m, m)))
+        bn, want = (buf[:rows * n].reshape(rows, n) for buf, rows in zip(bufs, (k, m)))
         bn[...] = b[:, :n]
-        convsub._panel_gemm(bn.reshape(k, 1, 1, 1, n), lambda: a, got, owned)
+        got = convsub._panel_gemm(bn.reshape(k, 1, 1, 1, n), lambda: a, m, owned)
         np.matmul(a, bn, out=want)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
 
@@ -155,10 +154,10 @@ def _spy_panel_gemm(monkeypatch) -> list:
     """Record the operand shapes and the column order of every split GEMM."""
     calls, real = [], convsub._panel_gemm
 
-    def spy(win, filters, out, owned):
-        k = win.shape[0] * win.shape[1] * win.shape[2]
-        calls.append(((out.shape[0], k), (k, out.shape[1]), owned))
-        real(win, filters, out, owned)
+    def spy(win, filters, m, owned):
+        k, n = win.shape[0] * win.shape[1] * win.shape[2], win.shape[3] * win.shape[4]
+        calls.append(((m, k), (k, n), owned))
+        return real(win, filters, m, owned)
 
     monkeypatch.setattr(convsub, "_panel_gemm", spy)
     return calls
@@ -252,8 +251,8 @@ def test_profile_conv_reports_do_not_depend_on_the_cpu_count(tmp_path, monkeypat
     write_stream(path, [np.random.default_rng(6).normal(0.0, 3.0, (56, 1000))])
     args = ("--conv", "conv2d6,dws2d6", "--format", "fp16")
     with monkeypatch.context() as m:
-        m.setattr(convsub, "_panel_gemm", lambda win, filters, out, owned: np.matmul(
-            filters(), convsub._columns(win, 0, out.shape[1]), out=out))
+        m.setattr(convsub, "_panel_gemm", lambda win, filters, rows, owned: np.matmul(
+            filters(), convsub._columns(win, 0, win.shape[3] * win.shape[4])))
         want = _profile_conv_reports(path, tmp_path / "one_call", *args)
     calls = _spy_panel_gemm(monkeypatch)
     assert _profile_conv_reports(path, tmp_path / "panels", *args) == want
@@ -488,6 +487,31 @@ def test_profile_conv_copies_a_later_chunks_panels_in_their_tasks(tmp_path, monk
     assert copies[0] == (0, 1980)
     assert sorted(copies[1:]) == convsub._panels(1980)
     assert peak <= allowed
+
+
+@pytest.mark.parametrize("cpus", [3], indirect=True)
+def test_whole_columns_are_copied_before_the_product_is_allocated(monkeypatch, traced_peak,
+                                                                   cpus):
+    # on three CPUs conv2d6 layer 1 copies an 80x1000 chunk's columns whole,
+    # its weights looked up late; the product is allocated once the input is
+    # dropped, so the input, the columns and the product are never all live
+    layer_in, cols, weights, product, _ = _conv2d6_layer1_bytes(80, 1000)
+    l0, layer = CONV2D6.layers
+    oh0, ow0 = l0.out_hw(80, 1000)
+    rng = np.random.default_rng(4)
+    copies = _spy_columns(monkeypatch)
+
+    def forward():
+        held = [rng.random((layer.in_channels, oh0, ow0))]  # the call's only reference
+        conv2d_forward(held.pop(), lambda: rng.normal(
+            size=(layer.out_channels, layer.in_channels, *layer.kernel)),
+            np.zeros(layer.out_channels), layer)
+
+    peak = traced_peak(forward)
+    order, modelled = convsub._copy_order(layer, layer_in, 1980, held=False)
+    assert (order, modelled) == ("whole", cols + max(layer_in, weights + product))
+    assert copies == [(0, 1980)]
+    assert peak <= modelled + (1 << 20) < layer_in + cols + product
 
 
 _FRAMES = np.random.default_rng(8).normal(0.0, 4.0, (31, 40))

@@ -18,6 +18,7 @@ from lowprec.prenorm import (
     merge_step,
     merge_to_spikes,
     prenormalize,
+    prenormalized_rows,
     stabilized_layernorm_rows,
     theorem1_ceiling,
     theorem1_scale,
@@ -421,6 +422,27 @@ def test_theorem1_kernel_peaks_below_four_and_a_quarter_inputs(traced_peak):
     rec = QuantRecorder(FP16, rows=1024)
     assert traced_peak(lambda: stabilized_layernorm_rows(rows, spec, rec)) <= 4.25 * rows.nbytes
     np.testing.assert_array_equal(rows, before)  # the caller's rows stay as they were
+
+
+@pytest.mark.parametrize("pspec", [None, PrenormSpec("mad"), THEOREM1],
+                         ids=["none", "mad", "theorem1"])
+def test_prenormalized_rows_leaves_x_centered(pspec):
+    # audit-layernorm rounds the centered x for its plain LayerNorm once the
+    # pre-normalized block is made, so both share one centering of x
+    rng = np.random.default_rng(11)
+    x = rng.normal(0.0, 500.0, (16, 64)) + rng.normal(0.0, 1e3, (16, 1))
+    x[3], x[4] = 0.0, -0.0
+    x[5, ::2] = -0.0
+    copy = x.copy()
+    centered = copy - copy.mean(axis=1, keepdims=True)
+    y = prenormalized_rows(x, pspec, QuantRecorder(FP16, rows=16))
+    if pspec is None:  # rounded in place
+        assert y is x
+        rounded = centered.astype(np.float16).astype(np.float64)
+        assert np.array_equal(x.view(np.uint64), rounded.view(np.uint64))
+    else:
+        assert not np.shares_memory(y, x)
+        assert np.array_equal(x.view(np.uint64), centered.view(np.uint64))
 
 
 def test_pipeline_is_deterministic():
