@@ -413,6 +413,26 @@ def _sum_tolerance(fmt: FloatFormat) -> float:
     return 2.0 * u + u * u
 
 
+def _reference_argmax(rows: np.ndarray) -> np.ndarray:
+    """``np.argmax(softmax_reference(rows), axis=1)``, running the reference
+    only on rows with an entry in (lo, mx), lo = fl(mx - 2**-49), mx the max.
+
+    Stream rows are finite (non-finite entries exit 2), and the first max
+    gives e = exp(0) = 1. Any x <= lo < mx gives t = fl(x - mx) <= -2**-50
+    (a lo rounded up lies below mx, where floats are at most 2**-49 apart,
+    so it rose by at most 2**-50); if lo rounds to mx, no x is inside the
+    window and every x < mx is 2**-48 or more below mx. So e < 1 - 2**-52
+    even with a few ulps of exp error, fl(e / S) is strictly below
+    fl(1 / S) for the row sum S >= 1, and no tie can move the first argmax.
+    """
+    mx = rows.max(axis=1, keepdims=True)
+    near = np.flatnonzero(((rows > mx - 2.0 ** -49) & (rows < mx)).any(axis=1))
+    arg = np.argmax(rows, axis=1)
+    if near.size:
+        arg[near] = np.argmax(softmax_reference(rows[near]), axis=1)
+    return arg
+
+
 def cmd_audit_softmax(args) -> int:
     fmt = parse_format(args.format)
     n_rows, _, blocks = _row_blocks(args.stream)
@@ -424,7 +444,7 @@ def cmd_audit_softmax(args) -> int:
     for _, rows in blocks:
         q = rec.q(rows)  # the block in the format, rounded and counted once
         out = softmax_lut(q, rec)
-        agree = np.argmax(out, axis=1) == np.argmax(softmax_reference(rows), axis=1)
+        agree = np.argmax(out, axis=1) == _reference_argmax(rows)
         sum_devs.append(np.abs(out.sum(axis=1) - 1.0).max())
         del out
         # The same values again, uncounted: the benchmark tracer sees floatsim

@@ -23,19 +23,25 @@ the L2 cache rather than a whole array from memory. The rounded values go
 to an ``out`` array that may be the input itself: each block's sign bits
 are saved before its first write, and nothing reads the input block after
 that. A block whose smallest magnitude is at least min_normal skips the
-subnormal and underflow steps. The subnormal step gathers by index only
-the non-zero magnitudes below its limit, which in the audit and graph
-workloads are under 1 % of a block (table-exp outputs are almost all
-zero, and zero needs no step). Overflow saturates without a masked copy
-(``codes |= 3 * over`` and ``r = maximum(r, over * inf)``).
-The status counts come from masks the block already holds: its non-zero
-codes, the underflow mask, and the saturation mask less the NaNs. The
-codes of the whole array are kept only when a caller asks for them.
+subnormal step, which gathers by index only the non-zero magnitudes below
+its limit: under 1 % of a block in the audit and graph workloads, where
+table-exp outputs are almost all zero and zero needs no step. Only those
+can underflow (from min_normal up a magnitude rounds to min_normal or
+more), so the UNDERFLOW codes and count come from the gathered values.
+Past the overflow rounding boundary, and at inf and nan, a block saturates
+without a masked copy (``codes |= 3 * over``, ``r = maximum(r, over *
+inf)``); only a block holding a bit pattern past inf's builds a NaN mask,
+to give its NaNs back as EXACT quiet NaNs. Comparisons read the magnitude
+bits as float64, which orders them alike and which numpy vectorizes. The
+status counts are the non-zero codes, the underflow count, and the
+saturation count less the NaNs; the codes of the whole array are kept only
+when a caller asks for them. Each format's constants are made once.
 Block boundaries change no bit: every step is element-wise.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -130,6 +136,7 @@ _SIGN = np.uint64(1 << 63)
 _ABS = np.uint64((1 << 63) - 1)
 _INF = np.uint64(0x7FF0_0000_0000_0000)
 _QNAN = np.uint64(0x7FF8_0000_0000_0000)
+_ONE = np.uint64(1)
 
 # Elements per block of the quantize loop: 256 KiB of float64 keeps a
 # block's working set in L2, and a 64x512 graph tensor is one block.
@@ -156,6 +163,29 @@ class _Scratch(threading.local):
 _SCRATCH = _Scratch()
 
 
+@functools.lru_cache(maxsize=64)
+def _grid(fmt: FloatFormat) -> tuple:
+    """The quantize loop's constants for ``fmt``, made on its first call
+    (threads share the cache; a race only builds two equal tuples)."""
+    s = 52 - fmt.mantissa_bits
+    rne = (np.uint64(s), np.uint64((1 << (s - 1)) - 1),
+           np.uint64((1 << 64) - (1 << s))) if s > 0 else None
+    # Below min_normal, a + c lands in [c, 2c), whose float64 spacing is the
+    # subnormal quantum, so the addition is the RNE step and the subtraction
+    # exact. With more than 52 fraction bits c sits below min_normal, and
+    # magnitudes from c up are on the grid already, so the step stops at c.
+    c = math.ldexp(1.0, fmt.min_exponent - fmt.mantissa_bits + 52)
+    # 0 < u < sub_lim as one test, u - 1 < sub_lim - 1: zero wraps to a nan
+    # pattern, which compares false. The limits are formed in uint64 (an int
+    # operand would promote a uint64 scalar to float64 under numpy 1.x) and
+    # read as float64. over_lo, the least magnitude rounding past max_finite,
+    # is the tie above it (its last kept bit is odd) or, with s <= 0, the
+    # next float64.
+    sub_hi = (_bits(min(c, fmt.min_normal)) - _ONE).view(np.float64)
+    over_lo = (_bits(fmt.max_finite) + np.uint64(1 << max(s - 1, 0))).view(np.float64)
+    return rne, c, sub_hi, _bits(fmt.min_normal), over_lo
+
+
 def _quantize_blocks(xs, fmt: FloatFormat, out=None, codes: bool = True
                      ) -> tuple[np.ndarray, np.ndarray | None, OverflowStats]:
     """``quantize_array`` into ``out``, plus the status counts of the codes.
@@ -176,17 +206,7 @@ def _quantize_blocks(xs, fmt: FloatFormat, out=None, codes: bool = True
     k = min(n, _BLOCK)
     u_buf, t_buf, sign_buf, m_buf, m2_buf, code_buf = (b[:k] for b in _SCRATCH.blocks)
     codes_all = np.empty(n, dtype=np.int8) if codes else code_buf
-    s = 52 - fmt.mantissa_bits
-    # Below min_normal, a + c lands in [c, 2c), whose float64 spacing is the
-    # subnormal quantum, so the addition is the RNE step and the subtraction
-    # exact. With more than 52 fraction bits c sits below min_normal, and
-    # magnitudes from c up are on the grid already, so the step stops at c.
-    c = math.ldexp(1.0, fmt.min_exponent - fmt.mantissa_bits + 52)
-    # 0 < u < sub_lim as one uint64 test, u - 1 < sub_lim - 1: zero wraps
-    # past it. Both sides stay uint64 (an int operand would promote a
-    # uint64 scalar to float64 under numpy 1.x and blur the limit).
-    sub_hi = _bits(min(c, fmt.min_normal)) - np.uint64(1)
-    normal, max_finite = _bits(fmt.min_normal), _bits(fmt.max_finite)
+    rne, c, sub_hi, normal, over_lo = _grid(fmt)
     changed_n = underflow = overflow = 0
     for i in range(0, n, _BLOCK):
         b = bits[i:i + _BLOCK]
@@ -196,39 +216,44 @@ def _quantize_blocks(xs, fmt: FloatFormat, out=None, codes: bool = True
         code = codes_all[i:i + j] if codes else codes_all[:j]
         np.bitwise_and(b, _ABS, out=u)  # |x| as bits, ordered like the magnitudes
         np.bitwise_and(b, _SIGN, out=sign)  # r may be b: nothing reads b after this
-        if s > 0:
+        a = u.view(np.float64)  # |x|, for the comparisons
+        if rne:
             # RNE on the dropped fraction bits; a carry into the exponent
             # field moves the value to the next binade, which is exactly right.
+            s, half, keep = rne
             np.right_shift(u, s, out=r)
             r &= 1
             r += u
-            r += (1 << (s - 1)) - 1
-            r &= (1 << 64) - (1 << s)
+            r += half
+            r &= keep
         else:  # the target grid holds every float64 above its subnormal range
             np.copyto(r, u)
-        low = u.min() < normal  # else no subnormal step and no underflow
-        if low:
-            np.subtract(u, np.uint64(1), out=t)
-            idx = np.flatnonzero(np.less(t, sub_hi, out=m))
-            a = u[idx].view(np.float64)  # finite subnormal magnitudes only
-            a += c
-            a -= c
-            r[idx] = a.view(np.uint64)
-        changed = np.not_equal(r, u, out=code.view(np.bool_))  # ROUNDED or EXACT
-        if low:
-            np.less(r, normal, out=m)  # only subnormal inputs can get here
-            m &= changed
-            underflow += np.count_nonzero(m)
-            code += m.view(np.int8)  # ROUNDED + 1 == UNDERFLOW
-        over = np.greater(r, max_finite, out=m)  # inf and nan included
-        over_n, nan_n = np.count_nonzero(over), 0
+        # ROUNDED or EXACT; a nan compares unequal here and is reset below
+        np.not_equal(r.view(np.float64), a, out=code.view(np.bool_))
+        if u.min() < normal:  # else no subnormal step and no underflow
+            np.subtract(u, _ONE, out=t)
+            idx = np.flatnonzero(np.less(t.view(np.float64), sub_hi, out=m))
+            sub = a[idx]  # finite subnormal magnitudes only
+            low = sub + c
+            low -= c
+            r[idx] = low.view(np.uint64)
+            # Only these can underflow: from min_normal up a magnitude rounds
+            # to min_normal or more, and zero and on-grid ones stay EXACT.
+            changed = low != sub
+            under = changed & (low < fmt.min_normal)
+            code[idx] = changed.view(np.int8) + under  # ROUNDED + 1 == UNDERFLOW
+            underflow += np.count_nonzero(under)
+        fits = np.less(a, over_lo, out=m)  # false for inf and nan
+        over_n, nan_n = j - np.count_nonzero(fits), 0
         if over_n:
             # EXACT/ROUNDED | 3 == OVERFLOW, and inf is the largest non-nan
             # bit pattern, so both saturations are branch free.
+            over = np.logical_not(fits, out=m)
             code |= np.multiply(over.view(np.int8), 3, out=m2.view(np.int8))
             np.maximum(r, np.multiply(over, _INF, out=t), out=r)
-            nan = np.greater(u, _INF, out=m2)
-            nan_n = np.count_nonzero(nan)
+            if u.max() > _INF:  # only then can a block hold a nan
+                nan = np.isnan(a, out=m2)
+                nan_n = np.count_nonzero(nan)
             overflow += over_n - nan_n
         r |= sign
         if nan_n:

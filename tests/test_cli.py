@@ -14,7 +14,7 @@ from lowprec.floatsim import FP16, parse_format
 from lowprec.graphir import GraphRewriteError, Graph, build_mha_bsf, MHAParams
 from lowprec.graphir import apply_passes, mha_weights
 from lowprec.prenorm import theorem1_ceiling
-from lowprec.softmax_lut import RESCALE_THRESHOLD
+from lowprec.softmax_lut import RESCALE_THRESHOLD, softmax_reference
 from lowprec.streams import read_stream, write_stream, write_tensors
 from oracles import frexp_quantize, softmax_audit_counts
 
@@ -212,6 +212,58 @@ def test_audit_softmax_unique_max_rule_at_its_edges(tmp_path, case):
     report = json.loads((out / "softmax_audit.json").read_text())
     want = softmax_audit_counts(rows, rounded, RESCALE_THRESHOLD)
     assert {k: report[k] for k in want} == want
+
+
+def _near_max_rows():
+    """Rows of width 4 with a second entry just under the max, before or
+    after it, with the max at magnitudes from 0 to 1e10. In float64, exp of
+    a gap of a few ulps can round to 1, so the reference's first argmax is
+    then the earlier entry, not ``np.argmax`` of the row."""
+    rows = []
+    for mx in (1.0, 3.0, 0.5, -1.0, 1e10, -8.0 + 2.0 ** -50,  # the last rounds lo up
+               0.0, 5e-324, 1e-20, 2.0 ** -60, -(2.0 ** -60)):  # |mx| < 2**-49
+        below = np.nextafter(mx, -np.inf)
+        for second in (mx - 2.0 ** -50, mx - 2.0 ** -49, mx - 2.0 ** -48,
+                       below, np.nextafter(below, -np.inf)):  # one and two ulps
+            rows += [[second, mx, mx - 1.0, mx - 2.0], [mx - 1.0, mx, second, mx - 2.0]]
+        rows += [[mx, mx - 1.0, mx, mx], [below, mx, mx, mx - 1.0]]  # repeated maxima
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("rows", [
+    _near_max_rows(),
+    np.array([[1e308, -1e308], [-1e308, 1e308], [1e308, 1e308]]),  # x - mx overflows
+    np.array([[3.0], [0.0], [-1e308], [5e-324]]),  # width 1
+], ids=["near the max", "past float64", "width 1"])
+def test_the_reference_argmax_shortcut_matches_the_reference(rows):
+    want = np.argmax(softmax_reference(rows), axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = cli._reference_argmax(rows)
+    np.testing.assert_array_equal(got, want)
+    for row, arg in zip(rows, want):  # the same one row at a time
+        assert cli._reference_argmax(row[None])[0] == arg
+    if rows.shape[1] == 4:  # a bare np.argmax would be wrong on some rows
+        assert np.count_nonzero(np.argmax(rows, axis=1) != want) > 0
+
+
+def test_the_default_stream_runs_no_row_through_the_full_reference_softmax(
+        tmp_path, monkeypatch):
+    seen = []
+
+    def counted(x):
+        seen.append(len(x))
+        return softmax_reference(x)
+
+    monkeypatch.setattr(cli, "softmax_reference", counted)
+    path = tmp_path / "default.stream"
+    assert run("gen-stream", str(path)) == 0
+    assert run("audit-softmax", str(path), "--out-dir", str(tmp_path / "a")) == 0
+    assert seen == []
+    # a row with an entry one ulp under its max does go through it
+    write_stream(path, [np.array([[1.0, 2.0], [np.nextafter(1.0, 0.0), 1.0]])])
+    run("audit-softmax", str(path), "--out-dir", str(tmp_path / "b"))
+    assert seen == [1]
 
 
 @pytest.mark.parametrize("argv", [

@@ -348,22 +348,25 @@ def test_rounding_in_place_without_codes_allocates_no_block_scratch(traced_peak)
 
 
 def test_concurrent_calls_round_as_sequential_ones():
-    # each thread rounds through a block scratch of its own; four threads
-    # oversubscribe a small machine's cores
+    # each thread rounds through a block scratch of its own, and threads
+    # rounding fp16 and custom:3,4 at once build and share the per-format
+    # constants; four threads oversubscribe a small machine's cores
     rng = np.random.default_rng(12)
-    xs = [rng.normal(0.0, 5e4, (64, 512)) for _ in range(4)]
-    want = [quantize_array(x, FP16) for x in xs]
+    fmts = [FP16, parse_format("custom:3,4")] * 2
+    xs = [rng.normal(0.0, 5e4 if f is FP16 else 100.0, (64, 512)) for f in fmts]
+    want = [quantize_array(x, f) for x, f in zip(xs, fmts)]
     wrong = [0] * len(xs)
 
     def calls(i):
         for _ in range(100):
-            values, codes = quantize_array(xs[i], FP16)
+            values, codes = quantize_array(xs[i], fmts[i])
             wrong[i] += not (np.array_equal(values.view(np.uint64),
                                             want[i][0].view(np.uint64))
                              and np.array_equal(codes, want[i][1]))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    floatsim._grid.cache_clear()  # the threads race to make the constants
     try:
         threads = [threading.Thread(target=calls, args=(i,)) for i in range(len(xs))]
         for t in threads:
@@ -374,6 +377,95 @@ def test_concurrent_calls_round_as_sequential_ones():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == [0] * len(xs)
+    assert min(int(np.count_nonzero(c == QuantizeStatus.OVERFLOW)) for _, c in want) > 0
+
+
+# ---------------------------------------------------------------------------
+# The branches a block takes: subnormal step, underflow, saturation, NaN
+
+BRANCH_FORMATS = ["fp16", "custom:3,4", "custom:52,11", "custom:60,8"]
+
+
+def _assert_rounds_as_the_oracle(x, fmt):
+    """Each of the four ways to call the loop (in place or into a new
+    array, codes on or off) gives the oracle's bits, its codes, and stats
+    recounted from those codes."""
+    want, want_codes = frexp_quantize(x, fmt)
+    counts = OverflowStats(x.size, *(int(np.count_nonzero(want_codes == s))
+                                     for s in QuantizeStatus))
+    for in_place in (False, True):
+        for codes in (True, False):
+            y = x.copy()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # nan and inf input must stay quiet
+                out, got_codes, stats = floatsim._quantize_blocks(
+                    y, fmt, out=y if in_place else None, codes=codes)
+            assert (out is y) == in_place
+            np.testing.assert_array_equal(out.view(np.uint64), want.view(np.uint64))
+            if codes:
+                np.testing.assert_array_equal(got_codes, want_codes)
+            else:
+                assert got_codes is None
+            assert stats == counts, (in_place, codes)
+
+
+def _normals(fmt, n, rng):
+    """n magnitudes in [min_normal, 4 min_normal) of both signs, most off the grid."""
+    return rng.choice([-1.0, 1.0], n) * fmt.min_normal * rng.uniform(1.0, 4.0, n)
+
+
+@pytest.mark.parametrize("spec", BRANCH_FORMATS)
+def test_a_block_with_zeros_and_no_subnormal_has_no_underflow(monkeypatch, spec):
+    monkeypatch.setattr(floatsim, "_BLOCK", 8)
+    fmt = parse_format(spec)
+    x = _normals(fmt, 29, np.random.default_rng(1))
+    x[[0, 5, 9, 15, 16]] = [0.0, -0.0, 0.0, -0.0, 0.0]  # zeros in blocks 0, 1 and 2
+    x[24:] = 0.0  # a short last block of zeros only
+    _assert_rounds_as_the_oracle(x, fmt)
+    codes = frexp_quantize(x, fmt)[1]
+    assert codes.max() == (QuantizeStatus.ROUNDED if fmt.mantissa_bits < 52 else 0)
+
+
+@pytest.mark.parametrize("spec", BRANCH_FORMATS)
+@pytest.mark.parametrize("where", [0, 7, 8, 15, 16, 20])
+def test_a_single_subnormal_at_a_block_edge(monkeypatch, spec, where):
+    # first and last index of a block, each side of the boundaries at 8 and
+    # 16, and the last entry of a short block
+    monkeypatch.setattr(floatsim, "_BLOCK", 8)
+    fmt = parse_format(spec)
+    quantum = math.ldexp(fmt.min_normal, -fmt.mantissa_bits)
+    beside = where + 1 if where % 8 < 4 else where - 1  # in the same block
+    for tiny in (1.3 * quantum, 0.4 * quantum, 3.0 * quantum,
+                 fmt.min_normal - 0.4 * quantum, 5e-324):
+        # underflows up, underflows to zero, on the subnormal grid, rounds up
+        # to min_normal, and the smallest float64; alone or beside a zero
+        for sign, zero in ((1.0, None), (-1.0, None), (1.0, beside)):
+            x = _normals(fmt, 21, np.random.default_rng(where))
+            x[where] = sign * tiny
+            if zero is not None:
+                x[zero] = 0.0
+            _assert_rounds_as_the_oracle(x, fmt)
+
+
+@pytest.mark.parametrize("spec", BRANCH_FORMATS)
+@pytest.mark.parametrize("nan", [False, True])
+def test_overflow_blocks_with_and_without_a_nan(monkeypatch, spec, nan):
+    monkeypatch.setattr(floatsim, "_BLOCK", 8)
+    fmt = parse_format(spec)
+    rng = np.random.default_rng(2)
+    with np.errstate(over="ignore"):  # past custom:52,11's max_finite is inf
+        x = rng.choice([-1.0, 1.0], 30) * fmt.max_finite * rng.uniform(0.5, 1.5, 30)
+        x[[3, 11, 19]] = np.nextafter(fmt.max_finite, np.inf)  # past it by a float64 ulp
+    x[[1, 9, 17, 29]] = [np.inf, -fmt.max_finite, -np.inf, fmt.max_finite]
+    x[6] = x[22] = 2.0 * fmt.max_finite  # far past it
+    if nan:  # quiet, signalling, negative and all-ones NaNs, one per block,
+        # inside, first, last and first again
+        x[[4, 8, 23, 24]] = np.array([0x7FF8_0000_0000_0000, 0x7FF0_0000_0000_0001,
+                                       0xFFF8_0000_0000_0BAD, 0x7FFF_FFFF_FFFF_FFFF],
+                                      dtype=np.uint64).view(np.float64)
+    _assert_rounds_as_the_oracle(x, fmt)
+    codes = frexp_quantize(x, fmt)[1]
+    assert np.count_nonzero(codes == QuantizeStatus.OVERFLOW) >= 8
 
 
 # ---------------------------------------------------------------------------
