@@ -37,12 +37,13 @@ from .convsub import (
     mac_count,
     profile_dynamic_range,
 )
+from .convsub import _ENC_D, _ENC_FF, _ENC_LAYERS  # the counted encoder
 # init_weights: no command calls it (profile-conv draws LazyWeights); it stays
 # only because the benchmark tracer (perfbench/spans.py) wraps this name.
 from .convsub import init_weights  # noqa: F401
 # quantize_array: the benchmark tracer (perfbench/spans.py) wraps it at this name.
-from .floatsim import (FloatFormat, QuantRecorder, log2_bins, parse_format,
-                       quantize_array)
+from .floatsim import (FP16, FP32, FloatFormat, QuantRecorder, log2_bins,
+                       parse_format, quantize_array)
 from .graphir import (
     Graph,
     GraphError,
@@ -405,9 +406,9 @@ def _times(block: np.ndarray, mult: float) -> np.ndarray:
 
 
 def _sum_tolerance(fmt: FloatFormat) -> float:
-    if fmt.name == "fp16":
+    if fmt == FP16:
         return 1e-3
-    if fmt.name == "fp32":
+    if fmt == FP32:
         return 1e-6
     u = 2.0 ** -(fmt.mantissa_bits + 1)
     return 2.0 * u + u * u
@@ -491,8 +492,8 @@ _MAC_ASSUMPTIONS = [
     "one MAC = one multiply-accumulate; a conv output position costs "
     "kh*kw*in_channels/groups MACs per output channel",
     "encoder cost per layer: 4*S*d^2 projections + 2*S^2*d attention "
-    "products + 2*S*d*ff feed-forward, 12 layers, d=512, ff=2048; "
-    "normalization, softmax and activations are not counted",
+    f"products + 2*S*d*ff feed-forward, {_ENC_LAYERS} layers, d={_ENC_D}, "
+    f"ff={_ENC_FF}; normalization, softmax and activations are not counted",
     "share = frontend/(frontend+encoder) at the same input; published "
     "whole-model percentages also count the decoder and output head, so "
     "they run lower than this two-part share",
@@ -566,15 +567,13 @@ def cmd_rewrite_graph(args) -> int:
     out_dir = Path(args.out_dir)
     weights = read_tensors(args.weights) if args.weights else {}
     if args.graph == "mha":
-        params = MHAParams(batch=args.batch, heads=args.heads,
-                           features=args.features, seq=args.seq)
+        params = MHAParams(heads=args.heads, features=args.features, seq=args.seq)
         g = build_mha_bsf(params)
         if not args.weights:
             weights = mha_weights(params, seed=args.seed)
-        n_chunks = args.chunks if args.chunks else params.heads
     else:
         g = Graph.load(args.graph)
-        n_chunks = args.chunks if args.chunks else 1
+    n_chunks = g.meta.get("mha", {}).get("heads", 1)  # one branch per head
     if args.check and args.weights:  # before any pass runs
         try:
             check_weights(g, weights)
@@ -725,16 +724,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", help='"mha" or a graph JSON path')
     p.add_argument("--passes", default="layout,chunk,einsum",
                    help="comma list of layout,chunk,einsum (empty string for none)")
-    p.add_argument("--chunks", type=int, default=0,
-                   help="chunk count; 0 is one per head for mha, 1 for a graph file")
     p.add_argument("--chunk-axis", choices=("heads", "query"), default="heads",
-                   help="chunking axis")
+                   help="chunking axis; one chunk per head the graph describes")
     p.add_argument("--check", action="store_true",
                    help="verify outputs against the input graph")
     p.add_argument("--check-instances", type=_positive_int, default=20,
                    help="random instances for --check")
     p.add_argument("--weights", help="named-tensor file with graph weights")
-    p.add_argument("--batch", type=int, default=1, help="builtin mha batch")
     p.add_argument("--heads", type=int, default=8, help="builtin mha heads")
     p.add_argument("--features", type=int, default=512, help="builtin mha features")
     p.add_argument("--seq", type=int, default=64, help="builtin mha sequence length")

@@ -63,10 +63,10 @@ class FloatFormat:
 
     ``mantissa_bits`` counts explicit fraction bits (10 for fp16), the
     all-ones exponent is reserved for inf/nan, and subnormals are
-    representable. ``max_finite`` and ``min_normal`` follow from the bits.
+    representable. ``max_finite``, ``min_normal`` and ``name`` follow from
+    the bits, so two formats with the same bits are equal.
     """
 
-    name: str
     mantissa_bits: int
     exponent_bits: int
     max_finite: float = field(init=False)
@@ -92,18 +92,23 @@ class FloatFormat:
         """Exponent k of min_normal = 2**k (smallest normal binade)."""
         return math.frexp(self.min_normal)[1] - 1
 
+    @property
+    def name(self) -> str:
+        return _NAMED.get(self, f"custom_m{self.mantissa_bits}e{self.exponent_bits}")
 
-FP16 = FloatFormat("fp16", 10, 5)
-FP32 = FloatFormat("fp32", 23, 8)
+
+FP16 = FloatFormat(10, 5)
+FP32 = FloatFormat(23, 8)
+# The named formats: the one table that FloatFormat.name and parse_format read.
+_NAMED = {FP16: "fp16", FP32: "fp32"}
 
 
 def parse_format(spec: str) -> FloatFormat:
     """Parse ``fp16``, ``fp32``, or ``custom:<mantissa>,<exponent>``."""
     s = spec.strip().lower()
-    if s == "fp16":
-        return FP16
-    if s == "fp32":
-        return FP32
+    for fmt, name in _NAMED.items():
+        if s == name:
+            return fmt
     if s.startswith("custom:"):
         try:
             m, e = map(int, s[len("custom:"):].split(","))
@@ -111,7 +116,7 @@ def parse_format(spec: str) -> FloatFormat:
             raise ValueError(f"bad custom format {spec!r}, "
                              "expected custom:<mantissa>,<exponent>") from None
         try:
-            return FloatFormat(f"custom_m{m}e{e}", m, e)
+            return FloatFormat(m, e)
         except ValueError as exc:
             raise ValueError(f"format {spec!r} is not representable: {exc}") from None
     raise ValueError(f"unknown float format {spec!r}")

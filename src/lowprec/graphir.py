@@ -188,7 +188,7 @@ _ATTR_TYPES = {
 
 
 def validate(g: Graph) -> None:
-    """Check ids, references, arity, attr types, and acyclicity (topological order)."""
+    """Check ids, references, arity, attr types, meta heads and topological order."""
     seen: set[str] = set()
     ports: dict[str, int] = {}
     for n in g.nodes:
@@ -239,6 +239,9 @@ def validate(g: Graph) -> None:
     for n in g.nodes:
         if n.op == "input" and n.id not in g.inputs:
             raise GraphError(f"input node {n.id!r} missing from graph inputs")
+    mha = g.meta.get("mha", {})  # rewrite-graph makes one chunk per head
+    if not (isinstance(mha, dict) and _POSITIVE[1](mha.get("heads", 1))):
+        raise GraphError(f"meta 'mha' must give heads as a positive int, got {mha!r}")
     infer_shapes(g)
 
 
@@ -467,8 +470,7 @@ def _apply(node: Node, args: list, weights, rec: QuantRecorder):
         out = np.einsum(a["equation"], *args)  # one operand may come back as a view of it
         return out.copy() if np.may_share_memory(out, args[0]) else out
     if node.op == "scale":
-        with np.errstate(over="ignore"):  # past float64's range the result is inf
-            return args[0] * float(a["factor"])
+        return args[0] * float(a["factor"])
     if node.op == "softmax":
         if rec.fmt is None:
             return softmax_reference(args[0])
@@ -481,8 +483,7 @@ def _apply(node: Node, args: list, weights, rec: QuantRecorder):
         out = stabilized_layernorm_rows(x.reshape(-1, x.shape[-1]), None, rec)
         return np.moveaxis(out.reshape(x.shape), -1, ax)
     if node.op == "add":
-        with np.errstate(over="ignore"):  # as for scale
-            return args[0] + args[1]
+        return args[0] + args[1]
     if node.op == "reshape":
         return args[0].reshape(tuple(a["shape"]))
     if node.op == "transpose":
@@ -569,7 +570,9 @@ def execute_traced(g: Graph, feeds: dict[str, np.ndarray],
                 ranges[n.id] = max(lo, 0.0), max(hi, 0.0)
             values[n.id] = np.maximum(args[0], 0.0, out=args[0] if r in sole else None)
         else:
-            values[n.id] = _apply(n, args, weights, rec)
+            # a result past float64's range is inf, and inf - inf nan: no warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                values[n.id] = _apply(n, args, weights, rec)
             if n.op in MOVEMENT_OPS:
                 movement += values[n.id].nbytes
             elif n.op not in ("softmax", "layernorm"):  # these round their own stages
@@ -658,12 +661,12 @@ def check_equivalence(g1: Graph, g2: Graph, weights: dict,
 # Attention block builders
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class MHAParams:
     batch: int = 1
-    heads: int = 8
-    features: int = 512
-    seq: int = 16
+    heads: int
+    features: int
+    seq: int
 
     def __post_init__(self):
         if min(self.batch, self.heads, self.features, self.seq) < 1:
@@ -872,6 +875,7 @@ def pass_chunk(g: Graph, n_chunks: int, axis: str = "heads") -> Graph:
     elif heads % n_chunks:
         raise GraphRewriteError(f"{n_chunks} chunks do not divide {heads} heads")
     elif not channel_second:
+        _check_heads(heads, shapes[qkv[0]][1])  # the q operand is (bz, h, S, d)
         out = _chunk_core(g, core, n_chunks, 1, qkv, "qkv", None, av.id)
     else:  # split the inputs of the head reshapes feeding the core
         reshapes = [g.node(r.split(":")[0]) for r in qkv]
@@ -884,7 +888,8 @@ def pass_chunk(g: Graph, n_chunks: int, axis: str = "heads") -> Graph:
             g, lambda n: n.op == "reshape" and av.id in n.inputs, "head merge")
         hpc = heads // n_chunks
         bzh, d, _, S = shapes[reshapes[0].id]
-        bz = bzh // heads
+        bz = shapes[reshapes[0].inputs[0]][0]
+        _check_heads(heads, bzh / bz)
         # with one head per branch the split pieces are already heads
         head_shapes = None if hpc == 1 else ([bz * hpc, d, 1, S], [bz, hpc * d, 1, S])
         out = _chunk_core(g, core, n_chunks, 1, [r.inputs[0] for r in reshapes],
@@ -893,6 +898,12 @@ def pass_chunk(g: Graph, n_chunks: int, axis: str = "heads") -> Graph:
     out.meta = {**g.meta, "chunked": {"n_chunks": n_chunks, "axis": axis}}
     validate(out)
     return out
+
+
+def _check_heads(heads: int, found) -> None:  # else a wrong count splits a wrong graph
+    if found != heads:
+        raise GraphRewriteError(f"meta 'mha' gives {heads} heads, "
+                                f"the attention core has {found:g}")
 
 
 def _attention_core(g: Graph):

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lowprec import cli, prenorm
+from lowprec import cli, convsub, prenorm
 from lowprec.convsub import ConvLayerSpec, SubsamplingConfig, init_weights, subsampler_graph
 from lowprec.floatsim import FP16, parse_format
 from lowprec.graphir import GraphRewriteError, Graph, build_mha_bsf, MHAParams
@@ -310,6 +310,28 @@ def test_float64_graph_nodes_that_overflow_print_no_numpy_warning(tmp_path, seco
                    "--check-instances", "2", "--out-dir", str(tmp_path / "out")) == 0
 
 
+@pytest.mark.parametrize("named, spelled", [("fp16", "custom:10,5"),
+                                             ("fp32", "custom:23,8")])
+@pytest.mark.parametrize("command", ["audit-softmax", "audit-layernorm"])
+def test_a_custom_spelling_of_a_named_format_writes_the_same_reports(
+        adversarial, tmp_path, command, named, spelled):
+    outs = {spec: tmp_path / spec.replace(":", "_") for spec in (named, spelled)}
+    for spec, out in outs.items():
+        assert run(command, str(adversarial), "--format", spec, "--out-dir", str(out)) == 0
+    files = sorted(f.name for f in outs[named].iterdir())
+    assert files == sorted(f.name for f in outs[spelled].iterdir())
+    for name in files:
+        assert (outs[spelled] / name).read_bytes() == (outs[named] / name).read_bytes()
+    [report] = [name for name in files if name.endswith(".json")]
+    assert json.loads((outs[spelled] / report).read_text())["format"] == named
+
+
+def test_the_mac_assumptions_state_the_counted_encoder():
+    stated = f"{convsub._ENC_LAYERS} layers, d={convsub._ENC_D}, ff={convsub._ENC_FF};"
+    assert stated == "12 layers, d=512, ff=2048;"
+    assert stated in cli._MAC_ASSUMPTIONS[1]
+
+
 def test_profile_conv_emits_peaks_hist_and_mac_table(tmp_path):
     path = tmp_path / "mel.stream"
     run("gen-stream", str(path), "--rows", "120", "--width", "80",
@@ -421,6 +443,65 @@ def test_rewrite_graph_reload_and_rerun(tmp_path):
     a = (out1 / "graph_out.json").read_bytes()
     b = (out2 / "graph_out.json").read_bytes()
     assert a == b  # second layout run is a no-op
+
+
+@pytest.mark.parametrize("axis", ["heads", "query"])
+def test_a_saved_builtin_graph_rewrites_like_the_builtin(tmp_path, axis):
+    # a graph file is chunked per head, as the builtin is
+    path = tmp_path / "g.json"
+    build_mha_bsf(MHAParams(heads=8, features=64, seq=8)).save(path)
+    outs = {"mha": tmp_path / "mha", str(path): tmp_path / "file"}
+    for graph, out in outs.items():
+        assert run("rewrite-graph", graph, "--features", "64", "--seq", "8",
+                   "--chunk-axis", axis, "--out-dir", str(out)) == 0
+    assert ((tmp_path / "file" / "graph_out.json").read_bytes()
+            == (tmp_path / "mha" / "graph_out.json").read_bytes())
+    metrics = {m: json.loads((out / "rewrite_metrics.json").read_text())
+               for m, out in outs.items()}
+    assert metrics[str(path)] == {**metrics["mha"], "graph": str(path)}
+    assert metrics["mha"]["chunks"] == 8
+
+
+def test_a_graph_without_heads_passes_through_the_chunk_pass(tmp_path):
+    path, _ = small_conv_graph_file(tmp_path)
+    out = tmp_path / "out"
+    assert run("rewrite-graph", str(path), "--passes", "chunk", "--out-dir", str(out)) == 0
+    assert (out / "graph_out.json").read_bytes() == path.read_bytes()
+    assert json.loads((out / "rewrite_metrics.json").read_text())["chunks"] == 1
+
+
+@pytest.mark.parametrize("graph", ["mha", "file"])
+def test_query_chunks_one_per_head_must_divide_the_query_positions(tmp_path, capsys, graph):
+    path = tmp_path / "g.json"
+    build_mha_bsf(MHAParams(heads=8, features=64, seq=4)).save(path)
+    out = tmp_path / "out"
+    assert run("rewrite-graph", "mha" if graph == "mha" else str(path), "--features", "64",
+               "--seq", "4", "--chunk-axis", "query", "--out-dir", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "8 chunks do not divide 4 query positions" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+_NOT_POSITIVE = "g.json: meta 'mha' must give heads as a positive int"
+
+
+@pytest.mark.parametrize("passes, mha, message", [
+    *[("layout,chunk,einsum", mha, _NOT_POSITIVE)
+      for mha in (3, [8], {"heads": "8"}, {"heads": 0}, {"heads": 2.0}, {"heads": True})],
+    # the block has 2 heads; a count that disagrees would chunk it into a wrong graph
+    *[(passes, {"heads": h}, f"meta 'mha' gives {h} heads, the attention core has 2")
+      for passes in ("layout,chunk", "chunk") for h in (1000003, 4)],
+])
+def test_graph_meta_heads_that_are_not_the_graphs_exit_2(tmp_path, capsys, passes, mha,
+                                                          message):
+    d = json.loads(small_graph_file(tmp_path).read_text())
+    d["meta"]["mha"] = mha
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(d))
+    out = tmp_path / "out"
+    assert run("rewrite-graph", str(path), "--passes", passes, "--out-dir", str(out)) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err and not out.exists()
 
 
 def test_usage_and_io_errors_exit_2(tmp_path, capsys):
@@ -544,6 +625,7 @@ def test_audit_layernorm_format_too_narrow_for_theorem1_exits_2(adversarial, tmp
     ("rewrite-graph", "mha", "--heads", "0"),
     ("rewrite-graph", "mha", "--chunks", "-2"),
     ("audit-layernorm", "{stream}", "--p", "nan"),
+    ("rewrite-graph", "mha", "--batch", "1"),  # the chunk count and batch are not flags
 ])
 def test_refused_runs_leave_no_out_dir(adversarial, tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -837,7 +919,7 @@ def test_rewrite_graph_mha_reads_weights_instead_of_generating_them(tmp_path, mo
     params = MHAParams(batch=1, heads=2, features=16, seq=4)
     wpath = tmp_path / "w.bin"
     write_tensors(wpath, mha_weights(params, 3))
-    argv = ["rewrite-graph", "mha", "--batch", "1", "--heads", "2", "--features", "16",
+    argv = ["rewrite-graph", "mha", "--heads", "2", "--features", "16",
             "--seq", "4", "--seed", "3", "--check", "--check-instances", "2"]
     assert run(*argv, "--out-dir", str(tmp_path / "gen")) == 0
 
@@ -1001,6 +1083,8 @@ def test_flag_values_outside_their_type_or_choices_exit_2(tmp_path, argv, flag, 
     ("audit-layernorm", "{tmp}/s.stream", "--out-dir", "{tmp}", "--seed", "1"),
     ("audit-softmax", "{tmp}/s.stream", "--out-dir", "{tmp}", "--seed", "1"),
     ("gen-stream", "{tmp}/a.stream", "--out-dir", "{tmp}"),
+    ("rewrite-graph", "mha", "--out-dir", "{tmp}", "--chunks", "1"),
+    ("rewrite-graph", "mha", "--out-dir", "{tmp}", "--batch", "1"),
 ])
 def test_flags_a_command_does_not_read_are_not_declared(tmp_path, capsys, argv):
     assert run(*[a.format(tmp=tmp_path) for a in argv]) == 2

@@ -163,12 +163,20 @@ def test_fp32_round_trips_float32_exactly():
 
 
 def test_from_bits_reproduces_the_builtin_formats():
-    f16 = FloatFormat("half", 10, 5)
+    f16 = FloatFormat(10, 5)
     assert f16.max_finite == FP16.max_finite == 65504.0
     assert f16.min_normal == FP16.min_normal == 2.0**-14
-    f32 = FloatFormat("single", 23, 8)
+    f32 = FloatFormat(23, 8)
     assert f32.max_finite == FP32.max_finite
     assert f32.min_normal == 2.0**-126
+
+
+def test_a_format_is_its_bits():
+    assert FloatFormat(10, 5) == FP16 and FloatFormat(23, 8) == FP32
+    assert FloatFormat(23, 8).name == "fp32" and FloatFormat(10, 5).name == "fp16"
+    assert parse_format("custom:10,5") == FP16 and parse_format("custom:23,8") == FP32
+    assert parse_format("custom:10,5").name == "fp16"
+    assert parse_format("custom:7,6").name == "custom_m7e6"
 
 
 def test_past_52_fraction_bits_the_ceiling_is_the_largest_float64_on_the_grid():

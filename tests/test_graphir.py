@@ -2,6 +2,7 @@
 
 import math
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -357,6 +358,24 @@ def test_a_tensor_read_by_two_nodes_runs_as_two_copies_of_it(fmt):
         assert shared.node_stats["l2"].overflow > 0
 
 
+@pytest.mark.parametrize("sigma", [1e5, 3e4])  # saturating at the linear, the matmul
+@pytest.mark.parametrize("rewrite", [[], ["layout", "chunk", "einsum"]])
+def test_a_saturating_feed_runs_in_fp16_without_a_numpy_warning(sigma, rewrite):
+    p = MHAParams(heads=2, features=16, seq=4)
+    g = apply_passes(build_mha_bsf(p), rewrite, n_chunks=2)
+    w = mha_weights(p, seed=0)
+    x = {"x": np.random.default_rng(0).normal(0.0, sigma, (1, 4, 1, 16))}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        quiet = execute_traced(g, x, w, FP16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        strict = execute_traced(g, x, w, FP16)
+    assert strict.outputs["y"].tobytes() == quiet.outputs["y"].tobytes()
+    assert strict.node_stats == quiet.node_stats
+    assert strict.total_overflow.overflow > 0
+
+
 @pytest.mark.parametrize("fmt", [None, FP16], ids=["float64", "fp16"])
 def test_a_missing_bias_on_a_later_node_is_named(fmt):
     rng = np.random.default_rng(5)
@@ -645,9 +664,14 @@ def test_executor_rejects_bad_feeds(mha):
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        MHAParams(heads=3, features=32)
+        MHAParams(heads=3, features=32, seq=16)
     with pytest.raises(ValueError):
-        MHAParams(batch=0)
+        MHAParams(batch=0, heads=8, features=512, seq=16)
     with pytest.raises(ValueError, match="heads=0"):
-        MHAParams(heads=0)  # positivity is checked before features % heads
-    assert MHAParams().head_dim == 64
+        MHAParams(heads=0, features=512, seq=16)  # positivity before features % heads
+    assert MHAParams(heads=8, features=512, seq=16).head_dim == 64
+    assert MHAParams(heads=8, features=512, seq=16).batch == 1
+    with pytest.raises(TypeError):  # the sizes have no default: the CLI gives them
+        MHAParams(heads=8, features=512)
+    with pytest.raises(TypeError):  # keywords only, so the fields cannot be mixed up
+        MHAParams(1, 8, 512, 16)

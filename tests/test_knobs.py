@@ -7,10 +7,10 @@ from pathlib import Path
 from lowprec import cli
 
 SRC = Path(cli.__file__).resolve().parent
-MAX_OPTIONS = 33
+MAX_OPTIONS = 31
 
 
-def test_the_subcommands_declare_at_most_33_option_flags():
+def test_the_subcommands_declare_at_most_31_option_flags():
     parser = cli.build_parser()
     (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     flags = [(name, a.option_strings[0])
